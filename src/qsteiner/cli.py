@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (verification passed where applicable), 1 when
-a check or verification fails, 2 on bad arguments.  All numeric output
-is exact decimal; stdout is deterministic for fixed inputs.
+a check or verification fails or a parallelism search exhausts its node
+budget, 2 on bad arguments.  All numeric output is exact decimal; stdout
+is deterministic for fixed inputs.
 
 The environment variable QSTEINER_DATA may point at a directory of
 parallelism files named ``parallelism-q{q}-n{n}.txt``; ``--parallelism
@@ -68,7 +69,7 @@ def _parse_pins(pin_args) -> dict:
     for item in pin_args or ():
         name, _, value = item.partition("=")
         if not name.startswith("X") or not value:
-            raise SystemExit(f"bad pin {item!r}; expected e.g. X0=1")
+            raise ValueError(f"bad pin {item!r}; expected e.g. X0=1")
         pins[int(name[1:])] = Fraction(value)
     return pins
 
@@ -131,7 +132,7 @@ def _report_verdict(report) -> int:
 
 def cmd_verify(args) -> int:
     design = files.parse_design_file(args.file)
-    return _report_verdict(designs.verify(design, jobs=args.jobs))
+    return _report_verdict(designs.verify(design))
 
 
 def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
@@ -144,8 +145,6 @@ def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
         packaged = files.packaged_parallelism_path(q, n)
         if packaged is not None:
             return designs.build_parallelism(q, n, source=str(packaged))
-        return designs.build_parallelism(q, n, source="search")
-    if source == "search":
         return designs.build_parallelism(q, n, source="search")
     return designs.build_parallelism(q, n, source=source)
 
@@ -166,21 +165,21 @@ def cmd_build(args) -> int:
     elif args.name == "recursive":
         k = args.k
         if k is None:
-            raise SystemExit("build recursive needs --k")
-        para = _resolve_parallelism(q, k + 1, args.parallelism)
+            raise ValueError("build recursive needs --k")
         if args.base:
             base = files.parse_design_file(args.base)
         elif k == 3:
             base = designs.construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
         else:
-            raise SystemExit(f"build recursive with k={k} needs --base FILE")
+            raise ValueError(f"build recursive with k={k} needs --base FILE")
+        para = _resolve_parallelism(q, k + 1, args.parallelism)
         design = designs.construct_recursive(q, k, para, base)
     else:
-        raise SystemExit(f"unknown build target {args.name!r}")
+        raise ValueError(f"unknown build target {args.name!r}")
     out = args.output or f"{args.name}-q{q}.design"
     files.write_design(design, out)
     print(f"wrote {out} ({len(design.blocks)} distinct blocks)")
-    return _report_verdict(designs.verify(design, jobs=args.jobs))
+    return _report_verdict(designs.verify(design))
 
 
 def cmd_puncture(args) -> int:
@@ -193,7 +192,7 @@ def cmd_puncture(args) -> int:
         out = f"{stem}-m{punctured.params.m}{ext or '.design'}"
     files.write_design(punctured, out)
     print(f"wrote {out}")
-    return _report_verdict(designs.verify(punctured, jobs=args.jobs))
+    return _report_verdict(designs.verify(punctured))
 
 
 def cmd_spread(args) -> int:
@@ -230,9 +229,9 @@ def _parse_ops(op_args, ncols: int) -> list:
             j = int(col)
             cs = tuple(int(c) for c in coeffs.split(","))
         except ValueError:
-            raise SystemExit(f"bad op {item!r}; expected J=c0,c1,...")
+            raise ValueError(f"bad op {item!r}; expected J=c0,c1,...") from None
         if len(cs) != ncols:
-            raise SystemExit(f"op {item!r} needs {ncols} coefficients")
+            raise ValueError(f"op {item!r} needs {ncols} coefficients")
         ops.append((j, cs))
     return ops
 
@@ -248,7 +247,7 @@ def cmd_transform(args) -> int:
         out = f"{stem}-transformed{ext or '.design'}"
     files.write_design(transformed, out)
     print(f"wrote {out}")
-    return _report_verdict(designs.verify(transformed, jobs=args.jobs))
+    return _report_verdict(designs.verify(transformed))
 
 
 def _add_system_args(sub) -> None:
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="re-verify a design file")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("build", help="build, write and verify a design")
@@ -310,14 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto | search | path to a parallelism file")
     p.add_argument("--base", help="base design file for 'recursive'")
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("puncture",
                         help="puncture a design file once and verify the result")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_puncture)
 
     p = subs.add_parser("spread", help="build the field-extension spread of F_q^n")
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace column J by the given combination "
                         "(0-based; coefficient of column J must be nonzero)")
     p.add_argument("-o", "--output")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_transform)
 
     return parser
@@ -355,6 +350,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except designs.SearchExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -376,3 +376,14 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
         rows = tuple(_combine(f, m, crow, yrows) for crow in c.rows)
         pivots = tuple(ypiv[cp] for cp in c.pivots)
         yield Subspace(f, m, rows, pivots)
+
+
+def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
+    """Map each s-subspace to the summed weight of the (block, weight)
+    pairs whose block contains it; s-subspaces in no block are absent."""
+    cov: dict = {}
+    get = cov.get
+    for y, w in weighted_blocks:
+        for x in subspaces_within(y, s):
+            cov[x] = get(x, 0) + w
+    return cov

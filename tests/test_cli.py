@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from qsteiner import designs
 from qsteiner.cli import main
 from qsteiner.files import parse_design_file, parse_parallelism_file
 
@@ -79,9 +80,6 @@ def test_build_verify_puncture_cycle(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "fano-m4-q2.design")
     assert code == 0 and "PASS" in out
 
-    code, out2, _ = run(capsys, "verify", "fano-m4-q2.design", "--jobs", "4")
-    assert code == 0 and out2 == out
-
     code, out, _ = run(capsys, "build", "fano-m5", "--q", "2",
                        "--parallelism", "auto")
     assert code == 0 and "PASS" in out
@@ -156,6 +154,10 @@ def test_transform_command(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "transform", "fano-m4-q2.design",
                        "--op", "1=1,0,0,0")
     assert code == 2 and "nonzero" in err
+    code, _, err = run(capsys, "transform", "fano-m4-q2.design", "--op", "x")
+    assert code == 2 and "bad op" in err
+    code, _, err = run(capsys, "transform", "fano-m4-q2.design", "--op", "1=1,1")
+    assert code == 2 and "needs 4 coefficients" in err
 
 
 def test_deterministic_stdout(tmp_path, capsys, monkeypatch):
@@ -174,3 +176,19 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     code, _, err = run(capsys, "verify", "no-such-file.design")
     assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "uniform-solve", "2", "2", "3", "7", "4",
+                       "--pin", "Y0=1")
+    assert code == 2 and "bad pin" in err
+    code, _, err = run(capsys, "build", "recursive", "--q", "2")
+    assert code == 2 and "needs --k" in err
+    code, _, err = run(capsys, "build", "recursive", "--q", "2", "--k", "7")
+    assert code == 2 and "needs --base" in err
+
+
+def test_search_exhausted_exit_1(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise designs.SearchExhausted("node budget exhausted")
+    monkeypatch.setattr(designs, "build_parallelism", exhausted)
+    code, out, err = run(capsys, "parallelism", "2", "6", "--source", "search")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: node budget exhausted"

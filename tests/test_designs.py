@@ -59,6 +59,8 @@ def test_multiset_rejects_bad_multiplicities():
         DesignMultiset(params, {block: 0})
     with pytest.raises(ValueError):
         DesignMultiset(params, {block: -3})
+    with pytest.raises(ValueError):
+        DesignMultiset(params, {block: True})
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +97,6 @@ def test_verify_block_dim_out_of_range():
     rep = verify(DesignMultiset(params6, blocks))
     assert not rep.ok
     assert rep.block_dim_violations  # dim 1 < k - p = 2
-
-
-def test_verify_jobs_partition_independent():
-    d = construct_s3485(2)
-    r1 = verify(d, jobs=1)
-    r3 = verify(d, jobs=3)
-    assert r1.ok and r3.ok
-    assert r1.equations_checked == r3.equations_checked
-    assert r1.total_multiplicity == r3.total_multiplicity
 
 
 def test_mass_identity_on_verified_designs():
@@ -167,6 +160,16 @@ def test_spread_invariants():
 def test_spread_rejects_odd_dimension():
     with pytest.raises(ValueError):
         build_spread(2, 5)
+
+
+def test_spread_rejects_bad_partition():
+    lines = build_spread(2, 4).lines
+    with pytest.raises(ValueError):   # overlapping lines
+        Spread(F2, 4, tuple(enumerate_subspaces(F2, 4, 2))[:5])
+    with pytest.raises(ValueError):   # one line missing
+        Spread(F2, 4, lines[1:])
+    with pytest.raises(ValueError):   # every point covered, one line twice
+        Spread(F2, 4, lines + lines[:1])
 
 
 def test_puncture_steiner_spreads():
