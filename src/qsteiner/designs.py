@@ -12,7 +12,6 @@ count, must account for every t-subspace of F_q^n extending X.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,7 +19,7 @@ from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, make_field
 from .subspaces import (Subspace, coverage, enumerate_subspaces,
                         extension_raise_dim, extensions_same_dim,
-                        null_subspace, puncture, rref, vector_code,
+                        null_subspace, packed, puncture, rref, vector_code,
                         vector_from_code)
 
 
@@ -159,7 +158,7 @@ def verify(design: DesignMultiset) -> VerificationReport:
         acc = coverage(((y, mult * coeff[y.dim]) for y, mult in design.blocks.items()
                         if coeff[y.dim]), s)
         for x in enumerate_subspaces(field, m, s):
-            got = acc.get(x, 0)
+            got = acc.get(packed(x), 0)
             residuals.append(got - expected)
             if got != expected:
                 violations.append(EquationViolation(s, x, got, expected))
@@ -259,10 +258,12 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     upper_cov = coverage(((b, mult) for b, mult in blocks.items()
                           if b.dim == k), t)
     for x in enumerate_subspaces(field, n - 1, t):
-        want = 0 if x in covered_by_lower else q ** t
-        if upper_cov.get(x, 0) != want:
+        key = packed(x)
+        want = 0 if key in covered_by_lower else q ** t
+        got = upper_cov.get(key, 0)
+        if got != want:
             raise ConstructionError(
-                f"t-subspace {x!r} appears {upper_cov.get(x, 0)} times, expected {want}")
+                f"t-subspace {x!r} appears {got} times, expected {want}")
     return design, sub_system
 
 
@@ -280,10 +281,12 @@ class Spread:
                 raise ValueError(f"{line!r} is not a 2-subspace of F^{self.n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
         cov = coverage(((line, 1) for line in self.lines), 1)
-        for point, c in cov.items():
+        q = self.field.q
+        for (code,), c in cov.items():
             if c != 1:
+                point = rref(self.field, [vector_from_code(code, q, self.n)])
                 raise ValueError(f"point {point!r} lies on {c} lines")
-        if len(cov) != gaussian(self.n, 1, self.field.q):
+        if len(cov) != gaussian(self.n, 1, q):
             raise ValueError("lines do not cover every nonzero vector")
 
     def to_steiner(self) -> SteinerSystem:
@@ -363,18 +366,14 @@ def _search_parallelism(field: GF, n: int, node_limit: int) -> tuple:
     used = bytearray(len(lines))
     spreads_acc: list = []
     nodes = 0
-
-    def start_new() -> bool:
-        anchor = next((i for i in range(len(lines)) if not used[i]), None)
-        if anchor is None:
-            return True
-        used[anchor] = 1
-        if complete(masks[anchor], [anchor]):
-            return True
-        used[anchor] = 0
-        return False
+    # One entry per pending call: (cover, members, candidate iterator)
+    # for a spread being completed, or an int, the anchor of a spread
+    # being started.  The line an entry is trying is members[-1].
+    stack: list = []
 
     def complete(cover: int, members: list) -> bool:
+        """Enter a completion call: push its branch point, or (at full
+        cover) start the next spread; True once the last spread is done."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -382,30 +381,49 @@ def _search_parallelism(field: GF, n: int, node_limit: int) -> tuple:
                 f"parallelism search for q={q}, n={n} exhausted {node_limit} nodes")
         if cover == full:
             spreads_acc.append(tuple(members))
-            if start_new():
-                return True
-            spreads_acc.pop()
-            return False
+            return next_spread()
         missing = full & ~cover
         v = (missing & -missing).bit_length() - 1
-        for li in through[v]:
-            if used[li] or (masks[li] & cover):
-                continue
-            used[li] = 1
-            members.append(li)
-            if complete(cover | masks[li], members):
-                return True
-            members.pop()
-            used[li] = 0
+        stack.append((cover, members, iter(through[v])))
         return False
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * gaussian(n, 2, q) + 1000))
-    try:
-        if not start_new():
-            raise SearchExhausted(f"no parallelism found for q={q}, n={n}")
-    finally:
-        sys.setrecursionlimit(old_limit)
+    def next_spread() -> bool:
+        # nests in complete() only while a single line is a whole spread
+        # (n = 2), so the call depth stays bounded
+        anchor = used.find(0)
+        if anchor < 0:
+            return True
+        used[anchor] = 1
+        stack.append(anchor)
+        return complete(masks[anchor], [anchor])
+
+    done = next_spread()
+    failed = False      # the call made by the top entry has failed
+    while not done:
+        top = stack[-1]
+        if top.__class__ is int:
+            # the spread anchored here cannot be completed, so neither
+            # can the previous one
+            stack.pop()
+            used[top] = 0
+            if not stack:
+                raise SearchExhausted(f"no parallelism found for q={q}, n={n}")
+            spreads_acc.pop()
+            continue
+        cover, members, candidates = top
+        if failed:
+            used[members.pop()] = 0
+        for li in candidates:
+            if not (used[li] or masks[li] & cover):
+                break
+        else:
+            stack.pop()
+            failed = True
+            continue
+        used[li] = 1
+        members.append(li)
+        done = complete(cover | masks[li], members)
+        failed = False
     return tuple(Spread(field, n, tuple(lines[i] for i in sorted(
         members, key=lambda i: lines[i].rows))) for members in spreads_acc)
 

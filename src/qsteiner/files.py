@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .designs import DesignMultiset, DesignParams, Parallelism, Spread
 from .field import make_field
-from .subspaces import Subspace, rref
+from .subspaces import Subspace
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -44,14 +44,12 @@ def _format_row(row: tuple, q: int) -> str:
 
 
 def _parse_row(text: str, q: int, m: int) -> tuple:
-    if q <= 9:
-        digits = [int(ch) for ch in text]
-    else:
-        digits = [int(tok) for tok in text.split()]
+    digits = list(map(int, text if q <= 9 else text.split()))
     if len(digits) != m:
         raise ValueError(f"row {text!r} does not have {m} coordinates")
-    if any(not 0 <= d < q for d in digits):
+    if digits and (min(digits) < 0 or max(digits) >= q):
         raise ValueError(f"row {text!r} has elements outside F_{q}")
+    # tuple() of a list is exact-size; of a map it keeps the growth slack
     return tuple(digits)
 
 
@@ -62,25 +60,48 @@ def format_block_rows(block: Subspace) -> str:
     return ";".join(_format_row(r, block.field.q) for r in block.rows)
 
 
-def _parse_block_rows(text: str, q: int, m: int, dim: int) -> Subspace:
-    field = make_field(q)
+def _parse_block_rows(field, text: str, m: int, dim: int, seen: dict) -> Subspace:
+    """One block; ``seen`` maps row text to its parsed row, so blocks
+    sharing a row share one tuple."""
     if text == "-":
         if dim != 0:
             raise ValueError("'-' rows are only valid for dimension 0")
         return Subspace(field, m, (), ())
-    rows = tuple(_parse_row(part, q, m) for part in text.split(";"))
+    rows = []
+    for part in text.split(";"):
+        row = seen.get(part)
+        if row is None:
+            row = seen[part] = _parse_row(part, field.q, m)
+        rows.append(row)
+    rows = tuple(rows)
     if len(rows) != dim:
         raise ValueError(f"block says dimension {dim} but has {len(rows)} rows")
-    sub = _rref_checked(field, rows, m)
-    return sub
+    return _rref_checked(field, rows, m)
 
 
 def _rref_checked(field, rows: tuple, m: int) -> Subspace:
-    """Reject rows that are not already a canonical RREF basis."""
-    sub = rref(field, rows)
-    if sub.rows != rows:
-        raise ValueError(f"rows {rows} are not in reduced row echelon form")
-    return sub
+    """Reject rows that are not already a canonical RREF basis.
+
+    Rows are accepted iff ``rref(field, rows).rows == rows``: every row
+    is nonzero with leading entry 1, leads strictly increase, and each
+    pivot column is zero outside its own row.  Only the rows above a
+    pivot need checking: the rows below it lead further right.
+    """
+    pivots = []
+    last = -1
+    for i, row in enumerate(rows):
+        try:
+            lead = row.index(1)
+        except ValueError:
+            lead = -1
+        if lead <= last or any(row[:lead]):
+            raise ValueError(f"rows {rows} are not in reduced row echelon form")
+        for above in rows[:i]:
+            if above[lead]:
+                raise ValueError(f"rows {rows} are not in reduced row echelon form")
+        pivots.append(lead)
+        last = lead
+    return Subspace(field, m, rows, tuple(pivots))
 
 
 def serialize_design(design: DesignMultiset) -> str:
@@ -103,6 +124,8 @@ def parse_design(text: str) -> DesignMultiset:
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
     blocks: dict = {}
+    field = None
+    seen: dict = {}
     for ln in lines[2:]:
         parts = ln.split(maxsplit=3)
         if len(parts) != 4 or parts[0] != "block":
@@ -110,7 +133,9 @@ def parse_design(text: str) -> DesignMultiset:
         mult, dim = int(parts[1]), int(parts[2])
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
-        block = _parse_block_rows(parts[3], params.q, params.m, dim)
+        # made at the first block: a file without blocks parses for any q
+        field = field or make_field(params.q)
+        block = _parse_block_rows(field, parts[3], params.m, dim, seen)
         if block in blocks:
             raise ValueError(f"duplicate block line for {parts[3]!r}")
         blocks[block] = mult

@@ -6,6 +6,12 @@ of the stored rows.  Vectors are tuples of field-element codes; the
 integer encoding of a vector v is ``sum(v[j] * q**j)`` (leftmost
 coordinate is the least significant digit).
 
+The verifier's coverage kernel keys subspaces by ``packed(x)``, the
+tuple of integer codes of the RREF rows, instead of ``Subspace``
+objects.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
+the bit pattern of its polynomial coefficients, so each base-q digit of
+a vector code is a bit field and vector addition is ``^`` on codes.
+
 Puncturing always removes the last coordinate(s).  Deleting the last
 column of an RREF matrix leaves an RREF matrix: row pivots can only sit
 in the deleted column for the final row (pivot columns are strictly
@@ -378,12 +384,72 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
         yield Subspace(f, m, rows, pivots)
 
 
+@lru_cache(maxsize=4096)
+def _multiple_codes(row: tuple, field: GF) -> tuple:
+    """Codes of a*row for a = 1..q-1.  Cached: the blocks of a design
+    share rows, and keys built from the cached codes share their ints."""
+    q, mul = field.q, field.mul_table
+    return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
+
+
+def packed(x: Subspace) -> tuple:
+    """The coverage key of x: the codes of its RREF rows, in order
+    (``vector_code`` of each row, read from the row cache)."""
+    f = x.field
+    return tuple(_multiple_codes(r, f)[0] for r in x.rows)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_codes(q: int, d: int, s: int) -> tuple:
+    """``_coefficient_bases(q, d, s)`` with every row as its code."""
+    return tuple(tuple(vector_code(r, q) for r in c.rows)
+                 for c in _coefficient_bases(q, d, s))
+
+
+def _span_codes(y: Subspace):
+    """Codes of vectors of y, indexed by coefficient code: entry
+    sum(c_i q^i) holds the code of sum(c_i * row_i).
+
+    Characteristic 2 lists all q^d entries, adding codes with ``^``.
+    Otherwise a dict holds only the entries coefficient bases read
+    (first nonzero coefficient 1), a (q-1)-th of the span.
+    """
+    f = y.field
+    q = f.q
+    if f.p == 2:
+        span = [0]
+        for row in y.rows:
+            span += [v ^ mc for mc in _multiple_codes(row, f) for v in span]
+        return span
+    # the bases of the 1-subspaces of F_q^d are those lead-one vectors
+    m, rows, d = y.ambient, y.rows, y.dim
+    return {code: vector_code(_combine(f, m, point.rows[0], rows), q)
+            for point, (code,) in zip(_coefficient_bases(q, d, 1),
+                                      _coefficient_codes(q, d, 1))}
+
+
 def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
-    """Map each s-subspace to the summed weight of the (block, weight)
-    pairs whose block contains it; s-subspaces in no block are absent."""
+    """Map ``packed(x)`` of each s-subspace x to the summed weight of
+    the (block, weight) pairs whose block contains x; s-subspaces in no
+    block are absent.
+
+    All blocks must live in one ambient space.  The keys of a block are
+    read off its span: if C is an RREF coefficient matrix, C*Y is the
+    RREF basis of its image (see ``subspaces_within``).
+    """
     cov: dict = {}
     get = cov.get
     for y, w in weighted_blocks:
-        for x in subspaces_within(y, s):
-            cov[x] = get(x, 0) + w
+        d = y.dim
+        if s > d:
+            continue
+        if s == d:
+            keys = (packed(y),)
+        elif s == 0:
+            keys = ((),)
+        else:
+            at = _span_codes(y).__getitem__
+            keys = [tuple(map(at, c)) for c in _coefficient_codes(y.field.q, d, s)]
+        for key in keys:
+            cov[key] = get(key, 0) + w
     return cov

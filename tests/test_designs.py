@@ -1,12 +1,14 @@
 """Design verification, puncturing, spreads, constructions, transforms."""
 
 import random
+import sys
 
 import pytest
 
 from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               Parallelism, SearchExhausted, Spread,
+                              _search_parallelism,
                               apply_transform, build_parallelism, build_spread,
                               construct_fano_m5, construct_recursive,
                               construct_s3485, construct_uniform_design,
@@ -164,11 +166,12 @@ def test_spread_rejects_odd_dimension():
 
 def test_spread_rejects_bad_partition():
     lines = build_spread(2, 4).lines
-    with pytest.raises(ValueError):   # overlapping lines
+    twice = r"point Subspace\(q=2, m=4, \[0001\]\) lies on 2 lines"
+    with pytest.raises(ValueError, match=twice):   # overlapping lines
         Spread(F2, 4, tuple(enumerate_subspaces(F2, 4, 2))[:5])
-    with pytest.raises(ValueError):   # one line missing
+    with pytest.raises(ValueError, match="cover every"):   # one line missing
         Spread(F2, 4, lines[1:])
-    with pytest.raises(ValueError):   # every point covered, one line twice
+    with pytest.raises(ValueError, match=twice):   # one line twice
         Spread(F2, 4, lines + lines[:1])
 
 
@@ -233,6 +236,73 @@ def test_parallelism_search_is_deterministic():
     a = build_parallelism(2, 4)
     b = build_parallelism(2, 4)
     assert a == b
+
+
+PARALLELISM_2_4 = """\
+qsteiner-parallelism v1
+q=2 n=4
+spread
+0010;0001
+1000;0100
+1001;0111
+1010;0101
+1011;0110
+spread
+0100;0001
+1000;0010
+1001;0110
+1011;0111
+1101;0011
+spread
+0100;0010
+1000;0001
+1010;0111
+1011;0101
+1100;0011
+spread
+0100;0011
+1000;0101
+1001;0010
+1010;0110
+1110;0001
+spread
+0101;0010
+1000;0110
+1001;0011
+1011;0100
+1100;0001
+spread
+0101;0011
+1000;0111
+1001;0100
+1010;0001
+1100;0010
+spread
+0110;0001
+1000;0011
+1001;0101
+1010;0100
+1101;0010
+"""
+
+
+def test_parallelism_search_keeps_recursion_limit(monkeypatch):
+    """The search runs on an explicit stack: same result, same node
+    count (F_2^4 needs exactly 40 nodes), no interpreter state changed."""
+    from qsteiner.files import serialize_parallelism
+
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert serialize_parallelism(build_parallelism(2, 4)) == PARALLELISM_2_4
+    build_parallelism(2, 4, node_limit=40)
+    with pytest.raises(SearchExhausted, match="exhausted 39 nodes"):
+        build_parallelism(2, 4, node_limit=39)
+    with pytest.raises(SearchExhausted):
+        build_parallelism(2, 6, node_limit=10_000)
+    with pytest.raises(SearchExhausted, match="no parallelism"):
+        _search_parallelism(F2, 3, 1000)     # 7 points admit no spread
 
 
 def test_parallelism_search_regime():

@@ -1,12 +1,14 @@
 """Round-trip and rejection tests for the text file formats."""
 
+import itertools
+
 import pytest
 
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
                               construct_s3485, construct_uniform_design)
 from qsteiner.field import make_field
-from qsteiner.files import (parse_design, parse_parallelism, serialize_design,
-                            serialize_parallelism)
+from qsteiner.files import (_rref_checked, parse_design, parse_parallelism,
+                            serialize_design, serialize_parallelism)
 from qsteiner.subspaces import rref
 
 
@@ -18,6 +20,14 @@ def test_design_round_trip_byte_identical():
         again = parse_design(text)
         assert again == design
         assert serialize_design(again) == text
+
+
+def test_parse_shares_equal_rows():
+    """Blocks with an equal row hold one tuple for it (memory)."""
+    design = parse_design(serialize_design(
+        construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})))
+    rows = [r for b in design.blocks for r in b.rows]
+    assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
 
 
 def test_design_header_and_sorting():
@@ -65,6 +75,37 @@ def test_design_parse_rejections():
     with pytest.raises(ValueError):
         parse_design(text.replace("block 4 2 0010;0001",
                                   "block 4 1 0010;0001", 1))      # dim mismatch
+    with pytest.raises(ValueError):
+        parse_design(text.replace("block 4 2 0010;0001",
+                                  "block 4 2 10x0;0001", 1))      # non-digit
+    with pytest.raises(ValueError):
+        parse_design(text.replace("block 4 2 0010;0001",
+                                  "block 4 2 0000;0001", 1))      # zero row
+    with pytest.raises(ValueError):
+        parse_design(text.replace("block 4 2 0010;0001",
+                                  "block 4 2 00100;0001", 1))     # row length
+    q16 = "qsteiner-design v1\nq=16 t=1 k=2 n=4 m=2\nblock 3 1 {}\n"
+    assert parse_design(q16.format("1 15")).total_multiplicity() == 3
+    for row in ("1 -1", "1 16"):                                  # outside F_16
+        with pytest.raises(ValueError, match="outside F_16"):
+            parse_design(q16.format(row))
+
+
+def test_rref_check_matches_rref_oracle():
+    """The parser's direct RREF check accepts exactly the row tuples
+    that rref() leaves unchanged, and returns the same subspace."""
+    for q, m, d_max in ((2, 4, 3), (3, 3, 2)):
+        field = make_field(q)
+        vectors = list(itertools.product(range(q), repeat=m))
+        for d in range(1, d_max + 1):
+            for rows in itertools.product(vectors, repeat=d):
+                canon = rref(field, rows)
+                if canon.rows == rows:
+                    sub = _rref_checked(field, rows, m)
+                    assert sub == canon and sub.pivots == canon.pivots
+                else:
+                    with pytest.raises(ValueError):
+                        _rref_checked(field, rows, m)
 
 
 def test_parallelism_parse_rejections():

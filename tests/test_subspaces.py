@@ -7,11 +7,11 @@ import pytest
 
 from qsteiner.counting import gaussian
 from qsteiner.field import make_field
-from qsteiner.subspaces import (Subspace, VirtualExpansion, contains,
+from qsteiner.subspaces import (Subspace, VirtualExpansion, contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
-                                null_subspace, puncture, rref,
+                                null_subspace, packed, puncture, rref,
                                 subspaces_within, vector_code,
                                 vector_from_code)
 
@@ -393,3 +393,30 @@ def test_subspaces_within_counts_and_canonical():
         for x in subs:
             assert rref(F2, x.rows) == x if s else x.dim == 0
             assert contains(y, x)
+
+
+def test_coverage_matches_object_oracle():
+    """The packed-code kernel against two object-based counts: one over
+    subspaces_within, one over contains() on the whole Grassmannian."""
+    rng = random.Random(3)
+    for q in (2, 3, 4, 5, 8, 9, 16):
+        f = make_field(q)
+        m = 4 if q <= 5 else 3
+        blocks = []
+        for d in range(m + 1):
+            for _ in range(2):
+                y = null_subspace(f, m)
+                while y.dim < d:
+                    y = rref(f, y.rows + (tuple(rng.randrange(q) for _ in range(m)),))
+                blocks.append((y, rng.randint(-2, 2)))
+        for s in range(m + 1):
+            by_within: dict = {}
+            for y, w in blocks:
+                for x in subspaces_within(y, s):
+                    by_within[packed(x)] = by_within.get(packed(x), 0) + w
+            by_contains = {}
+            for x in enumerate_subspaces(f, m, s):
+                ws = [w for y, w in blocks if contains(y, x)]
+                if ws:
+                    by_contains[packed(x)] = sum(ws)
+            assert coverage(blocks, s) == by_within == by_contains, (q, s)
