@@ -18,16 +18,11 @@ import sys
 from fractions import Fraction
 
 from . import counting, designs, equations, files
-from .subspaces import Subspace
 
 
 def _fmt_value(v) -> str:
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def _fmt_subspace(b: Subspace) -> str:
-    return files.format_block_rows(b)
 
 
 def cmd_gauss(args) -> int:
@@ -74,7 +69,8 @@ def _parse_pins(pin_args) -> dict:
     return pins
 
 
-def _print_outcome(out, keys, label) -> None:
+def _print_outcome(out, keys, label) -> int:
+    """Print a solve outcome; the exit code is 1 iff it is inconsistent."""
     print(f"status: {out.status}")
     for key in keys:
         if key in out.assignment:
@@ -83,6 +79,7 @@ def _print_outcome(out, keys, label) -> None:
         print(f"free variables: {len(out.free_keys)}")
     if out.status != "inconsistent":
         print("nonnegative integers: " + ("yes" if out.nonneg_integer else "no"))
+    return 0 if out.status != "inconsistent" else 1
 
 
 def cmd_uniform_solve(args) -> int:
@@ -91,22 +88,14 @@ def cmd_uniform_solve(args) -> int:
         return _full_solve(args, pins)
     system = equations.build_uniform(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
-    _print_outcome(out, system.r_values, lambda r: f"X_{r}")
-    return 0 if out.status != "inconsistent" else 1
+    return _print_outcome(out, system.r_values, lambda r: f"X_{r}")
 
 
 def _full_solve(args, pins) -> int:
     system = equations.build_full(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
-    print(f"status: {out.status}")
-    for y in system.variables:
-        if y in out.assignment:
-            print(f"a[{_fmt_subspace(y)}] = {_fmt_value(out.assignment[y])}")
-    if out.free_keys:
-        print(f"free variables: {len(out.free_keys)}")
-    if out.status != "inconsistent":
-        print("nonnegative integers: " + ("yes" if out.nonneg_integer else "no"))
-    return 0 if out.status != "inconsistent" else 1
+    return _print_outcome(out, system.variables,
+                          lambda y: f"a[{files.format_block_rows(y)}]")
 
 
 def cmd_full_solve(args) -> int:
@@ -120,11 +109,12 @@ def _report_verdict(report) -> int:
         return 0
     if report.block_dim_violations:
         b, dim = report.block_dim_violations[0]
-        print(f"FAIL: block {_fmt_subspace(b)} has dimension {dim} "
+        print(f"FAIL: block {files.format_block_rows(b)} has dimension {dim} "
               f"outside the legal range")
     if report.violations:
         v = report.first_violation()
-        print(f"FAIL: equation for the {v.s}-subspace [{_fmt_subspace(v.subject)}] "
+        print(f"FAIL: equation for the {v.s}-subspace "
+              f"[{files.format_block_rows(v.subject)}] "
               f"gives {v.got}, expected {v.expected} "
               f"({len(report.violations)} violated equations)")
     return 1

@@ -216,9 +216,3 @@ def oracle_D(s: int, r: int, m: int, q: int,
         raise ValueError("witness does not match the requested (s, m)")
     return sum(1 for y in _iter_grassmannian(field, m, r)
                if contains(y, witness))
-
-
-def grassmannian_size_by_enumeration(q: int, m: int, d: int) -> int:
-    """|G_q(m, d)| counted by streaming enumeration (test oracle)."""
-    field = make_field(q)
-    return sum(1 for _ in _iter_grassmannian(field, m, d))

@@ -581,12 +581,11 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
     for y in enumerate_subspaces(field, m1, 3):
         for sfx in itertools.product(suffixes, repeat=3):
             rows = tuple(row + s for row, s in zip(y.rows, sfx))
-            _add_block(blocks, Subspace(field, m1 + r, rows, y.pivots), top_mult)
+            _add_block(blocks, Subspace(field, m1 + r, rows), top_mult)
 
     for b, mult in base.blocks.items():
         rows = tuple((0,) * m1 + row for row in b.rows)
-        pivots = tuple(m1 + p for p in b.pivots)
-        _add_block(blocks, Subspace(field, m1 + r, rows, pivots), mult)
+        _add_block(blocks, Subspace(field, m1 + r, rows), mult)
 
     spreads = parallelism.spreads
     zero_set = spreads[:2 ** (k - r) - 1]
@@ -596,8 +595,7 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
             for s1 in suffixes:
                 for s2 in suffixes:
                     rows = (line.rows[0] + s1, line.rows[1] + s2)
-                    _add_block(blocks, Subspace(field, m1 + r, rows, line.pivots),
-                               mult_zero)
+                    _add_block(blocks, Subspace(field, m1 + r, rows), mult_zero)
 
     mult_v = 2 ** (k - 1 - 2 * (r - 1))
     for j in range(1, 2 ** r):
@@ -609,12 +607,10 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
         restricted = [s for s in suffixes if s[j0] == 0]
         for sp in group:
             for line in sp.lines:
-                pivots = line.pivots + (m1 + j0,)
                 for s1 in restricted:
                     for s2 in restricted:
                         rows = (line.rows[0] + s1, line.rows[1] + s2, vrow)
-                        _add_block(blocks, Subspace(field, m1 + r, rows, pivots),
-                                   mult_v)
+                        _add_block(blocks, Subspace(field, m1 + r, rows), mult_v)
 
     return DesignMultiset(params, blocks)
 

@@ -276,10 +276,6 @@ def _closed_forms(name: str, q: int, k: int | None) -> dict:
     raise ValueError(f"unknown uniform family {name!r}")
 
 
-FAMILY_NAMES = ("S(2,3,7;4)", "S(3,4,8;4)", "S(4,5,11;6)", "S(5,6,12;6)",
-                "S(2,3,2k+1;k+1)", "S(3,4,2k;k)")
-
-
 def uniform_family_solution(name: str, q: int, k: int | None = None) -> dict:
     """Evaluate a published closed-form uniform solution at the given q
     (and k, for the two parametric families).

@@ -43,12 +43,21 @@ def _format_row(row: tuple, q: int) -> str:
     return " ".join(str(x) for x in row)
 
 
+def _is_decimal(token: str) -> bool:
+    """True iff token is ASCII digits 0-9 only; ``int`` also takes signs,
+    underscores and non-ASCII decimal digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_row(text: str, q: int, m: int) -> tuple:
-    digits = list(map(int, text if q <= 9 else text.split()))
+    tokens = text if q <= 9 else text.split()
+    digits = list(map(int, tokens))
     if len(digits) != m:
         raise ValueError(f"row {text!r} does not have {m} coordinates")
     if digits and (min(digits) < 0 or max(digits) >= q):
         raise ValueError(f"row {text!r} has elements outside F_{q}")
+    if not all(map(_is_decimal, tokens)):
+        raise ValueError(f"row {text!r} is not written in ASCII decimal digits")
     # tuple() of a list is exact-size; of a map it keeps the growth slack
     return tuple(digits)
 
@@ -66,7 +75,7 @@ def _parse_block_rows(field, text: str, m: int, dim: int, seen: dict) -> Subspac
     if text == "-":
         if dim != 0:
             raise ValueError("'-' rows are only valid for dimension 0")
-        return Subspace(field, m, (), ())
+        return Subspace(field, m, ())
     rows = []
     for part in text.split(";"):
         row = seen.get(part)
@@ -87,7 +96,6 @@ def _rref_checked(field, rows: tuple, m: int) -> Subspace:
     pivot column is zero outside its own row.  Only the rows above a
     pivot need checking: the rows below it lead further right.
     """
-    pivots = []
     last = -1
     for i, row in enumerate(rows):
         try:
@@ -99,9 +107,8 @@ def _rref_checked(field, rows: tuple, m: int) -> Subspace:
         for above in rows[:i]:
             if above[lead]:
                 raise ValueError(f"rows {rows} are not in reduced row echelon form")
-        pivots.append(lead)
         last = lead
-    return Subspace(field, m, rows, tuple(pivots))
+    return Subspace(field, m, rows)
 
 
 def serialize_design(design: DesignMultiset) -> str:
@@ -133,6 +140,9 @@ def parse_design(text: str) -> DesignMultiset:
         mult, dim = int(parts[1]), int(parts[2])
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
+        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+            raise ValueError(f"multiplicity and dimension must be ASCII "
+                             f"decimal numbers in {ln!r}")
         # made at the first block: a file without blocks parses for any q
         field = field or make_field(params.q)
         block = _parse_block_rows(field, parts[3], params.m, dim, seen)

@@ -1,10 +1,13 @@
 """Canonical subspaces of F_q^m and the puncture/extend/expand calculus.
 
-A subspace is stored by its generator matrix in reduced row echelon form
-(RREF), which is unique per subspace, so equality of spans is equality
-of the stored rows.  Vectors are tuples of field-element codes; the
-integer encoding of a vector v is ``sum(v[j] * q**j)`` (leftmost
-coordinate is the least significant digit).
+A subspace is stored as its field, its ambient dimension and the rows
+of its generator matrix in reduced row echelon form (RREF), nothing
+else.  RREF is unique per subspace, so equality of spans is equality of
+the stored rows.  The pivot (lead) column of a row is derived, not
+stored: it is the position of the row's first 1.  Vectors are tuples of
+field-element codes; the integer encoding of a vector v is
+``sum(v[j] * q**j)`` (leftmost coordinate is the least significant
+digit).
 
 The verifier's coverage kernel keys subspaces by ``packed(x)``, the
 tuple of integer codes of the RREF rows, instead of ``Subspace``
@@ -12,11 +15,13 @@ objects.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
 the bit pattern of its polynomial coefficients, so each base-q digit of
 a vector code is a bit field and vector addition is ``^`` on codes.
 
-Puncturing always removes the last coordinate(s).  Deleting the last
-column of an RREF matrix leaves an RREF matrix: row pivots can only sit
-in the deleted column for the final row (pivot columns are strictly
-increasing), and that row then becomes zero and is dropped.  This makes
-puncturing a pure slicing operation, no elimination needed.
+Puncturing always removes the last coordinate(s).  Deleting the last p
+columns of an RREF matrix leaves an RREF matrix once its zero rows are
+dropped: a row whose lead lies in a deleted column is zero before its
+lead, so it slices to zero, and since leads strictly increase those are
+the last rows.  Every other row keeps its lead 1 and the zeros above
+it.  Puncturing is therefore slicing each row to its first m - p
+entries, no elimination needed.
 """
 
 from __future__ import annotations
@@ -37,18 +42,22 @@ class Subspace:
     iff they are the same set of vectors.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_hash")
+    __slots__ = ("field", "ambient", "rows", "_hash")
 
-    def __init__(self, field: GF, ambient: int, rows: tuple, pivots: tuple) -> None:
+    def __init__(self, field: GF, ambient: int, rows: tuple) -> None:
         self.field = field
         self.ambient = ambient
         self.rows = rows
-        self.pivots = pivots
         self._hash = hash((field.q, ambient, rows))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        """Lead column of each row: in RREF the first 1 of a row."""
+        return tuple(r.index(1) for r in self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -117,7 +126,7 @@ def _combine(field: GF, m: int, coeffs: tuple, rows: tuple) -> tuple:
 
 
 def null_subspace(field: GF, m: int) -> Subspace:
-    return Subspace(field, m, (), ())
+    return Subspace(field, m, ())
 
 
 def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
@@ -134,7 +143,6 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
     if any(len(v) != m for v in vecs):
         raise ValueError("vectors of unequal length")
     sub, mul = field.sub_table, field.mul_table
-    pivots = []
     rank = 0
     for col in range(m):
         pr = next((i for i in range(rank, len(vecs)) if vecs[i][col]), None)
@@ -153,12 +161,10 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
                 mc = mul[c]
                 row = vecs[i]
                 vecs[i] = [sub[x][mc[y]] for x, y in zip(row, prow)]
-        pivots.append(col)
         rank += 1
         if rank == len(vecs):
             break
-    return Subspace(field, m, tuple(tuple(vecs[i]) for i in range(rank)),
-                    tuple(pivots))
+    return Subspace(field, m, tuple(tuple(vecs[i]) for i in range(rank)))
 
 
 def _iter_grassmannian(field: GF, m: int, d: int) -> Iterator[Subspace]:
@@ -182,13 +188,13 @@ def _iter_grassmannian(field: GF, m: int, d: int) -> Iterator[Subspace]:
                  for i in range(d)
                  for c in range(pivots[i] + 1, m) if c not in pivotset]
         if not slots:
-            yield Subspace(field, m, tuple(tuple(r) for r in base), pivots)
+            yield Subspace(field, m, tuple(tuple(r) for r in base))
             continue
         for vals in itertools.product(range(q), repeat=len(slots)):
             rows = [r[:] for r in base]
             for (i, c), v in zip(slots, vals):
                 rows[i][c] = v
-            yield Subspace(field, m, tuple(tuple(r) for r in rows), pivots)
+            yield Subspace(field, m, tuple(tuple(r) for r in rows))
 
 
 def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
@@ -210,13 +216,12 @@ def first_subspace(field: GF, m: int, d: int) -> Subspace:
     unit vectors."""
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} out of range for ambient {m}")
-    pivots = tuple(range(m - d, m))
     rows = []
-    for p in pivots:
+    for p in range(m - d, m):
         row = [0] * m
         row[p] = 1
         rows.append(tuple(row))
-    return Subspace(field, m, tuple(rows), pivots)
+    return Subspace(field, m, tuple(rows))
 
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
@@ -227,14 +232,13 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
         return False
     f = outer.field
     sub, mul = f.sub_table, f.mul_table
-    orows, opivots = outer.rows, outer.pivots
     for x in inner.rows:
         x = list(x)
-        for i, pc in enumerate(opivots):
+        for orow in outer.rows:
+            pc = orow.index(1)
             c = x[pc]
             if c:
                 mc = mul[c]
-                orow = orows[i]
                 for j in range(pc, len(x)):
                     if orow[j]:
                         x[j] = sub[x[j]][mc[orow[j]]]
@@ -251,16 +255,11 @@ def puncture(x: Subspace, p: int = 1) -> Subspace:
     """
     if not 0 <= p <= x.ambient:
         raise ValueError(f"puncture count {p} out of range for ambient {x.ambient}")
-    rows = list(x.rows)
-    pivots = list(x.pivots)
-    m = x.ambient
-    for _ in range(p):
-        m -= 1
-        if pivots and pivots[-1] == m:
-            rows.pop()
-            pivots.pop()
-        rows = [r[:-1] for r in rows]
-    return Subspace(x.field, m, tuple(rows), tuple(pivots))
+    m = x.ambient - p
+    # a row leading in a deleted column would slice to zero: drop it (such
+    # rows are the last ones, so the kept rows stay in RREF order)
+    rows = tuple([r[:m] for r in x.rows if r.index(1) < m])
+    return Subspace(x.field, m, rows)
 
 
 def extensions_same_dim(x: Subspace) -> list:
@@ -273,7 +272,7 @@ def extensions_same_dim(x: Subspace) -> list:
     out = []
     for extra in itertools.product(range(q), repeat=x.dim):
         rows = tuple(row + (e,) for row, e in zip(x.rows, extra))
-        out.append(Subspace(x.field, x.ambient + 1, rows, x.pivots))
+        out.append(Subspace(x.field, x.ambient + 1, rows))
     return out
 
 
@@ -281,7 +280,7 @@ def extension_raise_dim(x: Subspace) -> Subspace:
     """The unique (t+1)-subspace of F_q^{m+1} puncturing back to x."""
     m = x.ambient
     rows = tuple(row + (0,) for row in x.rows) + ((0,) * m + (1,),)
-    return Subspace(x.field, m + 1, rows, x.pivots + (m,))
+    return Subspace(x.field, m + 1, rows)
 
 
 def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[Subspace]:
@@ -305,7 +304,6 @@ def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[
         g2piv = set(g2.pivots)
         free_cols = [c for c in range(p) if c not in g2piv]
         bottom = tuple((0,) * m + row for row in g2.rows)
-        new_pivots = x.pivots + tuple(m + c for c in g2.pivots)
         for vals in itertools.product(range(q), repeat=len(free_cols) * s):
             it = iter(vals)
             top = []
@@ -314,7 +312,7 @@ def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[
                 for c in free_cols:
                     suffix[c] = next(it)
                 top.append(x.rows[i] + tuple(suffix))
-            yield Subspace(field, n_target, tuple(top) + bottom, new_pivots)
+            yield Subspace(field, n_target, tuple(top) + bottom)
 
 
 @dataclass(frozen=True)
@@ -377,11 +375,9 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
         yield null_subspace(f, m)
         return
     yrows = y.rows
-    ypiv = y.pivots
     for c in _coefficient_bases(f.q, d, s):
-        rows = tuple(_combine(f, m, crow, yrows) for crow in c.rows)
-        pivots = tuple(ypiv[cp] for cp in c.pivots)
-        yield Subspace(f, m, rows, pivots)
+        yield Subspace(f, m, tuple(_combine(f, m, crow, yrows)
+                                   for crow in c.rows))
 
 
 @lru_cache(maxsize=4096)

@@ -89,6 +89,14 @@ def test_design_parse_rejections():
     for row in ("1 -1", "1 16"):                                  # outside F_16
         with pytest.raises(ValueError, match="outside F_16"):
             parse_design(q16.format(row))
+    # int() alone takes signs, underscores and non-ASCII decimal digits
+    assert parse_design(text + "block 1 1 0001\n").total_multiplicity() \
+        == design.total_multiplicity() + 1
+    for bad in (q16.format("1 +1_5"),
+                text.replace("block 1 0 -", "block +1_0 0 -"),
+                text + "block 1 1 \uff10\uff10\uff10\uff11\n"):     # fullwidth
+        with pytest.raises(ValueError, match="ASCII decimal"):
+            parse_design(bad)
 
 
 def test_rref_check_matches_rref_oracle():

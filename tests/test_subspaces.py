@@ -157,10 +157,14 @@ def test_contains_ambient_mismatch():
 
 
 def test_contains_vs_vector_membership():
-    for y in enumerate_subspaces(F3, 3, 2):
-        members = set(y.vectors())
-        for x in enumerate_subspaces(F3, 3, 1):
-            assert contains(y, x) == all(v in members for v in x.vectors())
+    for q in (2, 3, 4, 9):
+        f = make_field(q)
+        for y in enumerate_subspaces(f, 3, 2):
+            members = set(y.vectors())
+            for d in range(3):
+                for x in enumerate_subspaces(f, 3, d):
+                    inside = all(v in members for v in x.vectors())
+                    assert contains(y, x) == inside
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +187,7 @@ def test_puncture_out_of_range():
 
 def test_puncture_matches_vector_definition():
     """Puncturing the basis equals puncturing every vector, exhaustively."""
-    for q, m in ((2, 4), (3, 3)):
+    for q, m in ((2, 4), (3, 3), (4, 3)):
         f = make_field(q)
         for d in range(0, m + 1):
             for s in enumerate_subspaces(f, m, d):
