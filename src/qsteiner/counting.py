@@ -13,19 +13,24 @@ Closed forms:
   s-subspace: gaussian(m-s, r-s).
 
 Every closed form has an independent oracle that counts by exhaustive
-enumeration; the oracles never evaluate the formulas.  All values are
-exact arbitrary-precision integers.
+enumeration; the oracles never evaluate the formulas.  ``oracle_N``
+reads a census of the punctures of every t-subspace of F_q^n, keyed by
+the RREF rows of the image rather than by ``Subspace`` objects; every
+t-subspace is enumerated and counted once.  All values are exact
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _iter_grassmannian, contains,
-                        extension_raise_dim, first_subspace, puncture,
-                        subspaces_within)
+from .subspaces import (Subspace, _iter_grassmannian, _puncture_rows,
+                        _row_choices, contains, extension_raise_dim,
+                        first_subspace, puncture, subspaces_within)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -127,24 +132,28 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
 
 
 @lru_cache(maxsize=None)
-def _puncture_census(q: int, n: int, t: int, m: int) -> dict:
-    """Map each subspace of F_q^m to the number of t-subspaces of
-    F_q^n puncturing onto it.
+def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
+    """Map the RREF rows of each subspace of F_q^m to the number of
+    t-subspaces of F_q^n puncturing onto it.
 
-    Built incrementally: the census for m is the once-more-punctured
-    census for m+1, so the full Grassmannian is walked only once per
+    Every t-subspace is enumerated once, as its RREF rows: for a
+    fixed pivot set the rows vary independently, and deleting the last
+    column slices each row's choices (the row leading there has one
+    choice and vanishes), so the images of a cell are the product of
+    the sliced choices.  The census for m < n-1 is the census for m+1
+    punctured once more, so the Grassmannian is walked only once per
     (q, n, t).
     """
-    field = make_field(q)
-    census: dict = {}
+    census: Counter = Counter()
     if m == n - 1:
-        for x in _iter_grassmannian(field, n, t):
-            img = puncture(x, 1)
-            census[img] = census.get(img, 0) + 1
+        for pivots in itertools.combinations(range(n), t):
+            cut = [[r[:m] for r in rows]
+                   for p, rows in zip(pivots, _row_choices(q, n, pivots))
+                   if p < m]
+            census.update(itertools.product(*cut))
     else:
-        for img, cnt in _puncture_census(q, n, t, m + 1).items():
-            img2 = puncture(img, 1)
-            census[img2] = census.get(img2, 0) + cnt
+        for rows, cnt in _puncture_census(q, n, t, m + 1).items():
+            census[_puncture_rows(rows, m)] += cnt
     return census
 
 
@@ -165,9 +174,11 @@ def oracle_N(s: int, m: int, t: int, n: int, q: int,
     field = make_field(q)
     if witness is None:
         witness = first_subspace(field, m, s)
+    if witness.field.q != q:
+        raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return _puncture_census(q, n, t, m).get(witness, 0)
+    return _puncture_census(q, n, t, m)[witness.rows]
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,

@@ -17,10 +17,10 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, make_field
-from .subspaces import (Subspace, coverage, enumerate_subspaces,
-                        extension_raise_dim, extensions_same_dim,
-                        null_subspace, packed, puncture, rref, vector_code,
-                        vector_from_code)
+from .subspaces import (Subspace, _grassmannian_rows, _packed_rows, coverage,
+                        enumerate_subspaces, extension_raise_dim,
+                        extensions_same_dim, null_subspace, packed, puncture,
+                        rref, vector_code, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -157,11 +157,13 @@ def verify(design: DesignMultiset) -> VerificationReport:
         coeff = {r: covering_coefficient(s, t, r, k, q) for r in dims}
         acc = coverage(((y, mult * coeff[y.dim]) for y, mult in design.blocks.items()
                         if coeff[y.dim]), s)
-        for x in enumerate_subspaces(field, m, s):
-            got = acc.get(packed(x), 0)
+        # enumerate_subspaces order; a Subspace only for a violation
+        for rows in sorted(_grassmannian_rows(q, m, s)):
+            got = acc.get(_packed_rows(field, rows), 0)
             residuals.append(got - expected)
             if got != expected:
-                violations.append(EquationViolation(s, x, got, expected))
+                violations.append(EquationViolation(s, Subspace(field, m, rows),
+                                                    got, expected))
     ok = not violations and not bad_dims
     return VerificationReport(ok, len(residuals), tuple(violations), bad_dims,
                               design.total_multiplicity(),

@@ -49,6 +49,16 @@ def _is_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _parse_params(line: str, names: str) -> tuple:
+    """The ``name=value`` numbers of a parameter line, in ``names``
+    order; raises ValueError on a missing name or a non-decimal value."""
+    fields = dict(tok.split("=") for tok in line.split())
+    values = [fields[name] for name in names]
+    if not all(map(_is_decimal, values)):
+        raise ValueError(f"parameters {values} are not ASCII decimal numbers")
+    return tuple(map(int, values))
+
+
 def _parse_row(text: str, q: int, m: int) -> tuple:
     tokens = text if q <= 9 else text.split()
     digits = list(map(int, tokens))
@@ -126,8 +136,7 @@ def parse_design(text: str) -> DesignMultiset:
     if not lines or lines[0].strip() != DESIGN_HEADER:
         raise ValueError(f"missing header {DESIGN_HEADER!r}")
     try:
-        fields = dict(tok.split("=") for tok in lines[1].split())
-        params = DesignParams(*(int(fields[name]) for name in "qtknm"))
+        params = DesignParams(*_parse_params(lines[1], "qtknm"))
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
     blocks: dict = {}
@@ -177,8 +186,7 @@ def parse_parallelism(text: str) -> Parallelism:
     if not lines or lines[0] != PARALLELISM_HEADER:
         raise ValueError(f"missing header {PARALLELISM_HEADER!r}")
     try:
-        fields = dict(tok.split("=") for tok in lines[1].split())
-        q, n = int(fields["q"]), int(fields["n"])
+        q, n = _parse_params(lines[1], "qn")
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
     field = make_field(q)

@@ -9,6 +9,13 @@ field-element codes; the integer encoding of a vector v is
 ``sum(v[j] * q**j)`` (leftmost coordinate is the least significant
 digit).
 
+Grassmannians are enumerated without elimination.  For a fixed set of
+pivot columns the rows of an RREF matrix vary independently: row i is 1
+at its pivot, zero before it and at the other pivots, and free in the
+remaining columns to its right.  The d-subspaces with those pivots are
+therefore the product of the per-row choice lists
+(``_grassmannian_rows``).
+
 The verifier's coverage kernel keys subspaces by ``packed(x)``, the
 tuple of integer codes of the RREF rows, instead of ``Subspace``
 objects.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
@@ -167,34 +174,40 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
     return Subspace(field, m, tuple(tuple(vecs[i]) for i in range(rank)))
 
 
-def _iter_grassmannian(field: GF, m: int, d: int) -> Iterator[Subspace]:
-    """All d-subspaces of F_q^m, unspecified (but deterministic) order.
-
-    RREF matrices are produced directly from their pivot-column
-    parametrization, so no elimination is performed.
-    """
-    if d == 0:
-        yield null_subspace(field, m)
-        return
-    q = field.q
-    for pivots in itertools.combinations(range(m), d):
-        pivotset = set(pivots)
-        base = []
-        for p in pivots:
+def _row_choices(q: int, m: int, pivots: tuple) -> list:
+    """For each pivot, every RREF row leading there: 1 at the pivot, 0
+    before it and at the other pivots, anything in the free columns
+    (the last free column varies fastest)."""
+    pivotset = set(pivots)
+    choices = []
+    for p in pivots:
+        free = [c for c in range(p + 1, m) if c not in pivotset]
+        rows = []
+        for vals in itertools.product(range(q), repeat=len(free)):
             row = [0] * m
             row[p] = 1
-            base.append(row)
-        slots = [(i, c)
-                 for i in range(d)
-                 for c in range(pivots[i] + 1, m) if c not in pivotset]
-        if not slots:
-            yield Subspace(field, m, tuple(tuple(r) for r in base))
-            continue
-        for vals in itertools.product(range(q), repeat=len(slots)):
-            rows = [r[:] for r in base]
-            for (i, c), v in zip(slots, vals):
-                rows[i][c] = v
-            yield Subspace(field, m, tuple(tuple(r) for r in rows))
+            for c, v in zip(free, vals):
+                row[c] = v
+            rows.append(tuple(row))
+        choices.append(rows)
+    return choices
+
+
+def _grassmannian_rows(q: int, m: int, d: int) -> Iterator[tuple]:
+    """The RREF row tuples of all d-subspaces of F_q^m, one per subspace.
+
+    For fixed pivot columns the rows vary independently, so each pivot
+    set's cell is the product of its per-row choices.  Order: pivot
+    combinations, then the last free entry fastest.  No elimination.
+    """
+    for pivots in itertools.combinations(range(m), d):
+        yield from itertools.product(*_row_choices(q, m, pivots))
+
+
+def _iter_grassmannian(field: GF, m: int, d: int) -> Iterator[Subspace]:
+    """All d-subspaces of F_q^m in ``_grassmannian_rows`` order."""
+    for rows in _grassmannian_rows(field.q, m, d):
+        yield Subspace(field, m, rows)
 
 
 def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
@@ -206,9 +219,8 @@ def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
     """
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} out of range for ambient {m}")
-    subs = list(_iter_grassmannian(field, m, d))
-    subs.sort(key=lambda s: s.rows)
-    return iter(subs)
+    return iter([Subspace(field, m, rows)
+                 for rows in sorted(_grassmannian_rows(field.q, m, d))])
 
 
 def first_subspace(field: GF, m: int, d: int) -> Subspace:
@@ -256,10 +268,14 @@ def puncture(x: Subspace, p: int = 1) -> Subspace:
     if not 0 <= p <= x.ambient:
         raise ValueError(f"puncture count {p} out of range for ambient {x.ambient}")
     m = x.ambient - p
-    # a row leading in a deleted column would slice to zero: drop it (such
-    # rows are the last ones, so the kept rows stay in RREF order)
-    rows = tuple([r[:m] for r in x.rows if r.index(1) < m])
-    return Subspace(x.field, m, rows)
+    return Subspace(x.field, m, _puncture_rows(x.rows, m))
+
+
+def _puncture_rows(rows: tuple, m: int) -> tuple:
+    """RREF rows cut to their first m entries.  A row leading at or
+    after column m would slice to zero: drop it (such rows are the last
+    ones, so the kept rows stay in RREF order)."""
+    return tuple([r[:m] for r in rows if r.index(1) < m])
 
 
 def extensions_same_dim(x: Subspace) -> list:
@@ -391,8 +407,12 @@ def _multiple_codes(row: tuple, field: GF) -> tuple:
 def packed(x: Subspace) -> tuple:
     """The coverage key of x: the codes of its RREF rows, in order
     (``vector_code`` of each row, read from the row cache)."""
-    f = x.field
-    return tuple(_multiple_codes(r, f)[0] for r in x.rows)
+    return _packed_rows(x.field, x.rows)
+
+
+def _packed_rows(field: GF, rows: tuple) -> tuple:
+    """``packed`` of the subspace with these RREF rows."""
+    return tuple([_multiple_codes(r, field)[0] for r in rows])
 
 
 @lru_cache(maxsize=None)

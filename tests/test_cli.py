@@ -100,6 +100,11 @@ def test_verify_corrupted_file(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "corrupt.design")
     assert code == 1
     assert out.startswith("FAIL: equation for the")
+    with open("signed.design", "w") as fh:
+        fh.write(text.replace("q=2 ", "q=+2 ", 1))
+    code, out, err = run(capsys, "verify", "signed.design")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad parameter line 'q=+2 ")
 
 
 def test_build_s3485_and_recursive(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,17 @@
 """Closed-form counts against their enumeration oracles."""
 
-import pytest
+from collections import Counter
 
-from qsteiner.counting import (count_C, count_D, count_N,
+import pytest
+from slow_oracles import slot_grassmannian_rows
+
+from qsteiner.counting import (_puncture_census, count_C, count_D, count_N,
                                covering_coefficient, gaussian,
                                necessary_conditions, oracle_C, oracle_D,
                                oracle_N)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
-from qsteiner.subspaces import (contains, enumerate_subspaces,
-                                first_subspace, subspaces_within)
+from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
+                                first_subspace, puncture, subspaces_within)
 
 
 def test_gaussian_values():
@@ -110,6 +113,28 @@ def test_oracle_N_census_partitions_grassmannian():
                         for x in enumerate_subspaces(f, m, s):
                             total += oracle_N(s, m, t, n, q, witness=x)
                     assert total == gaussian(n, t, q)
+
+
+def test_puncture_census_matches_object_puncture():
+    """The row-keyed census against puncture() applied to every
+    t-subspace of the one-slot-at-a-time reference enumeration."""
+    for q in (2, 3, 4):
+        f = make_field(q)
+        for n in range(2, 6):
+            for t in range(n + 1):
+                subs = [Subspace(f, n, rows)
+                        for rows in slot_grassmannian_rows(q, n, t)]
+                for m in range(1, n):
+                    want = Counter(puncture(x, n - m).rows for x in subs)
+                    assert _puncture_census(q, n, t, m) == want, (q, n, t, m)
+
+
+def test_oracle_N_rejects_witness_from_another_field():
+    witness = first_subspace(make_field(2), 2, 1)
+    with pytest.raises(ValueError, match="F_2, not F_3"):
+        oracle_N(1, 2, 2, 4, 3, witness=witness)
+    assert oracle_N(1, 2, 2, 4, 3, witness=first_subspace(make_field(3), 2, 1)) \
+        == count_N(1, 2, 2, 4, 3)
 
 
 def test_oracle_C_witness_independence():

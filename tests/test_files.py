@@ -97,6 +97,13 @@ def test_design_parse_rejections():
                 text + "block 1 1 \uff10\uff10\uff10\uff11\n"):     # fullwidth
         with pytest.raises(ValueError, match="ASCII decimal"):
             parse_design(bad)
+    # the parameter line takes only ASCII decimal numbers too
+    header = "q=2 t=2 k=3 n=7 m=4"
+    assert parse_design(text.replace(header, "m=4 q=2 t=2 k=3 n=7")) == design
+    for bad in ("q=+2 t=2 k=3 n=7 m=4", "q=2 t=2 k=3 n=7 m=\u0664",
+                "q=2 t=2 k=3 n=7_ m=4"):
+        with pytest.raises(ValueError, match="bad parameter line"):
+            parse_design(text.replace(header, bad))
 
 
 def test_rref_check_matches_rref_oracle():
@@ -129,3 +136,8 @@ def test_parallelism_parse_rejections():
     bad = lines[:2] + [lines[3]] + lines[2:]
     with pytest.raises(ValueError):
         parse_parallelism("\n".join(bad) + "\n")
+    # the parameter line takes only ASCII decimal numbers
+    assert parse_parallelism(text.replace("q=2 n=4", "n=4 q=2")) == para
+    for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_"):
+        with pytest.raises(ValueError, match="bad parameter line"):
+            parse_parallelism(text.replace("q=2 n=4", bad))

@@ -4,10 +4,13 @@ import itertools
 import random
 
 import pytest
+from slow_oracles import slot_grassmannian_rows
 
 from qsteiner.counting import gaussian
 from qsteiner.field import make_field
-from qsteiner.subspaces import (Subspace, VirtualExpansion, contains, coverage,
+from qsteiner.files import _rref_checked
+from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
+                                contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
@@ -97,6 +100,21 @@ def test_enumeration_counts():
         f = make_field(q)
         for d in range(0, m + 1):
             assert sum(1 for _ in enumerate_subspaces(f, m, d)) == gaussian(m, d, q)
+
+
+def test_grassmannian_rows_match_slot_enumeration():
+    """The row-product enumeration yields gaussian(m, d, q) distinct
+    matrices, each one the parser accepts as RREF, in the order of the
+    one-slot-at-a-time reference."""
+    for q in (2, 3, 4):
+        f = make_field(q)
+        for m in range(6):
+            for d in range(m + 1):
+                got = list(_grassmannian_rows(q, m, d))
+                assert len(set(got)) == len(got) == gaussian(m, d, q)
+                assert got == list(slot_grassmannian_rows(q, m, d)), (q, m, d)
+                for rows in got:
+                    assert _rref_checked(f, rows, m).rows == rows
 
 
 def test_enumeration_null_subspace():
