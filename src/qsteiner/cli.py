@@ -92,6 +92,9 @@ def cmd_uniform_solve(args) -> int:
 
 
 def _full_solve(args, pins) -> int:
+    if pins:
+        raise ValueError("the full system takes no pins: its variables are "
+                         "subspaces, not dimensions")
     system = equations.build_full(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
     return _print_outcome(out, system.variables,
@@ -338,6 +341,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its argument; print the text
+        if isinstance(exc, KeyError) and exc.args:
+            exc = exc.args[0]
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except designs.SearchExhausted as exc:

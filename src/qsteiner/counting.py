@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _iter_grassmannian, _puncture_rows,
-                        _row_choices, contains, extension_raise_dim,
-                        first_subspace, puncture, subspaces_within)
+from .subspaces import (Subspace, _contains_rows, _grassmannian_rows,
+                        _puncture_rows, _row_choices, contains,
+                        extension_raise_dim, first_subspace, puncture,
+                        subspaces_within)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -215,15 +216,18 @@ def oracle_C(s: int, t: int, r: int, k: int, q: int,
 
 def oracle_D(s: int, r: int, m: int, q: int,
              witness: Subspace | None = None) -> int:
-    """Brute-force count_D: enumerate all r-subspaces of F_q^m and count
-    those containing the witness s-subspace."""
+    """Brute-force count_D: enumerate the RREF rows of all r-subspaces
+    of F_q^m and count those containing the witness s-subspace."""
     if not 0 <= s <= r <= m:
         raise ValueError(f"need 0 <= s <= r <= m, got s={s}, r={r}, m={m}")
     _check_guard(m, r, q)
     field = make_field(q)
     if witness is None:
         witness = first_subspace(field, m, s)
+    if witness.field.q != q:
+        raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return sum(1 for y in _iter_grassmannian(field, m, r)
-               if contains(y, witness))
+    inner = witness.rows
+    return sum(1 for rows in _grassmannian_rows(q, m, r)
+               if _contains_rows(field, rows, inner))

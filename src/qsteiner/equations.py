@@ -6,15 +6,17 @@ covered dimension s and one unknown X_r per block dimension r, with
 coefficient D_{s,r,m} * C_{(s,t),(r,k)}.  The full system has one
 equation per s-subspace X of F_q^m and one unknown a_Y per r-subspace
 Y, with coefficient C_{(s,t),(r,k)} when X <= Y and 0 otherwise.  All
-arithmetic is exact: coefficients are integers, elimination runs over
-``fractions.Fraction``, and a solution is only ever reported when it
-satisfies every equation exactly.
+arithmetic is exact: coefficients are integers, elimination is sparse
+and fraction-free over Python integers, ``fractions.Fraction`` values
+are formed only for the answer, and a solution is only ever reported
+when it satisfies every equation exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
 from .designs import (DesignMultiset, DesignParams, EquationViolation,
@@ -111,30 +113,41 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
         raise ValueError(f"full system would have {n_eq} equations "
                          f"(> {FULL_SYSTEM_GUARD}); use the streaming verifier")
     field = make_field(q)
-    subjects = [x for s in params.s_range()
-                for x in enumerate_subspaces(field, m, s)]
     variables = [y for r in params.r_range()
                  for y in enumerate_subspaces(field, m, r)]
+    subjects = []
     matrix = []
     rhs = []
-    for x in subjects:
-        s = x.dim
-        coeffs = []
-        for y in variables:
-            c = covering_coefficient(s, t, y.dim, k, q)
-            coeffs.append(c if c and contains(y, x) else 0)
-        matrix.append(tuple(coeffs))
-        rhs.append(count_N(s, m, t, n, q))
+    for s in params.s_range():
+        by_dim = {r: covering_coefficient(s, t, r, k, q)
+                  for r in params.r_range()}
+        weights = [by_dim[y.dim] for y in variables]
+        b = count_N(s, m, t, n, q)
+        for x in enumerate_subspaces(field, m, s):
+            subjects.append(x)
+            matrix.append(tuple(c if c and contains(y, x) else 0
+                                for c, y in zip(weights, variables)))
+            rhs.append(b)
     return FullSystem(params, tuple(subjects), tuple(variables),
                       tuple(matrix), tuple(rhs))
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:
-    """Exact Gaussian elimination after substituting the pinned values.
+    """Exact Gauss-Jordan elimination after substituting the pinned values.
+
+    Elimination is sparse and fraction-free: each equation is a dict of
+    its nonzero integer entries, the right-hand side in the column after
+    the last unknown, scaled by the denominator of that right-hand side
+    once the pins are substituted.  A row is cleared of a pivot column by cross-multiplying
+    with the pivot row and dividing out the gcd of its entries, and
+    every other row, pivoted or not, is cleared, so the result is the
+    reduced row echelon form up to row scaling.  Rationals are formed
+    only from the reduced rows, as right-hand side over lead.
 
     Returns the full assignment (pins included).  When underdetermined,
     the assignment is the particular solution with all free variables
-    set to zero and ``free_keys`` names them.
+    set to zero and ``free_keys`` names them.  The system's coefficients
+    must be integers.
     """
     pins = dict(pins or {})
     keys = list(system.variable_keys())
@@ -142,59 +155,87 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     for kk in pins:
         if kk not in key_index:
             raise KeyError(f"pin for unknown variable {kk!r}")
-    free_positions = [i for i, kk in enumerate(keys) if kk not in pins]
-    aug = []
-    for row, b in zip(system.rows(), system.rhs):
+    pinned = {key_index[kk]: Fraction(v) for kk, v in pins.items()}
+    unpinned = [kk for kk in keys if kk not in pins]
+    column = {key_index[kk]: c for c, kk in enumerate(unpinned)}
+    ncol = len(unpinned)
+    rows = []
+    for coeffs, b in zip(system.rows(), system.rhs):
         rhs_val = Fraction(b)
-        for kk, val in pins.items():
-            rhs_val -= Fraction(row[key_index[kk]]) * Fraction(val)
-        aug.append([Fraction(row[i]) for i in free_positions] + [rhs_val])
+        row = {}
+        for pos, c in enumerate(coeffs):
+            if c:
+                if pos in pinned:
+                    rhs_val -= c * pinned[pos]
+                else:
+                    row[column[pos]] = c
+        den = rhs_val.denominator
+        if den != 1:
+            row = {c: v * den for c, v in row.items()}
+        if rhs_val:
+            row[ncol] = rhs_val.numerator
+        rows.append(row)
 
-    ncol = len(free_positions)
-    pivot_cols = []
-    rank = 0
+    pivots = []            # (column, row index), columns ascending
+    active = list(range(len(rows)))
     for col in range(ncol):
-        # smallest-numerator pivot keeps the fraction growth down
-        cands = [i for i in range(rank, len(aug)) if aug[i][col] != 0]
+        cands = [i for i in active if col in rows[i]]
         if not cands:
             continue
-        pr = min(cands, key=lambda i: (abs(aug[i][col].numerator),
-                                       aug[i][col].denominator))
-        aug[rank], aug[pr] = aug[pr], aug[rank]
-        lead = aug[rank][col]
-        if lead != 1:
-            aug[rank] = [x / lead for x in aug[rank]]
-        prow = aug[rank]
-        for i in range(len(aug)):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-        pivot_cols.append(col)
-        rank += 1
+        # smallest lead, then sparsest row, keeps the integers small
+        pr = min(cands, key=lambda i: (abs(rows[i][col]), len(rows[i])))
+        active.remove(pr)
+        prow = rows[pr]
+        p = prow[col]
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f is None or i == pr:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+            for c, v in prow.items():
+                w = new.get(c, 0) - b * v
+                if w:
+                    new[c] = w
+                else:
+                    del new[c]
+            content = gcd(*new.values())
+            if content > 1:
+                new = {c: v // content for c, v in new.items()}
+            rows[i] = new
+        pivots.append((col, pr))
 
-    for i in range(rank, len(aug)):
-        if aug[i][-1] != 0:
-            return SolveOutcome("inconsistent", {}, (), False)
+    # rows never pivoted hold at most a right-hand side
+    if any(rows[i] for i in active):
+        return SolveOutcome("inconsistent", {}, (), False)
 
-    assignment = {kk: Fraction(v) for kk, v in pins.items()}
-    free_cols = [c for c in range(ncol) if c not in pivot_cols]
+    zero = Fraction(0)
     # particular solution: free variables fixed to zero
-    values = [Fraction(0)] * ncol
-    for i, col in enumerate(pivot_cols):
-        values[col] = aug[i][-1]
-    for c in range(ncol):
-        assignment[keys[free_positions[c]]] = values[c]
+    values = [zero] * ncol
+    for col, i in pivots:
+        if ncol in rows[i]:
+            values[col] = Fraction(rows[i][ncol], rows[i][col])
+    assignment = {kk: Fraction(v) for kk, v in pins.items()}
+    assignment.update(zip(unpinned, values))
+    pivot_cols = {col for col, _ in pivots}
+    free_cols = [c for c in range(ncol) if c not in pivot_cols]
     status = "unique" if not free_cols else "underdetermined"
-    free_keys = tuple(keys[free_positions[c]] for c in free_cols)
+    free_keys = tuple(unpinned[c] for c in free_cols)
     free_basis = None
     if free_cols:
+        # a reduced pivot row is nonzero only at its pivot, free columns
+        # and the right-hand side
+        template = dict.fromkeys(unpinned, zero)
         free_basis = {}
         for fc in free_cols:
-            vec = {kk: Fraction(0) for kk in keys if kk not in pins}
-            vec[keys[free_positions[fc]]] = Fraction(1)
-            for i, col in enumerate(pivot_cols):
-                vec[keys[free_positions[col]]] = -aug[i][fc]
-            free_basis[keys[free_positions[fc]]] = vec
+            free_basis[unpinned[fc]] = vec = template.copy()
+            vec[unpinned[fc]] = Fraction(1)
+        for col, i in pivots:
+            lead = rows[i][col]
+            for c, v in rows[i].items():
+                if c != col and c != ncol:
+                    free_basis[unpinned[c]][unpinned[col]] = Fraction(-v, lead)
     nonneg = all(v.denominator == 1 and v >= 0 for v in assignment.values())
     return SolveOutcome(status, assignment, free_keys, nonneg, free_basis)
 

@@ -204,12 +204,6 @@ def _grassmannian_rows(q: int, m: int, d: int) -> Iterator[tuple]:
         yield from itertools.product(*_row_choices(q, m, pivots))
 
 
-def _iter_grassmannian(field: GF, m: int, d: int) -> Iterator[Subspace]:
-    """All d-subspaces of F_q^m in ``_grassmannian_rows`` order."""
-    for rows in _grassmannian_rows(field.q, m, d):
-        yield Subspace(field, m, rows)
-
-
 def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
     """Yield each d-subspace of F_q^m exactly once, lexicographically.
 
@@ -240,13 +234,18 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     """True iff every vector of ``inner`` lies in ``outer``."""
     if outer.field.q != inner.field.q or outer.ambient != inner.ambient:
         raise ValueError("ambient space mismatch")
-    if inner.dim > outer.dim:
+    return _contains_rows(outer.field, outer.rows, inner.rows)
+
+
+def _contains_rows(field: GF, outer_rows: tuple, inner_rows: tuple) -> bool:
+    """``contains`` on RREF row tuples of one ambient space: reduce each
+    inner row by the outer rows and check that nothing is left."""
+    if len(inner_rows) > len(outer_rows):
         return False
-    f = outer.field
-    sub, mul = f.sub_table, f.mul_table
-    for x in inner.rows:
+    sub, mul = field.sub_table, field.mul_table
+    for x in inner_rows:
         x = list(x)
-        for orow in outer.rows:
+        for orow in outer_rows:
             pc = orow.index(1)
             c = x[pc]
             if c:

@@ -184,6 +184,17 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "uniform-solve", "2", "2", "3", "7", "4",
                        "--pin", "Y0=1")
     assert code == 2 and "bad pin" in err
+    code, out, err = run(capsys, "uniform-solve", "2", "2", "3", "7", "6",
+                         "--pin", "X0=1")
+    assert code == 2 and out == ""
+    assert err == "error: pin for unknown variable 0\n"
+    for argv in (("full-solve", "2", "2", "3", "7", "4", "--pin", "X0=1"),
+                 ("uniform-solve", "2", "2", "3", "7", "4", "--full",
+                  "--pin", "X2=1/3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: the full system takes no pins: its variables "
+                       "are subspaces, not dimensions\n")
     code, _, err = run(capsys, "build", "recursive", "--q", "2")
     assert code == 2 and "needs --k" in err
     code, _, err = run(capsys, "build", "recursive", "--q", "2", "--k", "7")

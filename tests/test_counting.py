@@ -174,10 +174,20 @@ def test_oracle_guard():
 
 
 def test_oracle_D_vs_direct_containment_scan():
-    f2 = make_field(2)
-    x = first_subspace(f2, 4, 1)
-    direct = sum(1 for y in enumerate_subspaces(f2, 4, 2) if contains(y, x))
-    assert oracle_D(1, 2, 4, 2) == direct
+    """The rows-level oracle counts what ``contains`` counts over the
+    Grassmannian, for every witness and both dimensions."""
+    for q, m_max in ((2, 4), (3, 4), (4, 3)):
+        f = make_field(q)
+        for m in range(1, m_max + 1):
+            for r in range(m + 1):
+                outers = list(enumerate_subspaces(f, m, r))
+                for s in range(r + 1):
+                    for x in enumerate_subspaces(f, m, s):
+                        expected = sum(1 for y in outers if contains(y, x))
+                        assert oracle_D(s, r, m, q, witness=x) == expected
+                        assert expected == count_D(s, r, m, q)
+    with pytest.raises(ValueError):
+        oracle_D(1, 2, 3, 3, witness=first_subspace(make_field(2), 3, 1))
 
 
 def test_necessary_conditions_reports():

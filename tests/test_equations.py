@@ -1,8 +1,12 @@
 """Equation-system construction and exact rational solving."""
 
+import random
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from slow_oracles import dense_fraction_solve
 
 from qsteiner.counting import count_D, count_N, covering_coefficient, gaussian
 from qsteiner.designs import construct_uniform_design
@@ -265,3 +269,99 @@ def test_fano_m6_uniform_system_has_no_integral_solution():
     assert out.status == "unique"
     assert out.assignment[2] == Fraction(1, 31)
     assert not out.nonneg_integer
+
+
+# ---------------------------------------------------------------------------
+# sparse fraction-free solver vs the dense Fraction oracle
+# ---------------------------------------------------------------------------
+
+def assert_same_outcome(system, pins=None):
+    out = solve(system, pins)
+    ref = dense_fraction_solve(system, pins)
+    assert out == ref
+    assert list(out.assignment) == list(ref.assignment)
+    return out
+
+
+def test_solve_matches_dense_oracle_on_full_systems():
+    statuses = set()
+    for q, m_max in ((2, 4), (3, 3)):
+        for m in range(1, m_max + 1):
+            statuses.add(assert_same_outcome(build_full(q, 2, 3, 7, m)).status)
+    assert statuses == {"unique", "underdetermined"}
+    fs = build_full(2, 2, 3, 7, 4)
+    out = assert_same_outcome(fs, {fs.variables[0]: Fraction(1, 3),
+                                   fs.variables[7]: 2})
+    assert out.status == "underdetermined" and not out.nonneg_integer
+
+
+def test_solve_matches_dense_oracle_on_pinned_uniform_systems():
+    cases = (((2, 2, 3, 7, 4), {0: 1}, "unique"),
+             ((2, 2, 3, 7, 4), {0: 1, 2: 5}, "inconsistent"),
+             ((2, 2, 3, 7, 1), {0: 45}, "unique"),
+             ((2, 2, 3, 7, 6), None, "unique"),
+             ((2, 2, 3, 7, 4), {0: Fraction(1, 3)}, "unique"),
+             ((3, 3, 4, 8, 4), {0: Fraction(7, 2), 3: Fraction(-5, 6)},
+              "inconsistent"),
+             ((2, 3, 4, 16, 8), {0: Fraction(gaussian(8, 3, 2),
+                                             gaussian(4, 3, 2))}, "unique"),
+             ((3, 2, 3, 7, 4), {}, "underdetermined"))
+    for args, pins, status in cases:
+        out = assert_same_outcome(build_uniform(*args), pins)
+        assert out.status == status
+
+
+@dataclass(frozen=True)
+class IntegerSystem:
+    """The three things ``solve`` reads from a system."""
+
+    ncols: int
+    matrix: tuple
+    rhs: tuple
+
+    def variable_keys(self) -> tuple:
+        return tuple(f"v{j}" for j in range(self.ncols))
+
+    def rows(self) -> tuple:
+        return self.matrix
+
+
+def random_integer_system(rng: random.Random) -> IntegerSystem:
+    """Rows drawn from the span of a few random augmented rows, with zero
+    rows, duplicates, negative entries and the odd perturbed right-hand
+    side mixed in."""
+    nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+    basis = [[rng.randint(-5, 5) for _ in range(ncols + 1)]
+             for _ in range(rng.randint(0, min(nrows, ncols) + 1))]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15 or not basis:
+            row = [0] * (ncols + 1)
+        elif kind < 0.3 and rows:
+            row = list(rng.choice(rows))
+        else:
+            row = [0] * (ncols + 1)
+            for b in basis:
+                c = rng.randint(-3, 3)
+                row = [x + c * y for x, y in zip(row, b)]
+        if rng.random() < 0.1:
+            row[-1] += rng.choice((-1, 1))
+        rows.append(row)
+    return IntegerSystem(ncols, tuple(tuple(r[:-1]) for r in rows),
+                         tuple(r[-1] for r in rows))
+
+
+def test_solve_matches_dense_oracle_on_random_integer_systems():
+    rng = random.Random(20151028)
+    statuses = Counter()
+    for _ in range(400):
+        system = random_integer_system(rng)
+        pins = None
+        if system.ncols and rng.random() < 0.4:
+            keys = system.variable_keys()
+            pins = {kk: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for kk in rng.sample(keys, rng.randint(1, len(keys)))}
+        statuses[assert_same_outcome(system, pins).status] += 1
+    assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
+    assert min(statuses.values()) > 20
