@@ -85,24 +85,20 @@ def _print_outcome(out, keys, label) -> int:
 def cmd_uniform_solve(args) -> int:
     pins = _parse_pins(args.pin)
     if args.full:
-        return _full_solve(args, pins)
+        if pins:
+            raise ValueError("the full system takes no pins: its variables "
+                             "are subspaces, not dimensions")
+        return cmd_full_solve(args)
     system = equations.build_uniform(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
     return _print_outcome(out, system.r_values, lambda r: f"X_{r}")
 
 
-def _full_solve(args, pins) -> int:
-    if pins:
-        raise ValueError("the full system takes no pins: its variables are "
-                         "subspaces, not dimensions")
+def cmd_full_solve(args) -> int:
     system = equations.build_full(args.q, args.t, args.k, args.n, args.m)
-    out = equations.solve(system, pins)
+    out = equations.solve(system)
     return _print_outcome(out, system.variables,
                           lambda y: f"a[{files.format_block_rows(y)}]")
-
-
-def cmd_full_solve(args) -> int:
-    return _full_solve(args, _parse_pins(args.pin))
 
 
 def _report_verdict(report) -> int:
@@ -246,8 +242,6 @@ def cmd_transform(args) -> int:
 def _add_system_args(sub) -> None:
     for name in ("q", "t", "k", "n", "m"):
         sub.add_argument(name, type=int)
-    sub.add_argument("--pin", action="append", metavar="Xr=VALUE",
-                     help="pin a variable, e.g. --pin X0=1 (repeatable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("uniform-solve",
                         help="solve the uniform equation system for S_q(t,k,n;m)")
     _add_system_args(p)
+    p.add_argument("--pin", action="append", metavar="Xr=VALUE",
+                   help="pin a variable, e.g. --pin X0=1 (repeatable)")
     p.add_argument("--full", action="store_true",
                    help="solve the per-subspace system instead")
     p.set_defaults(func=cmd_uniform_solve)

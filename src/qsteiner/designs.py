@@ -147,16 +147,17 @@ def verify(design: DesignMultiset) -> VerificationReport:
     q, t, k, n, m = pr.q, pr.t, pr.k, pr.n, pr.m
     field = make_field(q)
     r_rng = pr.r_range()
-    bad_dims = tuple((b, b.dim) for b in design.blocks
-                     if b.dim not in r_rng)
-    dims = {b.dim for b in design.blocks}
+    dims = {len(b.rows) for b in design.blocks}
+    bad_dims = tuple((b, len(b.rows)) for b in design.blocks
+                     if len(b.rows) not in r_rng)
     violations = []
     residuals = []
     for s in pr.s_range():
         expected = count_N(s, m, t, n, q)
         coeff = {r: covering_coefficient(s, t, r, k, q) for r in dims}
-        acc = coverage(((y, mult * coeff[y.dim]) for y, mult in design.blocks.items()
-                        if coeff[y.dim]), s)
+        acc = coverage(((y, mult * coeff[len(y.rows)])
+                        for y, mult in design.blocks.items()
+                        if coeff[len(y.rows)]), s)
         # enumerate_subspaces order; a Subspace only for a violation
         for rows in sorted(_grassmannian_rows(q, m, s)):
             got = acc.get(_packed_rows(field, rows), 0)
@@ -284,7 +285,7 @@ class Spread:
         # each nonzero vector on one line <=> each 1-subspace on one line
         cov = coverage(((line, 1) for line in self.lines), 1)
         q = self.field.q
-        for (code,), c in cov.items():
+        for code, c in cov.items():
             if c != 1:
                 point = rref(self.field, [vector_from_code(code, q, self.n)])
                 raise ValueError(f"point {point!r} lies on {c} lines")

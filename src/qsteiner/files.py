@@ -80,44 +80,60 @@ def format_block_rows(block: Subspace) -> str:
 
 
 def _parse_block_rows(field, text: str, m: int, dim: int, seen: dict) -> Subspace:
-    """One block; ``seen`` maps row text to its parsed row, so blocks
-    sharing a row share one tuple."""
+    """One block; ``seen`` maps row text to its parsed row and that
+    row's ``_lead``, so each distinct row is parsed and checked once and
+    blocks sharing a row share one tuple."""
     if text == "-":
         if dim != 0:
             raise ValueError("'-' rows are only valid for dimension 0")
         return Subspace(field, m, ())
     rows = []
+    leads = []
     for part in text.split(";"):
-        row = seen.get(part)
-        if row is None:
-            row = seen[part] = _parse_row(part, field.q, m)
-        rows.append(row)
+        entry = seen.get(part)
+        if entry is None:
+            row = _parse_row(part, field.q, m)
+            entry = seen[part] = (row, _lead(row))
+        rows.append(entry[0])
+        leads.append(entry[1])
     rows = tuple(rows)
     if len(rows) != dim:
         raise ValueError(f"block says dimension {dim} but has {len(rows)} rows")
-    return _rref_checked(field, rows, m)
+    _check_rref(rows, leads)
+    return Subspace(field, m, rows)
 
 
-def _rref_checked(field, rows: tuple, m: int) -> Subspace:
+def _lead(row: tuple) -> int:
+    """The column of the row's leading 1; -1 if the row is zero or its
+    first nonzero entry is not 1."""
+    try:
+        lead = row.index(1)
+    except ValueError:
+        return -1
+    return -1 if any(row[:lead]) else lead
+
+
+def _check_rref(rows: tuple, leads: list) -> None:
     """Reject rows that are not already a canonical RREF basis.
 
     Rows are accepted iff ``rref(field, rows).rows == rows``: every row
-    is nonzero with leading entry 1, leads strictly increase, and each
+    has a lead (``_lead`` is not -1), leads strictly increase, and each
     pivot column is zero outside its own row.  Only the rows above a
     pivot need checking: the rows below it lead further right.
     """
     last = -1
-    for i, row in enumerate(rows):
-        try:
-            lead = row.index(1)
-        except ValueError:
-            lead = -1
-        if lead <= last or any(row[:lead]):
+    for i, lead in enumerate(leads):
+        if lead <= last:
             raise ValueError(f"rows {rows} are not in reduced row echelon form")
         for above in rows[:i]:
             if above[lead]:
                 raise ValueError(f"rows {rows} are not in reduced row echelon form")
         last = lead
+
+
+def _rref_checked(field, rows: tuple, m: int) -> Subspace:
+    """The Subspace with these rows, after ``_check_rref``."""
+    _check_rref(rows, [_lead(r) for r in rows])
     return Subspace(field, m, rows)
 
 

@@ -16,11 +16,14 @@ remaining columns to its right.  The d-subspaces with those pivots are
 therefore the product of the per-row choice lists
 (``_grassmannian_rows``).
 
-The verifier's coverage kernel keys subspaces by ``packed(x)``, the
-tuple of integer codes of the RREF rows, instead of ``Subspace``
-objects.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
-the bit pattern of its polynomial coefficients, so each base-q digit of
-a vector code is a bit field and vector addition is ``^`` on codes.
+The verifier's coverage kernel keys subspaces by ``packed(x)``, one
+int: the code of the RREF matrix read row-major, i.e. ``vector_code``
+of the concatenated rows.  ``coverage`` reads each block's keys off
+the codes of its span and counts them a batch of blocks at a time
+with ``Counter``.  For characteristic 2 (q in {2, 4, 8, 16}) an
+element code is the bit pattern of its polynomial coefficients, so
+each base-q digit of a vector code is a bit field and vector addition
+is ``^`` on codes.
 
 Puncturing always removes the last coordinate(s).  Deleting the last p
 columns of an RREF matrix leaves an RREF matrix once its zero rows are
@@ -34,8 +37,10 @@ entries, no elimination needed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator
 
 from .field import GF, make_field
@@ -398,36 +403,45 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
 @lru_cache(maxsize=4096)
 def _multiple_codes(row: tuple, field: GF) -> tuple:
     """Codes of a*row for a = 1..q-1.  Cached: the blocks of a design
-    share rows, and keys built from the cached codes share their ints."""
+    share rows."""
     q, mul = field.q, field.mul_table
     return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
 
 
-def packed(x: Subspace) -> tuple:
-    """The coverage key of x: the codes of its RREF rows, in order
-    (``vector_code`` of each row, read from the row cache)."""
+def packed(x: Subspace) -> int:
+    """The coverage key of x: the code of its RREF matrix read
+    row-major, ``sum(code(row_i) * (q**m)**i)``, which is
+    ``vector_code`` of the concatenated rows (0 for the null space)."""
     return _packed_rows(x.field, x.rows)
 
 
-def _packed_rows(field: GF, rows: tuple) -> tuple:
+def _packed_rows(field: GF, rows: tuple) -> int:
     """``packed`` of the subspace with these RREF rows."""
-    return tuple([_multiple_codes(r, field)[0] for r in rows])
+    key = 0
+    if rows:
+        big = field.q ** len(rows[0])
+        for r in reversed(rows):
+            key = key * big + _multiple_codes(r, field)[0]
+    return key
 
 
 @lru_cache(maxsize=None)
-def _coefficient_codes(q: int, d: int, s: int) -> tuple:
-    """``_coefficient_bases(q, d, s)`` with every row as its code."""
-    return tuple(tuple(vector_code(r, q) for r in c.rows)
-                 for c in _coefficient_bases(q, d, s))
+def _coefficient_columns(q: int, d: int, s: int) -> tuple:
+    """The codes of the rows of ``_coefficient_bases(q, d, s)``, one
+    tuple per row index: column i holds the code of row i of each
+    basis, in basis order."""
+    return tuple(zip(*(tuple(vector_code(r, q) for r in c.rows)
+                       for c in _coefficient_bases(q, d, s))))
 
 
-def _span_codes(y: Subspace):
+def _span_codes(y: Subspace) -> list:
     """Codes of vectors of y, indexed by coefficient code: entry
     sum(c_i q^i) holds the code of sum(c_i * row_i).
 
-    Characteristic 2 lists all q^d entries, adding codes with ``^``.
-    Otherwise a dict holds only the entries coefficient bases read
-    (first nonzero coefficient 1), a (q-1)-th of the span.
+    Characteristic 2 fills all q^d entries, adding codes with ``^``.
+    Otherwise only the entries coefficient bases read (first nonzero
+    coefficient 1), a (q-1)-th of the span, are computed; the rest
+    stay 0.
     """
     f = y.field
     q = f.q
@@ -437,34 +451,53 @@ def _span_codes(y: Subspace):
             span += [v ^ mc for mc in _multiple_codes(row, f) for v in span]
         return span
     # the bases of the 1-subspaces of F_q^d are those lead-one vectors
-    m, rows, d = y.ambient, y.rows, y.dim
-    return {code: vector_code(_combine(f, m, point.rows[0], rows), q)
-            for point, (code,) in zip(_coefficient_bases(q, d, 1),
-                                      _coefficient_codes(q, d, 1))}
+    m, rows, d = y.ambient, y.rows, len(y.rows)
+    span = [0] * q ** d
+    for point, code in zip(_coefficient_bases(q, d, 1),
+                           _coefficient_columns(q, d, 1)[0]):
+        span[code] = vector_code(_combine(f, m, point.rows[0], rows), q)
+    return span
+
+
+def _block_keys(y: Subspace, columns: tuple, big: int):
+    """``packed`` of each s-subspace of y (0 < s < dim y), lazily: if C
+    is an RREF coefficient matrix, C*Y is the RREF basis of its image
+    (see ``subspaces_within``), so row i of a key is the span entry at
+    the code of C's row i, placed at ``big**i`` (``big`` = q**m)."""
+    span = _span_codes(y)
+    keys = map(span.__getitem__, columns[0])
+    for col in columns[1:]:
+        span = list(map(big.__mul__, span))
+        keys = map(add, keys, map(span.__getitem__, col))
+    return keys
 
 
 def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
     """Map ``packed(x)`` of each s-subspace x to the summed weight of
     the (block, weight) pairs whose block contains x; s-subspaces in no
-    block are absent.
+    block are absent, and one covered only with weight 0 maps to 0.
 
-    All blocks must live in one ambient space.  The keys of a block are
-    read off its span: if C is an RREF coefficient matrix, C*Y is the
-    RREF basis of its image (see ``subspaces_within``).
+    All blocks must live in one ambient space.  Blocks are batched by
+    (weight, dimension); each batch's keys are counted with ``Counter``
+    and enter the result as count * weight.
     """
+    batches = defaultdict(list)
+    for y, w in weighted_blocks:
+        d = len(y.rows)
+        if s <= d:
+            batches[w, d].append(y)
     cov: dict = {}
     get = cov.get
-    for y, w in weighted_blocks:
-        d = y.dim
-        if s > d:
-            continue
+    for (w, d), ys in batches.items():
         if s == d:
-            keys = (packed(y),)
+            counts = Counter(map(packed, ys))
         elif s == 0:
-            keys = ((),)
+            counts = {0: len(ys)}
         else:
-            at = _span_codes(y).__getitem__
-            keys = [tuple(map(at, c)) for c in _coefficient_codes(y.field.q, d, s)]
-        for key in keys:
-            cov[key] = get(key, 0) + w
+            q, m = ys[0].field.q, ys[0].ambient
+            columns, big = _coefficient_columns(q, d, s), q ** m
+            counts = Counter(itertools.chain.from_iterable(
+                _block_keys(y, columns, big) for y in ys))
+        for key, c in counts.items():
+            cov[key] = get(key, 0) + c * w
     return cov

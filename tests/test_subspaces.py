@@ -424,13 +424,22 @@ def test_coverage_matches_object_oracle():
     for q in (2, 3, 4, 5, 8, 9, 16):
         f = make_field(q)
         m = 4 if q <= 5 else 3
-        blocks = []
-        for d in range(m + 1):
-            for _ in range(2):
-                y = null_subspace(f, m)
-                while y.dim < d:
-                    y = rref(f, y.rows + (tuple(rng.randrange(q) for _ in range(m)),))
-                blocks.append((y, rng.randint(-2, 2)))
+
+        def random_block(d):
+            y = null_subspace(f, m)
+            while y.dim < d:
+                y = rref(f, y.rows + (tuple(rng.randrange(q) for _ in range(m)),))
+            return y
+
+        blocks = [(random_block(d), rng.randint(-2, 2))
+                  for d in range(m + 1) for _ in range(2)]
+        # batches: many blocks of one (weight, dim) next to weight-1
+        # blocks of other dims, a block listed twice, a weight-0 batch
+        # and a weight no fixed-width integer holds
+        blocks += [(random_block(2), 1) for _ in range(6)]
+        blocks += [blocks[-1], (random_block(1), 1), (random_block(m - 1), 1),
+                   (random_block(1), 0), (random_block(2), 0),
+                   (random_block(2), 2 ** 70 + 1)]
         for s in range(m + 1):
             by_within: dict = {}
             for y, w in blocks:
@@ -442,3 +451,16 @@ def test_coverage_matches_object_oracle():
                 if ws:
                     by_contains[packed(x)] = sum(ws)
             assert coverage(blocks, s) == by_within == by_contains, (q, s)
+
+
+def test_packed_is_row_major_matrix_code():
+    """A coverage key is the code of the RREF matrix read row-major, and
+    no two subspaces of one Grassmannian share it."""
+    for q in (2, 3, 4, 9):
+        f = make_field(q)
+        for m in range(5):
+            for s in range(m + 1):
+                xs = list(enumerate_subspaces(f, m, s))
+                keys = [packed(x) for x in xs]
+                assert keys == [vector_code(sum(x.rows, ()), q) for x in xs]
+                assert len(set(keys)) == len(xs) == gaussian(m, s, q), (q, m, s)
