@@ -7,7 +7,7 @@ import random
 from qsteiner import (apply_transform, build_parallelism, build_spread,
                       distinctness_check, puncture_steiner, verify,
                       verify_steiner)
-from qsteiner.files import packaged_parallelism_path
+from qsteiner.files import packaged_parallelism_path, parse_parallelism_file
 
 print("== Spreads: partitions of the nonzero vectors into lines ==")
 for q, n in ((2, 4), (2, 6), (3, 4)):
@@ -32,8 +32,7 @@ para = build_parallelism(2, 4)
 print(f"  F_2^4 by backtracking search: {len(para.spreads)} spreads x "
       f"{len(para.spreads[0].lines)} lines = 35 = [4 choose 2]_2")
 for q, n in ((2, 6), (3, 4)):
-    path = packaged_parallelism_path(q, n)
-    big = build_parallelism(q, n, source=str(path))
+    big = parse_parallelism_file(packaged_parallelism_path(q, n))
     print(f"  F_{q}^{n} from the packaged file: {len(big.spreads)} spreads x "
           f"{len(big.spreads[0].lines)} lines (verified on load)")
 print("  (the lexicographic-first search exhausts its node budget on")

@@ -7,7 +7,8 @@ is deterministic for fixed inputs.
 
 The environment variable QSTEINER_DATA may point at a directory of
 parallelism files named ``parallelism-q{q}-n{n}.txt``; ``--parallelism
-auto`` looks there before falling back to the backtracking search.
+auto`` looks there, then at the files shipped with the package, before
+falling back to the backtracking search.
 """
 
 from __future__ import annotations
@@ -84,11 +85,6 @@ def _print_outcome(out, keys, label) -> int:
 
 def cmd_uniform_solve(args) -> int:
     pins = _parse_pins(args.pin)
-    if args.full:
-        if pins:
-            raise ValueError("the full system takes no pins: its variables "
-                             "are subspaces, not dimensions")
-        return cmd_full_solve(args)
     system = equations.build_uniform(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
     return _print_outcome(out, system.r_values, lambda r: f"X_{r}")
@@ -125,17 +121,23 @@ def cmd_verify(args) -> int:
 
 
 def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
+    """The parallelism of F_q^n named by ``source``: ``search``, a file
+    path, or ``auto``, which takes the file in QSTEINER_DATA, else the
+    file shipped with the package, else the search."""
     if source == "auto":
         data_dir = os.environ.get("QSTEINER_DATA")
-        if data_dir:
-            candidate = os.path.join(data_dir, f"parallelism-q{q}-n{n}.txt")
-            if os.path.exists(candidate):
-                return designs.build_parallelism(q, n, source=candidate)
-        packaged = files.packaged_parallelism_path(q, n)
-        if packaged is not None:
-            return designs.build_parallelism(q, n, source=str(packaged))
-        return designs.build_parallelism(q, n, source="search")
-    return designs.build_parallelism(q, n, source=source)
+        candidate = data_dir and os.path.join(data_dir, f"parallelism-q{q}-n{n}.txt")
+        if candidate and os.path.exists(candidate):
+            source = candidate
+        else:
+            source = files.packaged_parallelism_path(q, n) or "search"
+    if source == "search":
+        return designs.build_parallelism(q, n)
+    para = files.parse_parallelism_file(source)
+    if para.field.q != q or para.n != n:
+        raise ValueError(f"file holds a parallelism for q={para.field.q}, "
+                         f"n={para.n}, requested q={q}, n={n}")
+    return para
 
 
 def cmd_build(args) -> int:
@@ -275,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p)
     p.add_argument("--pin", action="append", metavar="Xr=VALUE",
                    help="pin a variable, e.g. --pin X0=1 (repeatable)")
-    p.add_argument("--full", action="store_true",
-                   help="solve the per-subspace system instead")
     p.set_defaults(func=cmd_uniform_solve)
 
     p = subs.add_parser("full-solve",

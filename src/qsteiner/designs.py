@@ -17,8 +17,8 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, make_field
-from .subspaces import (Subspace, _grassmannian_rows, _packed_rows, coverage,
-                        enumerate_subspaces, extension_raise_dim,
+from .subspaces import (Subspace, _combine, _grassmannian_rows, _packed_rows,
+                        coverage, enumerate_subspaces, extension_raise_dim,
                         extensions_same_dim, null_subspace, packed, puncture,
                         rref, vector_code, vector_from_code)
 
@@ -348,7 +348,15 @@ class Parallelism:
 def _search_parallelism(field: GF, n: int, node_limit: int) -> tuple:
     """Deterministic backtracking: each new spread is anchored on the
     lexicographically first unused line and completed first-fit on the
-    lowest uncovered vector."""
+    lowest uncovered vector.
+
+    The stack holds one entry per placed line: the cover before that
+    line (the bit mask of the nonzero vectors on the lines placed before
+    it in its spread), the iterator of the lines still to try in its
+    place, and the line.  A full cover starts a new spread: its anchor's
+    cover is 0 and its only candidate is the first unused line, so each
+    stored cover of 0 begins a spread.
+    """
     q = field.q
     lines = list(enumerate_subspaces(field, n, 2))
     nv = q ** n - 1
@@ -367,92 +375,57 @@ def _search_parallelism(field: GF, n: int, node_limit: int) -> tuple:
             through[low.bit_length() - 1].append(idx)
             bits ^= low
     used = bytearray(len(lines))
-    spreads_acc: list = []
-    nodes = 0
-    # One entry per pending call: (cover, members, candidate iterator)
-    # for a spread being completed, or an int, the anchor of a spread
-    # being started.  The line an entry is trying is members[-1].
     stack: list = []
-
-    def complete(cover: int, members: list) -> bool:
-        """Enter a completion call: push its branch point, or (at full
-        cover) start the next spread; True once the last spread is done."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise SearchExhausted(
-                f"parallelism search for q={q}, n={n} exhausted {node_limit} nodes")
-        if cover == full:
-            spreads_acc.append(tuple(members))
-            return next_spread()
-        missing = full & ~cover
-        v = (missing & -missing).bit_length() - 1
-        stack.append((cover, members, iter(through[v])))
-        return False
-
-    def next_spread() -> bool:
-        # nests in complete() only while a single line is a whole spread
-        # (n = 2), so the call depth stays bounded
-        anchor = used.find(0)
-        if anchor < 0:
-            return True
-        used[anchor] = 1
-        stack.append(anchor)
-        return complete(masks[anchor], [anchor])
-
-    done = next_spread()
-    failed = False      # the call made by the top entry has failed
-    while not done:
-        top = stack[-1]
-        if top.__class__ is int:
-            # the spread anchored here cannot be completed, so neither
-            # can the previous one
-            stack.pop()
-            used[top] = 0
-            if not stack:
-                raise SearchExhausted(f"no parallelism found for q={q}, n={n}")
-            spreads_acc.pop()
-            continue
-        cover, members, candidates = top
-        if failed:
-            used[members.pop()] = 0
+    nodes = 0
+    cover, candidates = 0, iter((0,))     # line 0 anchors the first spread
+    while True:
         for li in candidates:
             if not (used[li] or masks[li] & cover):
                 break
         else:
-            stack.pop()
-            failed = True
+            if not stack:
+                raise SearchExhausted(f"no parallelism found for q={q}, n={n}")
+            cover, candidates, li = stack.pop()
+            used[li] = 0
             continue
+        nodes += 1
+        if nodes > node_limit:
+            raise SearchExhausted(
+                f"parallelism search for q={q}, n={n} exhausted {node_limit} nodes")
         used[li] = 1
-        members.append(li)
-        done = complete(cover | masks[li], members)
-        failed = False
-    return tuple(Spread(field, n, tuple(lines[i] for i in sorted(
-        members, key=lambda i: lines[i].rows))) for members in spreads_acc)
+        stack.append((cover, candidates, li))
+        cover |= masks[li]
+        if cover != full:
+            missing = full & ~cover
+            candidates = iter(through[(missing & -missing).bit_length() - 1])
+            continue
+        anchor = used.find(0)
+        if anchor < 0:
+            break
+        cover, candidates = 0, iter((anchor,))
+    spreads: list = []
+    for before, _, li in stack:
+        if not before:
+            spreads.append([])
+        spreads[-1].append(li)
+    return tuple(Spread(field, n, tuple(lines[i] for i in sorted(members)))
+                 for members in spreads)
 
 
-def build_parallelism(q: int, n: int, source: str = "search",
-                      node_limit: int = 5_000_000) -> Parallelism:
-    """Obtain a verified parallelism of F_q^n.
+def build_parallelism(q: int, n: int, node_limit: int = 5_000_000) -> Parallelism:
+    """A verified parallelism of F_q^n found by the deterministic
+    backtracking search (supported regime: q = 2, n even);
+    ``files.parse_parallelism_file`` loads one from a file.
 
-    ``source="search"`` runs the deterministic backtracking search
-    (supported regime: q = 2, n even).  Any other value is taken as a
-    path to a parallelism file, which is loaded and verified.
+    Each spread's anchor is its smallest line and the anchors increase,
+    so the spreads come out in the canonical order a parsed file is
+    sorted into.
     """
     field = make_field(q)
-    if source == "search":
-        if q != 2 or n % 2:
-            raise ValueError("search mode supports q = 2 with n even; "
-                             "use a file for other parameters")
-        spreads = _search_parallelism(field, n, node_limit)
-        return Parallelism(field, n, tuple(sorted(
-            spreads, key=lambda sp: tuple(l.rows for l in sp.lines))))
-    from . import files
-    para = files.parse_parallelism_file(source)
-    if para.field.q != q or para.n != n:
-        raise ValueError(f"file holds a parallelism for q={para.field.q}, "
-                         f"n={para.n}, requested q={q}, n={n}")
-    return para
+    if q != 2 or n % 2:
+        raise ValueError("search mode supports q = 2 with n even; "
+                         "use a file for other parameters")
+    return Parallelism(field, n, _search_parallelism(field, n, node_limit))
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +596,11 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
 # ---------------------------------------------------------------------------
 
 def _transform_matrix(field: GF, ncols: int, column_ops: Iterable) -> list:
-    """Compose the column operations into one invertible matrix."""
+    """Compose the column operations into one invertible matrix, as its
+    rows.  An operation replaces column j of the matrix by the
+    combination of its columns with the given coefficients."""
     q = field.q
-    mat = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    cols = [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
     for op in column_ops:
         j, coeffs = op
         coeffs = tuple(coeffs)
@@ -637,41 +612,14 @@ def _transform_matrix(field: GF, ncols: int, column_ops: Iterable) -> list:
             raise ValueError("coefficient outside the field")
         if coeffs[j] == 0:
             raise ValueError(f"column {j} must occur with nonzero coefficient")
-        step = [[1 if a == b else 0 for b in range(ncols)] for a in range(ncols)]
-        for i in range(ncols):
-            step[i][j] = coeffs[i]
-        add, mul = field.add_table, field.mul_table
-        out = [[0] * ncols for _ in range(ncols)]
-        for a in range(ncols):
-            row = mat[a]
-            for c in range(ncols):
-                acc = 0
-                for b in range(ncols):
-                    x = row[b]
-                    if x:
-                        acc = add[acc][mul[x][step[b][c]]]
-                out[a][c] = acc
-        mat = out
-    return mat
+        cols[j] = _combine(field, ncols, coeffs, cols)
+    return list(zip(*cols))
 
 
 def _apply_matrix(field: GF, sub: Subspace, mat: list) -> Subspace:
     if sub.dim == 0:
         return sub
-    add, mul = field.add_table, field.mul_table
-    ncols = sub.ambient
-    new_rows = []
-    for row in sub.rows:
-        out = [0] * ncols
-        for b, x in enumerate(row):
-            if x:
-                mb = mat[b]
-                mx = mul[x]
-                for c in range(ncols):
-                    if mb[c]:
-                        out[c] = add[out[c]][mx[mb[c]]]
-        new_rows.append(tuple(out))
-    return rref(field, new_rows)
+    return rref(field, [_combine(field, sub.ambient, row, mat) for row in sub.rows])
 
 
 def apply_transform(target, column_ops: Iterable):

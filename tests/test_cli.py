@@ -1,13 +1,17 @@
 """End-to-end checks of the command-line interface (in-process)."""
 
 import os
+import shlex
 from pathlib import Path
 
 import pytest
 
 from qsteiner import designs
 from qsteiner.cli import main
-from qsteiner.files import parse_design_file, parse_parallelism_file
+from qsteiner.files import (packaged_parallelism_path, parse_design_file,
+                            parse_parallelism_file)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -53,16 +57,11 @@ def test_uniform_solve(capsys):
     assert "nonnegative integers: yes" in out
 
 
-def test_uniform_solve_full_mode(capsys):
-    code, out, _ = run(capsys, "uniform-solve", "2", "2", "3", "7", "2", "--full")
-    assert code == 0
-    values = [ln.split(" = ")[1] for ln in out.splitlines() if ln.startswith("a[")]
-    assert values == ["5", "40", "40", "40", "256"]
-
-
 def test_full_solve_alias(capsys):
     code, out, _ = run(capsys, "full-solve", "2", "2", "3", "7", "2")
     assert code == 0 and "status: unique" in out
+    values = [ln.split(" = ")[1] for ln in out.splitlines() if ln.startswith("a[")]
+    assert values == ["5", "40", "40", "40", "256"]
 
 
 def test_uniform_solve_open_m6_case(capsys):
@@ -138,6 +137,20 @@ def test_parallelism_from_packaged_data(tmp_path, capsys, monkeypatch):
     assert len(parse_parallelism_file("parallelism-q3-n4.txt").spreads) == 13
 
 
+def test_parallelism_source_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "build", "fano-m5", "--q", "2", "--parallelism",
+                         str(packaged_parallelism_path(2, 6)))
+    assert code == 2 and out == ""
+    assert err == "error: file holds a parallelism for q=2, n=6, requested q=2, n=4\n"
+    assert os.listdir(tmp_path) == []
+    code, out, err = run(capsys, "parallelism", "3", "4", "--source", "search")
+    assert code == 2 and out == ""
+    assert err == ("error: search mode supports q = 2 with n even; "
+                   "use a file for other parameters\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_qsteiner_data_dir_lookup(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "parallelism", "2", "4", "-o",
@@ -193,11 +206,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
         main(["full-solve", "2", "2", "3", "7", "4", "--pin", "X0=1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --pin X0=1" in capsys.readouterr().err
-    code, out, err = run(capsys, "uniform-solve", "2", "2", "3", "7", "4",
-                         "--full", "--pin", "X2=1/3")
-    assert code == 2 and out == ""
-    assert err == ("error: the full system takes no pins: its variables "
-                   "are subspaces, not dimensions\n")
+    with pytest.raises(SystemExit) as exc:   # the full system is full-solve
+        main(["uniform-solve", "2", "2", "3", "7", "4", "--full", "--pin", "X2=1/3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --full" in capsys.readouterr().err
     code, _, err = run(capsys, "build", "recursive", "--q", "2")
     assert code == 2 and "needs --k" in err
     code, _, err = run(capsys, "build", "recursive", "--q", "2", "--k", "7")
@@ -211,3 +223,22 @@ def test_search_exhausted_exit_1(capsys, monkeypatch):
     code, out, err = run(capsys, "parallelism", "2", "6", "--source", "search")
     assert code == 1 and out == ""
     assert err.strip() == "error: node budget exhausted"
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    """Every line of the fenced block under ``## Command line`` in
+    README.md, without ``qsteiner`` and ``# comments``, exits 0."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    commands = [shlex.split(line, comments=True)[1:]
+                for line in block.split("```", 2)[1].splitlines() if line.strip()]
+    assert len(commands) > 10 and all(commands)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSTEINER_DATA", raising=False)
+    codes = {}
+    for argv in commands:
+        try:
+            codes[shlex.join(argv)] = main(argv)
+        except SystemExit as exc:    # argparse rejected the line
+            codes[shlex.join(argv)] = exc.code
+        capsys.readouterr()
+    assert codes == dict.fromkeys(codes, 0)

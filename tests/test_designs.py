@@ -16,6 +16,8 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               puncture_steiner, trivial_steiner, verify,
                               verify_steiner)
 from qsteiner.field import make_field
+from qsteiner.files import (packaged_parallelism_path, parse_parallelism_file,
+                            serialize_parallelism)
 from qsteiner.subspaces import (contains, enumerate_subspaces, puncture, rref,
                                 subspaces_within)
 
@@ -288,8 +290,8 @@ spread
 
 def test_parallelism_search_keeps_recursion_limit(monkeypatch):
     """The search runs on an explicit stack: same result, same node
-    count (F_2^4 needs exactly 40 nodes), no interpreter state changed."""
-    from qsteiner.files import serialize_parallelism
+    count (F_2^4 needs exactly 40 nodes, F_2^2 one, and F_2^3 fails
+    after one), no interpreter state changed."""
 
     def refuse(limit):
         raise AssertionError("the search changed the recursion limit")
@@ -303,13 +305,18 @@ def test_parallelism_search_keeps_recursion_limit(monkeypatch):
         build_parallelism(2, 6, node_limit=10_000)
     with pytest.raises(SearchExhausted, match="no parallelism"):
         _search_parallelism(F2, 3, 1000)     # 7 points admit no spread
+    with pytest.raises(SearchExhausted, match="no parallelism"):
+        _search_parallelism(F2, 3, 1)        # every line meets the anchor
+    assert len(build_parallelism(2, 2, node_limit=1).spreads) == 1
+    with pytest.raises(SearchExhausted, match="exhausted 0 nodes"):
+        build_parallelism(2, 2, node_limit=0)
 
 
 def test_parallelism_search_regime():
     with pytest.raises(ValueError):
-        build_parallelism(3, 4, source="search")
+        build_parallelism(3, 4)
     with pytest.raises(ValueError):
-        build_parallelism(2, 5, source="search")
+        build_parallelism(2, 5)
 
 
 def test_parallelism_node_guard():
@@ -318,11 +325,11 @@ def test_parallelism_node_guard():
 
 
 def test_packaged_parallelisms_load_and_validate():
-    from qsteiner.files import packaged_parallelism_path
     for q, n, spreads in ((2, 6, 31), (3, 4, 13)):
         path = packaged_parallelism_path(q, n)
         assert path is not None
-        para = build_parallelism(q, n, source=str(path))
+        para = parse_parallelism_file(path)
+        assert (para.field.q, para.n) == (q, n)
         assert len(para.spreads) == spreads
 
 
@@ -411,17 +418,14 @@ def test_construct_fano_m5_punctures_to_uniform():
 
 
 def test_construct_fano_m5_q3_from_file():
-    from qsteiner.files import packaged_parallelism_path
-    para = build_parallelism(3, 4, source=str(packaged_parallelism_path(3, 4)))
+    para = parse_parallelism_file(packaged_parallelism_path(3, 4))
     d = construct_fano_m5(3, para)
     assert verify(d).ok
     assert d.total_multiplicity() == 7651
 
 
 def test_construct_fano_m5_rejects_wrong_parallelism():
-    para26 = build_parallelism(
-        2, 6, source=str(__import__("qsteiner.files", fromlist=["x"])
-                         .packaged_parallelism_path(2, 6)))
+    para26 = parse_parallelism_file(packaged_parallelism_path(2, 6))
     with pytest.raises(ValueError):
         construct_fano_m5(2, para26)
 
