@@ -15,9 +15,9 @@ Closed forms:
 Every closed form has an independent oracle that counts by exhaustive
 enumeration; the oracles never evaluate the formulas.  ``oracle_N``
 reads a census of the punctures of every t-subspace of F_q^n, keyed by
-the RREF rows of the image rather than by ``Subspace`` objects; every
-t-subspace is enumerated and counted once.  All values are exact
-arbitrary-precision integers.
+the integer codes of the image's RREF rows rather than by ``Subspace``
+objects; every t-subspace is enumerated and counted once.  All values
+are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from functools import lru_cache
 
 from .field import make_field
 from .subspaces import (Subspace, _contains_rows, _grassmannian_rows,
-                        _puncture_rows, _row_choices, contains,
-                        extension_raise_dim, first_subspace, puncture,
-                        subspaces_within)
+                        _row_choices, contains, extension_raise_dim,
+                        first_subspace, puncture, subspaces_within,
+                        vector_code)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -134,27 +134,33 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
 
 @lru_cache(maxsize=None)
 def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
-    """Map the RREF rows of each subspace of F_q^m to the number of
-    t-subspaces of F_q^n puncturing onto it.
+    """Map each subspace of F_q^m, keyed by the tuple of its RREF row
+    codes (``vector_code``), to the number of t-subspaces of F_q^n
+    puncturing onto it.
 
     Every t-subspace is enumerated once, as its RREF rows: for a
     fixed pivot set the rows vary independently, and deleting the last
     column slices each row's choices (the row leading there has one
     choice and vanishes), so the images of a cell are the product of
-    the sliced choices.  The census for m < n-1 is the census for m+1
-    punctured once more, so the Grassmannian is walked only once per
-    (q, n, t).
+    the sliced choices, each coded once per cell.  The census for
+    m < n-1 is the census for m+1 punctured once more, so the
+    Grassmannian is walked only once per (q, n, t).  On codes that
+    puncture is ``code % q**m`` per row, dropping the zeros: a row
+    leading at or after column m is zero in its first m entries, so its
+    code is a multiple of q**m, and every other row keeps its lead 1
+    there, so its residue is not 0.
     """
     census: Counter = Counter()
     if m == n - 1:
         for pivots in itertools.combinations(range(n), t):
-            cut = [[r[:m] for r in rows]
+            cut = [[vector_code(r[:m], q) for r in rows]
                    for p, rows in zip(pivots, _row_choices(q, n, pivots))
                    if p < m]
             census.update(itertools.product(*cut))
     else:
-        for rows, cnt in _puncture_census(q, n, t, m + 1).items():
-            census[_puncture_rows(rows, m)] += cnt
+        big = q ** m
+        for codes, cnt in _puncture_census(q, n, t, m + 1).items():
+            census[tuple([c % big for c in codes if c % big])] += cnt
     return census
 
 
@@ -179,7 +185,8 @@ def oracle_N(s: int, m: int, t: int, n: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return _puncture_census(q, n, t, m)[witness.rows]
+    key = tuple(vector_code(r, q) for r in witness.rows)
+    return _puncture_census(q, n, t, m)[key]
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,

@@ -51,8 +51,12 @@ def _is_decimal(token: str) -> bool:
 
 def _parse_params(line: str, names: str) -> tuple:
     """The ``name=value`` numbers of a parameter line, in ``names``
-    order; raises ValueError on a missing name or a non-decimal value."""
-    fields = dict(tok.split("=") for tok in line.split())
+    order; raises ValueError on a repeated name or a non-decimal value,
+    KeyError on a missing name."""
+    pairs = [tok.split("=") for tok in line.split()]
+    fields = dict(pairs)
+    if len(fields) != len(pairs):
+        raise ValueError(f"parameter line {line!r} repeats a name")
     values = [fields[name] for name in names]
     if not all(map(_is_decimal, values)):
         raise ValueError(f"parameters {values} are not ASCII decimal numbers")
@@ -61,13 +65,13 @@ def _parse_params(line: str, names: str) -> tuple:
 
 def _parse_row(text: str, q: int, m: int) -> tuple:
     tokens = text if q <= 9 else text.split()
+    if not all(map(_is_decimal, tokens)):
+        raise ValueError(f"row {text!r} is not written in ASCII decimal digits")
     digits = list(map(int, tokens))
     if len(digits) != m:
         raise ValueError(f"row {text!r} does not have {m} coordinates")
-    if digits and (min(digits) < 0 or max(digits) >= q):
+    if digits and max(digits) >= q:
         raise ValueError(f"row {text!r} has elements outside F_{q}")
-    if not all(map(_is_decimal, tokens)):
-        raise ValueError(f"row {text!r} is not written in ASCII decimal digits")
     # tuple() of a list is exact-size; of a map it keeps the growth slack
     return tuple(digits)
 
@@ -158,16 +162,24 @@ def parse_design(text: str) -> DesignMultiset:
     blocks: dict = {}
     field = None
     seen: dict = {}
+    # multiplicity and dimension tokens, each checked and parsed once
+    numbers: dict = {}
     for ln in lines[2:]:
         parts = ln.split(maxsplit=3)
         if len(parts) != 4 or parts[0] != "block":
             raise ValueError(f"bad block line {ln!r}")
-        mult, dim = int(parts[1]), int(parts[2])
+        try:
+            mult, dim = numbers[parts[1]], numbers[parts[2]]
+        except KeyError:
+            for token in parts[1:3]:
+                if not _is_decimal(token):
+                    raise ValueError(
+                        f"multiplicity and dimension must be ASCII decimal "
+                        f"numbers in {ln!r}") from None
+                numbers[token] = int(token)
+            mult, dim = numbers[parts[1]], numbers[parts[2]]
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
-        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
-            raise ValueError(f"multiplicity and dimension must be ASCII "
-                             f"decimal numbers in {ln!r}")
         # made at the first block: a file without blocks parses for any q
         field = field or make_field(params.q)
         block = _parse_block_rows(field, parts[3], params.m, dim, seen)

@@ -31,7 +31,9 @@ dropped: a row whose lead lies in a deleted column is zero before its
 lead, so it slices to zero, and since leads strictly increase those are
 the last rows.  Every other row keeps its lead 1 and the zeros above
 it.  Puncturing is therefore slicing each row to its first m - p
-entries, no elimination needed.
+entries and dropping the rows that lead in a deleted column, no
+elimination needed.  On row codes the slice is ``code % q**(m - p)``,
+which is 0 exactly for the dropped rows.
 """
 
 from __future__ import annotations
@@ -267,19 +269,14 @@ def puncture(x: Subspace, p: int = 1) -> Subspace:
     """Delete the last p coordinates of every vector of x.
 
     A single puncture keeps or lowers the dimension by one; the result
-    stays canonical because RREF survives last-column deletion.
+    stays canonical because RREF survives last-column deletion once the
+    rows leading in a deleted column, which slice to zero, are dropped.
     """
     if not 0 <= p <= x.ambient:
         raise ValueError(f"puncture count {p} out of range for ambient {x.ambient}")
     m = x.ambient - p
-    return Subspace(x.field, m, _puncture_rows(x.rows, m))
-
-
-def _puncture_rows(rows: tuple, m: int) -> tuple:
-    """RREF rows cut to their first m entries.  A row leading at or
-    after column m would slice to zero: drop it (such rows are the last
-    ones, so the kept rows stay in RREF order)."""
-    return tuple([r[:m] for r in rows if r.index(1) < m])
+    return Subspace(x.field, m, tuple([r[:m] for r in x.rows
+                                       if r.index(1) < m]))
 
 
 def extensions_same_dim(x: Subspace) -> list:

@@ -107,6 +107,18 @@ def test_verify_corrupted_file(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: bad parameter line 'q=+2 ")
 
 
+def test_verify_non_decimal_multiplicity(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "fano-m4", "--q", "2")
+    text = Path("fano-m4-q2.design").read_text()
+    with open("bad.design", "w") as fh:
+        fh.write(text + "block x 0 -\n")
+    code, out, err = run(capsys, "verify", "bad.design")
+    assert code == 2 and out == ""
+    assert err == ("error: multiplicity and dimension must be ASCII decimal "
+                   "numbers in 'block x 0 -'\n")
+
+
 def test_build_s3485_and_recursive(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "build", "s3485", "--q", "2")

@@ -11,7 +11,8 @@ from qsteiner.counting import (_puncture_census, count_C, count_D, count_N,
                                oracle_N)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
-                                first_subspace, puncture, subspaces_within)
+                                first_subspace, puncture, subspaces_within,
+                                vector_code)
 
 
 def test_gaussian_values():
@@ -102,9 +103,9 @@ def test_oracle_N_arbitrary_witness():
 def test_oracle_N_census_partitions_grassmannian():
     """Each t-subspace of F_q^n punctures to exactly one subspace of
     F_q^m, so oracle counts over all witnesses sum to |G_q(n,t)|."""
-    for q in (2, 3):
+    for q in (2, 3, 4):
         f = make_field(q)
-        nmax = 7 if q == 2 else 5
+        nmax = {2: 7, 3: 5, 4: 4}[q]
         for n in range(2, nmax + 1):
             for t in range(0, min(3, n) + 1):
                 for m in range(1, n):
@@ -116,7 +117,7 @@ def test_oracle_N_census_partitions_grassmannian():
 
 
 def test_puncture_census_matches_object_puncture():
-    """The row-keyed census against puncture() applied to every
+    """The row-code-keyed census against puncture() applied to every
     t-subspace of the one-slot-at-a-time reference enumeration."""
     for q in (2, 3, 4):
         f = make_field(q)
@@ -125,7 +126,9 @@ def test_puncture_census_matches_object_puncture():
                 subs = [Subspace(f, n, rows)
                         for rows in slot_grassmannian_rows(q, n, t)]
                 for m in range(1, n):
-                    want = Counter(puncture(x, n - m).rows for x in subs)
+                    want = Counter(tuple(vector_code(r, q)
+                                         for r in puncture(x, n - m).rows)
+                                   for x in subs)
                     assert _puncture_census(q, n, t, m) == want, (q, n, t, m)
 
 

@@ -86,22 +86,30 @@ def test_design_parse_rejections():
                                   "block 4 2 00100;0001", 1))     # row length
     q16 = "qsteiner-design v1\nq=16 t=1 k=2 n=4 m=2\nblock 3 1 {}\n"
     assert parse_design(q16.format("1 15")).total_multiplicity() == 3
-    for row in ("1 -1", "1 16"):                                  # outside F_16
-        with pytest.raises(ValueError, match="outside F_16"):
-            parse_design(q16.format(row))
+    with pytest.raises(ValueError, match="outside F_16"):
+        parse_design(q16.format("1 16"))
     # int() alone takes signs, underscores and non-ASCII decimal digits
     assert parse_design(text + "block 1 1 0001\n").total_multiplicity() \
         == design.total_multiplicity() + 1
-    for bad in (q16.format("1 +1_5"),
+    for bad in (q16.format("1 +1_5"), q16.format("1 -1"),
                 text.replace("block 1 0 -", "block +1_0 0 -"),
                 text + "block 1 1 \uff10\uff10\uff10\uff11\n"):     # fullwidth
         with pytest.raises(ValueError, match="ASCII decimal"):
             parse_design(bad)
-    # the parameter line takes only ASCII decimal numbers too
+    # the digit checks run before int(), so the messages name the text
+    for line, message in (
+            ("block x 0 -", "multiplicity and dimension must be ASCII "
+                            "decimal numbers in 'block x 0 -'"),
+            ("block 1 1 1000 0100",                         # q <= 9, spaced
+             "row '1000 0100' is not written in ASCII decimal digits")):
+        with pytest.raises(ValueError) as exc:
+            parse_design(text + line + "\n")
+        assert str(exc.value) == message
+    # the parameter line takes only ASCII decimal numbers too, each name once
     header = "q=2 t=2 k=3 n=7 m=4"
     assert parse_design(text.replace(header, "m=4 q=2 t=2 k=3 n=7")) == design
     for bad in ("q=+2 t=2 k=3 n=7 m=4", "q=2 t=2 k=3 n=7 m=\u0664",
-                "q=2 t=2 k=3 n=7_ m=4"):
+                "q=2 t=2 k=3 n=7_ m=4", "q=2 t=2 k=3 n=7 m=5 m=4"):
         with pytest.raises(ValueError, match="bad parameter line"):
             parse_design(text.replace(header, bad))
 
@@ -138,6 +146,6 @@ def test_parallelism_parse_rejections():
         parse_parallelism("\n".join(bad) + "\n")
     # the parameter line takes only ASCII decimal numbers
     assert parse_parallelism(text.replace("q=2 n=4", "n=4 q=2")) == para
-    for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_"):
+    for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_", "q=2 n=5 n=4"):
         with pytest.raises(ValueError, match="bad parameter line"):
             parse_parallelism(text.replace("q=2 n=4", bad))
