@@ -41,19 +41,17 @@ def cmd_necessary(args) -> int:
     return 0 if report.ok else 1
 
 
+# the numbers each count of ``oracle`` takes, in order
+_ORACLE_PARAMS = {"N": "s m t n q", "C": "s t r k q", "D": "s r m q"}
+
+
 def cmd_oracle(args) -> int:
-    if args.count == "N":
-        s, m, t, n, q = args.params
-        formula, oracle = (counting.count_N(s, m, t, n, q),
-                           counting.oracle_N(s, m, t, n, q))
-    elif args.count == "C":
-        s, t, r, k, q = args.params
-        formula, oracle = (counting.count_C(s, t, r, k, q),
-                           counting.oracle_C(s, t, r, k, q))
-    else:
-        s, r, m, q = args.params
-        formula, oracle = (counting.count_D(s, r, m, q),
-                           counting.oracle_D(s, r, m, q))
+    names = _ORACLE_PARAMS[args.count].split()
+    if len(args.params) != len(names):
+        raise ValueError(f"oracle {args.count} takes {len(names)} numbers: "
+                         f"{' '.join(names)}")
+    formula = getattr(counting, "count_" + args.count)(*args.params)
+    oracle = getattr(counting, "oracle_" + args.count)(*args.params)
     print(f"formula {formula}")
     print(f"oracle  {oracle}")
     print("MATCH" if formula == oracle else "MISMATCH")
@@ -66,7 +64,10 @@ def _parse_pins(pin_args) -> dict:
         name, _, value = item.partition("=")
         if not name.startswith("X") or not value:
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1")
-        pins[int(name[1:])] = Fraction(value)
+        try:
+            pins[int(name[1:])] = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"bad pin {item!r}; expected e.g. X0=1") from None
     return pins
 
 
@@ -189,8 +190,7 @@ def cmd_puncture(args) -> int:
 def cmd_spread(args) -> int:
     spread = designs.build_spread(args.q, args.n)
     lines = ["qsteiner-spread v1", f"q={args.q} n={args.n}"]
-    for line in spread.lines:
-        lines.append(";".join(files._format_row(r, args.q) for r in line.rows))
+    lines.extend(map(files.format_block_rows, spread.lines))
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compare a closed-form count with its brute-force oracle")
     p.add_argument("count", choices=("N", "C", "D"))
     p.add_argument("params", type=int, nargs="+",
-                   help="N: s m t n q | C: s t r k q | D: s r m q")
+                   help=" | ".join(f"{c}: {names}"
+                                   for c, names in _ORACLE_PARAMS.items()))
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("uniform-solve",

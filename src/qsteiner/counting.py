@@ -41,8 +41,11 @@ def gaussian(n: int, k: int, q: int) -> int:
     """The q-binomial coefficient [n choose k]_q.
 
     Out-of-range arguments (k < 0 or k > n) return 0 by convention so
-    that equation builders can sum over uniform bounds.
+    that equation builders can sum over uniform bounds.  A field order
+    q < 2 raises ValueError.
     """
+    if q < 2:
+        raise ValueError(f"need a field order q >= 2, got q={q}")
     if k < 0 or n < 0 or k > n:
         return 0
     num = den = 1
@@ -203,6 +206,7 @@ def oracle_C(s: int, t: int, r: int, k: int, q: int,
         raise ValueError(f"need 0 <= s <= t < k, got s={s}, t={t}, k={k}")
     if not s <= r <= k:
         raise ValueError(f"need s <= r <= k, got r={r}")
+    _check_guard(k, t, q)
     field = make_field(q)
     if outer is None:
         outer = first_subspace(field, r, r)

@@ -17,10 +17,10 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, make_field
-from .subspaces import (Subspace, _combine, _grassmannian_rows, _packed_rows,
-                        coverage, enumerate_subspaces, extension_raise_dim,
-                        extensions_same_dim, null_subspace, packed, puncture,
-                        rref, vector_code, vector_from_code)
+from .subspaces import (Subspace, _combine, coverage, enumerate_subspaces,
+                        extension_raise_dim, extensions_same_dim,
+                        null_subspace, puncture, rref, vector_code,
+                        vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -157,10 +157,9 @@ def verify(design: DesignMultiset) -> VerificationReport:
         coeff = {r: covering_coefficient(s, t, r, k, q) for r in dims}
         acc = coverage(((y, mult * coeff[len(y.rows)])
                         for y, mult in design.blocks.items()
-                        if coeff[len(y.rows)]), s)
-        # enumerate_subspaces order; a Subspace only for a violation
-        for rows in sorted(_grassmannian_rows(q, m, s)):
-            got = acc.get(_packed_rows(field, rows), 0)
+                        if coeff[len(y.rows)]), field, m, s)
+        # a Subspace only for a violation
+        for rows, got in acc:
             residuals.append(got - expected)
             if got != expected:
                 violations.append(EquationViolation(s, Subspace(field, m, rows),
@@ -214,11 +213,9 @@ class SteinerSystem:
 
 def verify_steiner(system: SteinerSystem) -> bool:
     """Every t-subspace of the ambient space covered exactly once."""
-    if len(set(system.blocks)) != len(system.blocks):
-        return False
-    cov = coverage(((b, 1) for b in system.blocks), system.t)
-    total = gaussian(system.n, system.t, system.field.q)
-    return len(cov) == total and all(c == 1 for c in cov.values())
+    cov = coverage(((b, 1) for b in system.blocks), system.field, system.n,
+                   system.t)
+    return all(c == 1 for _, c in cov)
 
 
 def trivial_steiner(q: int, t: int, n: int) -> SteinerSystem:
@@ -257,16 +254,15 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     if not verify_steiner(sub_system):
         raise ConstructionError("(k-1)-images do not form the derived Steiner system")
 
-    covered_by_lower = coverage(((b, 1) for b in lower), t)
+    lower_cov = coverage(((b, 1) for b in lower), field, n - 1, t)
     upper_cov = coverage(((b, mult) for b, mult in blocks.items()
-                          if b.dim == k), t)
-    for x in enumerate_subspaces(field, n - 1, t):
-        key = packed(x)
-        want = 0 if key in covered_by_lower else q ** t
-        got = upper_cov.get(key, 0)
+                          if b.dim == k), field, n - 1, t)
+    for (rows, low), (_, got) in zip(lower_cov, upper_cov):
+        want = 0 if low else q ** t
         if got != want:
             raise ConstructionError(
-                f"t-subspace {x!r} appears {got} times, expected {want}")
+                f"t-subspace {Subspace(field, n - 1, rows)!r} appears {got} "
+                f"times, expected {want}")
     return design, sub_system
 
 
@@ -283,13 +279,14 @@ class Spread:
             if line.dim != 2 or line.ambient != self.n:
                 raise ValueError(f"{line!r} is not a 2-subspace of F^{self.n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
-        cov = coverage(((line, 1) for line in self.lines), 1)
-        q = self.field.q
-        for code, c in cov.items():
-            if c != 1:
-                point = rref(self.field, [vector_from_code(code, q, self.n)])
+        uncovered = False
+        for rows, c in coverage(((line, 1) for line in self.lines),
+                                self.field, self.n, 1):
+            if c > 1:
+                point = Subspace(self.field, self.n, rows)
                 raise ValueError(f"point {point!r} lies on {c} lines")
-        if len(cov) != gaussian(self.n, 1, q):
+            uncovered = uncovered or not c
+        if uncovered:
             raise ValueError("lines do not cover every nonzero vector")
 
     def to_steiner(self) -> SteinerSystem:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
@@ -287,33 +288,33 @@ def _family_3_4_even(q: int, k: int) -> dict:
             4: x4}
 
 
-def _closed_forms(name: str, q: int, k: int | None) -> dict:
-    if name == "S(2,3,2k+1;k+1)":
-        if k is None:
-            raise ValueError(f"family {name} needs the parameter k")
-        return _family_2_3_odd(q, k)
-    if name == "S(3,4,2k;k)":
-        if k is None:
-            raise ValueError(f"family {name} needs the parameter k")
-        return _family_3_4_even(q, k)
-    if name == "S(2,3,7;4)":
-        return _family_2_3_odd(q, 3)
-    if name == "S(3,4,8;4)":
-        return _family_3_4_even(q, 4)
+def _family(name: str, k: int | None) -> tuple:
+    """The (t, k, n, m) parameters behind a family name and its closed
+    form as a function of q; the two parametric families need k."""
+    if name in ("S(2,3,2k+1;k+1)", "S(3,4,2k;k)") and k is None:
+        raise ValueError(f"family {name} needs the parameter k")
+    if name in ("S(2,3,2k+1;k+1)", "S(2,3,7;4)"):
+        k = 3 if name == "S(2,3,7;4)" else k
+        return (2, 3, 2 * k + 1, k + 1), partial(_family_2_3_odd, k=k)
+    if name in ("S(3,4,2k;k)", "S(3,4,8;4)"):
+        k = 4 if name == "S(3,4,8;4)" else k
+        return (3, 4, 2 * k, k), partial(_family_3_4_even, k=k)
     if name == "S(4,5,11;6)":
-        return {0: Fraction(1), 1: Fraction(0),
-                2: Fraction(q ** 2 * (q ** 2 + 1)),
-                3: Fraction(q ** 9 + q ** 7 - q ** 4),
-                4: Fraction(q ** 14 - q ** 9 + q ** 7),
-                5: Fraction((q ** 18 + q ** 11) * (q - 1))}
+        return (4, 5, 11, 6), lambda q: {
+            0: Fraction(1), 1: Fraction(0),
+            2: Fraction(q ** 2 * (q ** 2 + 1)),
+            3: Fraction(q ** 9 + q ** 7 - q ** 4),
+            4: Fraction(q ** 14 - q ** 9 + q ** 7),
+            5: Fraction((q ** 18 + q ** 11) * (q - 1))}
     if name == "S(5,6,12;6)":
         # the s=1 equation forces X_2 = q^2 [6 4]_q / [5 1]_q = q^2(q^4+q^2+1)
-        return {0: Fraction(1), 1: Fraction(0),
-                2: Fraction(q ** 2 * (q ** 4 + q ** 2 + 1)),
-                3: Fraction(q ** 4 * (q ** 8 + q ** 6 + q ** 5 - 1)),
-                4: Fraction(q ** 7 * (q ** 11 + q ** 9 + q ** 7 - q ** 6 + 1)),
-                5: Fraction(q ** 11 * (q ** 13 - q ** 7 + q ** 6 - 1)),
-                6: Fraction(q ** 16 * (q ** 14 - q ** 13 + q ** 7 - q ** 6 + 1))}
+        return (5, 6, 12, 6), lambda q: {
+            0: Fraction(1), 1: Fraction(0),
+            2: Fraction(q ** 2 * (q ** 4 + q ** 2 + 1)),
+            3: Fraction(q ** 4 * (q ** 8 + q ** 6 + q ** 5 - 1)),
+            4: Fraction(q ** 7 * (q ** 11 + q ** 9 + q ** 7 - q ** 6 + 1)),
+            5: Fraction(q ** 11 * (q ** 13 - q ** 7 + q ** 6 - 1)),
+            6: Fraction(q ** 16 * (q ** 14 - q ** 13 + q ** 7 - q ** 6 + 1))}
     raise ValueError(f"unknown uniform family {name!r}")
 
 
@@ -324,7 +325,7 @@ def uniform_family_solution(name: str, q: int, k: int | None = None) -> dict:
     Raises NonIntegralSolution when a multiplicity comes out
     non-integral (the S_q(3,4,2k;k) family for every k except 4).
     """
-    values = _closed_forms(name, q, k)
+    values = _family(name, k)[1](q)
     for r, v in values.items():
         if v.denominator != 1:
             raise NonIntegralSolution(
@@ -335,16 +336,4 @@ def uniform_family_solution(name: str, q: int, k: int | None = None) -> dict:
 
 def family_system_params(name: str, k: int | None = None) -> tuple:
     """The (t, k, n, m) design parameters behind a family name."""
-    if name == "S(2,3,2k+1;k+1)":
-        if k is None:
-            raise ValueError("family needs k")
-        return (2, 3, 2 * k + 1, k + 1)
-    if name == "S(3,4,2k;k)":
-        if k is None:
-            raise ValueError("family needs k")
-        return (3, 4, 2 * k, k)
-    table = {"S(2,3,7;4)": (2, 3, 7, 4), "S(3,4,8;4)": (3, 4, 8, 4),
-             "S(4,5,11;6)": (4, 5, 11, 6), "S(5,6,12;6)": (5, 6, 12, 6)}
-    if name not in table:
-        raise ValueError(f"unknown uniform family {name!r}")
-    return table[name]
+    return _family(name, k)[0]

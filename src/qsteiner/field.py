@@ -1,9 +1,10 @@
 """Lookup-table arithmetic for the small finite fields F_q, q <= 16.
 
-Elements are encoded as integers ``0..q-1``.  For a prime field the code
-is the residue itself.  For a prime power q = p^e the integer i encodes
-the polynomial whose coefficients are the base-p digits of i (digit j is
-the coefficient of x^j), reduced modulo a fixed irreducible polynomial:
+Elements are encoded as integers ``0..q-1``.  For q = p^e the integer i
+encodes the polynomial whose coefficients are the base-p digits of i
+(digit j is the coefficient of x^j), reduced modulo a fixed irreducible
+polynomial.  A prime field is F_p[x]/(x), so its code is the residue
+itself; the other orders use
 
     F_4  : x^2 + x + 1
     F_8  : x^3 + x + 1
@@ -19,18 +20,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# Irreducible polynomial per prime-power order, as (p, e, coefficients),
-# coefficient j belonging to x^j.
+# Irreducible polynomial per order, as (p, e, coefficients), coefficient j
+# belonging to x^j; a prime order p takes x.
 _IRREDUCIBLE = {
+    **{p: (p, 1, (0, 1)) for p in (2, 3, 5, 7, 11, 13)},
     4: (2, 2, (1, 1, 1)),
     8: (2, 3, (1, 1, 0, 1)),
     9: (3, 2, (1, 0, 1)),
     16: (2, 4, (1, 1, 0, 0, 1)),
 }
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
-
-SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+SUPPORTED_ORDERS = tuple(sorted(_IRREDUCIBLE))
 
 
 def _poly_mul_mod(a: tuple, b: tuple, mod: tuple, p: int) -> tuple:
@@ -72,30 +72,25 @@ class GF:
                  "neg_table", "sub_table")
 
     def __init__(self, q: int) -> None:
-        if q in _PRIMES:
-            p, e = q, 1
-            add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-            mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-        elif q in _IRREDUCIBLE:
-            p, e, mod = _IRREDUCIBLE[q]
-
-            def digits(i: int) -> tuple:
-                return tuple((i // p**j) % p for j in range(e))
-
-            def code(coeffs: tuple) -> int:
-                return sum(c * p**j for j, c in enumerate(coeffs))
-
-            add = tuple(
-                tuple(code(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
-                      for b in range(q))
-                for a in range(q))
-            mul = tuple(
-                tuple(code(_poly_mul_mod(digits(a), digits(b), mod, p))
-                      for b in range(q))
-                for a in range(q))
-        else:
+        if q not in _IRREDUCIBLE:
             raise ValueError(
                 f"unsupported field order {q}; supported: {SUPPORTED_ORDERS}")
+        p, e, mod = _IRREDUCIBLE[q]
+
+        def digits(i: int) -> tuple:
+            return tuple((i // p**j) % p for j in range(e))
+
+        def code(coeffs: tuple) -> int:
+            return sum(c * p**j for j, c in enumerate(coeffs))
+
+        add = tuple(
+            tuple(code(tuple((x + y) % p for x, y in zip(digits(a), digits(b))))
+                  for b in range(q))
+            for a in range(q))
+        mul = tuple(
+            tuple(code(_poly_mul_mod(digits(a), digits(b), mod, p))
+                  for b in range(q))
+            for a in range(q))
 
         self.q = q
         self.p = p

@@ -135,12 +135,6 @@ def _check_rref(rows: tuple, leads: list) -> None:
         last = lead
 
 
-def _rref_checked(field, rows: tuple, m: int) -> Subspace:
-    """The Subspace with these rows, after ``_check_rref``."""
-    _check_rref(rows, [_lead(r) for r in rows])
-    return Subspace(field, m, rows)
-
-
 def serialize_design(design: DesignMultiset) -> str:
     p = design.params
     lines = [DESIGN_HEADER,
@@ -200,12 +194,10 @@ def parse_design_file(path) -> DesignMultiset:
 
 
 def serialize_parallelism(para: Parallelism) -> str:
-    q = para.field.q
-    lines = [PARALLELISM_HEADER, f"q={q} n={para.n}"]
+    lines = [PARALLELISM_HEADER, f"q={para.field.q} n={para.n}"]
     for sp in para.spreads:
         lines.append("spread")
-        for line in sp.lines:
-            lines.append(";".join(_format_row(r, q) for r in line.rows))
+        lines.extend(map(format_block_rows, sp.lines))
     return "\n".join(lines) + "\n"
 
 
@@ -219,14 +211,17 @@ def parse_parallelism(text: str) -> Parallelism:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
     field = make_field(q)
     groups: list = []
+    seen: dict = {}
     for ln in lines[2:]:
         if ln == "spread":
             groups.append([])
             continue
         if not groups:
             raise ValueError("line outside any spread section")
-        rows = tuple(_parse_row(part, q, n) for part in ln.split(";"))
-        groups.append(groups.pop() + [_rref_checked(field, rows, n)])
+        # each line is checked as a block of its own row count; ``Spread``
+        # then rejects a line that is not 2-dimensional
+        groups[-1].append(_parse_block_rows(field, ln, n, ln.count(";") + 1,
+                                            seen))
     spreads = tuple(Spread(field, n, tuple(sorted(g, key=lambda s: s.rows)))
                     for g in groups)
     return Parallelism(field, n, tuple(sorted(

@@ -16,14 +16,17 @@ remaining columns to its right.  The d-subspaces with those pivots are
 therefore the product of the per-row choice lists
 (``_grassmannian_rows``).
 
-The verifier's coverage kernel keys subspaces by ``packed(x)``, one
-int: the code of the RREF matrix read row-major, i.e. ``vector_code``
-of the concatenated rows.  ``coverage`` reads each block's keys off
-the codes of its span and counts them a batch of blocks at a time
-with ``Counter``.  For characteristic 2 (q in {2, 4, 8, 16}) an
-element code is the bit pattern of its polynomial coefficients, so
-each base-q digit of a vector code is a bit field and vector addition
-is ``^`` on codes.
+``coverage`` is the one coverage count every verifier reads: it
+yields, for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
+order, its RREF rows and the summed weight of the blocks containing it,
+0 included.  Internally, and private to this module, a subspace is
+keyed by one int: the code of its RREF matrix read row-major, i.e.
+``vector_code`` of the concatenated rows.  Each block's keys are read
+off the codes of its span and counted a batch of blocks at a time with
+``Counter``.  For characteristic 2 (q in {2, 4, 8, 16}) an element
+code is the bit pattern of its polynomial coefficients, so each base-q
+digit of a vector code is a bit field and vector addition is ``^`` on
+codes.
 
 Puncturing always removes the last coordinate(s).  Deleting the last p
 columns of an RREF matrix leaves an RREF matrix once its zero rows are
@@ -280,24 +283,13 @@ def puncture(x: Subspace, p: int = 1) -> Subspace:
 
 
 def extensions_same_dim(x: Subspace) -> list:
-    """The q^t distinct t-subspaces of F_q^{m+1} puncturing back to x.
-
-    Each extension appends one column whose entries on the basis rows
-    sweep all of F_q^t.
-    """
-    q = x.field.q
-    out = []
-    for extra in itertools.product(range(q), repeat=x.dim):
-        rows = tuple(row + (e,) for row, e in zip(x.rows, extra))
-        out.append(Subspace(x.field, x.ambient + 1, rows))
-    return out
+    """The q^t distinct t-subspaces of F_q^{m+1} puncturing back to x."""
+    return list(enumerate_extensions(x, x.dim, x.ambient + 1))
 
 
 def extension_raise_dim(x: Subspace) -> Subspace:
     """The unique (t+1)-subspace of F_q^{m+1} puncturing back to x."""
-    m = x.ambient
-    rows = tuple(row + (0,) for row in x.rows) + ((0,) * m + (1,),)
-    return Subspace(x.field, m + 1, rows)
+    return next(enumerate_extensions(x, x.dim + 1, x.ambient + 1))
 
 
 def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[Subspace]:
@@ -405,15 +397,11 @@ def _multiple_codes(row: tuple, field: GF) -> tuple:
     return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
 
 
-def packed(x: Subspace) -> int:
-    """The coverage key of x: the code of its RREF matrix read
-    row-major, ``sum(code(row_i) * (q**m)**i)``, which is
-    ``vector_code`` of the concatenated rows (0 for the null space)."""
-    return _packed_rows(x.field, x.rows)
-
-
 def _packed_rows(field: GF, rows: tuple) -> int:
-    """``packed`` of the subspace with these RREF rows."""
+    """The coverage key of the subspace with these RREF rows: the code
+    of its RREF matrix read row-major, ``sum(code(row_i) * (q**m)**i)``,
+    which is ``vector_code`` of the concatenated rows (0 for the null
+    space)."""
     key = 0
     if rows:
         big = field.q ** len(rows[0])
@@ -457,7 +445,7 @@ def _span_codes(y: Subspace) -> list:
 
 
 def _block_keys(y: Subspace, columns: tuple, big: int):
-    """``packed`` of each s-subspace of y (0 < s < dim y), lazily: if C
+    """The key of each s-subspace of y (0 < s < dim y), lazily: if C
     is an RREF coefficient matrix, C*Y is the RREF basis of its image
     (see ``subspaces_within``), so row i of a key is the span entry at
     the code of C's row i, placed at ``big**i`` (``big`` = q**m)."""
@@ -469,14 +457,14 @@ def _block_keys(y: Subspace, columns: tuple, big: int):
     return keys
 
 
-def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
-    """Map ``packed(x)`` of each s-subspace x to the summed weight of
-    the (block, weight) pairs whose block contains x; s-subspaces in no
-    block are absent, and one covered only with weight 0 maps to 0.
+def _coverage_counts(weighted_blocks: Iterable[tuple], s: int) -> dict:
+    """Map the key (``_packed_rows``) of each s-subspace x to the
+    summed weight of the (block, weight) pairs whose block contains x;
+    s-subspaces in no block are absent, and one covered only with
+    weight 0 maps to 0.
 
-    All blocks must live in one ambient space.  Blocks are batched by
-    (weight, dimension); each batch's keys are counted with ``Counter``
-    and enter the result as count * weight.
+    Blocks are batched by (weight, dimension); each batch's keys are
+    counted with ``Counter`` and enter the result as count * weight.
     """
     batches = defaultdict(list)
     for y, w in weighted_blocks:
@@ -487,7 +475,7 @@ def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
     get = cov.get
     for (w, d), ys in batches.items():
         if s == d:
-            counts = Counter(map(packed, ys))
+            counts = Counter(_packed_rows(y.field, y.rows) for y in ys)
         elif s == 0:
             counts = {0: len(ys)}
         else:
@@ -498,3 +486,18 @@ def coverage(weighted_blocks: Iterable[tuple], s: int) -> dict:
         for key, c in counts.items():
             cov[key] = get(key, 0) + c * w
     return cov
+
+
+def coverage(weighted_blocks: Iterable[tuple], field: GF, m: int,
+             s: int) -> Iterator[tuple]:
+    """Yield ``(rows, weight)`` for every s-subspace of F_q^m, as its
+    RREF rows, in ``enumerate_subspaces`` order: the summed weight of
+    the (block, weight) pairs whose block contains it, 0 where none
+    does.  All blocks must live in F_q^m.
+    """
+    if not 0 <= s <= m:
+        raise ValueError(f"dimension {s} out of range for ambient {m}")
+    cov = _coverage_counts(weighted_blocks, s)
+    grassmannian = sorted(_grassmannian_rows(field.q, m, s))
+    keys = map(_packed_rows, itertools.repeat(field), grassmannian)
+    return zip(grassmannian, map(cov.get, keys, itertools.repeat(0)))

@@ -228,6 +228,27 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "needs --base" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("gauss 7 2 1", "q >= 2"),
+    ("gauss 7 2 0", "q >= 2"),
+    ("necessary 2 3 7 1", "q >= 2"),
+    ("uniform-solve 1 2 3 7 4", "q >= 2"),
+    ("uniform-solve 0 2 3 7 4 --pin X0=1", "q >= 2"),
+    ("uniform-solve 2 2 3 7 4 --pin X0=1/0", "bad pin 'X0=1/0'"),
+    ("oracle C 0 1 1 40 2", "oracle would enumerate"),
+    ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),
+    ("oracle C 1 2 1 4", "oracle C takes 5 numbers: s t r k q"),
+    ("oracle D 1 2 3 4 5", "oracle D takes 4 numbers: s r m q"),
+])
+def test_degenerate_arguments_exit_2(capsys, argv, message):
+    """Degenerate numbers are bad input: exit 2 with one ``error:``
+    line, no traceback and no stdout."""
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_search_exhausted_exit_1(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise designs.SearchExhausted("node budget exhausted")

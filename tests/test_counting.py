@@ -31,6 +31,11 @@ def test_gaussian_edges_and_convention():
             assert gaussian(n, n, q) == 1
         assert gaussian(3, 5, q) == 0
         assert gaussian(3, -1, q) == 0
+    # no field has fewer than two elements, whatever k is
+    for q in (-1, 0, 1):
+        for k in (-1, 0, 2, 9):
+            with pytest.raises(ValueError, match="q >= 2"):
+                gaussian(7, k, q)
 
 
 def test_gaussian_pascal_identity():
@@ -174,6 +179,9 @@ def test_oracle_guard():
         oracle_N(1, 8, 4, 16, 2)
     with pytest.raises(ValueError):
         oracle_D(0, 4, 16, 2)
+    # the t-subspaces of the raised 40-space are never enumerated
+    with pytest.raises(ValueError, match="oracle would enumerate"):
+        oracle_C(0, 1, 1, 40, 2)
 
 
 def test_oracle_D_vs_direct_containment_scan():

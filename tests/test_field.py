@@ -75,6 +75,16 @@ def test_frobenius():
                                                            power(f, b, f.p))
 
 
+def test_prime_field_tables_are_residues():
+    """A prime field, built as F_p[x]/(x), is arithmetic mod p."""
+    for p in (2, 3, 5, 7, 11, 13):
+        f = make_field(p)
+        assert (f.p, f.e) == (p, 1)
+        for a in range(p):
+            assert f.add_table[a] == tuple((a + b) % p for b in range(p))
+            assert f.mul_table[a] == tuple((a * b) % p for b in range(p))
+
+
 def test_f2_and_f3_tables():
     f2 = make_field(2)
     assert f2.add(1, 1) == 0 and f2.mul(1, 1) == 1

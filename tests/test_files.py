@@ -7,8 +7,9 @@ import pytest
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
                               construct_s3485, construct_uniform_design)
 from qsteiner.field import make_field
-from qsteiner.files import (_rref_checked, parse_design, parse_parallelism,
-                            serialize_design, serialize_parallelism)
+from qsteiner.files import (_check_rref, _lead, parse_design,
+                            parse_parallelism, serialize_design,
+                            serialize_parallelism)
 from qsteiner.subspaces import rref
 
 
@@ -116,19 +117,20 @@ def test_design_parse_rejections():
 
 def test_rref_check_matches_rref_oracle():
     """The parser's direct RREF check accepts exactly the row tuples
-    that rref() leaves unchanged, and returns the same subspace."""
+    that rref() leaves unchanged."""
     for q, m, d_max in ((2, 4, 3), (3, 3, 2)):
         field = make_field(q)
         vectors = list(itertools.product(range(q), repeat=m))
         for d in range(1, d_max + 1):
             for rows in itertools.product(vectors, repeat=d):
                 canon = rref(field, rows)
+                leads = [_lead(r) for r in rows]
                 if canon.rows == rows:
-                    sub = _rref_checked(field, rows, m)
-                    assert sub == canon and sub.pivots == canon.pivots
+                    _check_rref(rows, leads)
+                    assert leads == list(canon.pivots)
                 else:
                     with pytest.raises(ValueError):
-                        _rref_checked(field, rows, m)
+                        _check_rref(rows, leads)
 
 
 def test_parallelism_parse_rejections():
@@ -144,6 +146,11 @@ def test_parallelism_parse_rejections():
     bad = lines[:2] + [lines[3]] + lines[2:]
     with pytest.raises(ValueError):
         parse_parallelism("\n".join(bad) + "\n")
+    # a line is a block of its own row count: '-' is not a 2-subspace
+    dash = lines[:3] + ["-"] + lines[3:]
+    with pytest.raises(ValueError) as exc:
+        parse_parallelism("\n".join(dash) + "\n")
+    assert str(exc.value) == "'-' rows are only valid for dimension 0"
     # the parameter line takes only ASCII decimal numbers
     assert parse_parallelism(text.replace("q=2 n=4", "n=4 q=2")) == para
     for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_", "q=2 n=5 n=4"):

@@ -8,13 +8,13 @@ from slow_oracles import slot_grassmannian_rows
 
 from qsteiner.counting import gaussian
 from qsteiner.field import make_field
-from qsteiner.files import _rref_checked
+from qsteiner.files import _check_rref, _lead
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
-                                contains, coverage,
+                                _packed_rows, contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
-                                null_subspace, packed, puncture, rref,
+                                null_subspace, puncture, rref,
                                 subspaces_within, vector_code,
                                 vector_from_code)
 
@@ -114,7 +114,7 @@ def test_grassmannian_rows_match_slot_enumeration():
                 assert len(set(got)) == len(got) == gaussian(m, d, q)
                 assert got == list(slot_grassmannian_rows(q, m, d)), (q, m, d)
                 for rows in got:
-                    assert _rref_checked(f, rows, m).rows == rows
+                    _check_rref(rows, [_lead(r) for r in rows])
 
 
 def test_enumeration_null_subspace():
@@ -418,8 +418,9 @@ def test_subspaces_within_counts_and_canonical():
 
 
 def test_coverage_matches_object_oracle():
-    """The packed-code kernel against two object-based counts: one over
-    subspaces_within, one over contains() on the whole Grassmannian."""
+    """The in-order coverage stream against two object-based counts:
+    one over subspaces_within, one over contains() on the whole
+    Grassmannian, both read in enumerate_subspaces order."""
     rng = random.Random(3)
     for q in (2, 3, 4, 5, 8, 9, 16):
         f = make_field(q)
@@ -441,16 +442,16 @@ def test_coverage_matches_object_oracle():
                    (random_block(1), 0), (random_block(2), 0),
                    (random_block(2), 2 ** 70 + 1)]
         for s in range(m + 1):
-            by_within: dict = {}
+            within: dict = {}
             for y, w in blocks:
                 for x in subspaces_within(y, s):
-                    by_within[packed(x)] = by_within.get(packed(x), 0) + w
-            by_contains = {}
-            for x in enumerate_subspaces(f, m, s):
-                ws = [w for y, w in blocks if contains(y, x)]
-                if ws:
-                    by_contains[packed(x)] = sum(ws)
-            assert coverage(blocks, s) == by_within == by_contains, (q, s)
+                    within[x] = within.get(x, 0) + w
+            xs = list(enumerate_subspaces(f, m, s))
+            by_within = [(x.rows, within.get(x, 0)) for x in xs]
+            by_contains = [(x.rows, sum(w for y, w in blocks if contains(y, x)))
+                           for x in xs]
+            got = list(coverage(blocks, f, m, s))
+            assert got == by_within == by_contains, (q, s)
 
 
 def test_packed_is_row_major_matrix_code():
@@ -461,6 +462,6 @@ def test_packed_is_row_major_matrix_code():
         for m in range(5):
             for s in range(m + 1):
                 xs = list(enumerate_subspaces(f, m, s))
-                keys = [packed(x) for x in xs]
+                keys = [_packed_rows(f, x.rows) for x in xs]
                 assert keys == [vector_code(sum(x.rows, ()), q) for x in xs]
                 assert len(set(keys)) == len(xs) == gaussian(m, s, q), (q, m, s)
