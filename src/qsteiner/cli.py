@@ -66,7 +66,7 @@ def _parse_pins(pin_args) -> dict:
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1")
         try:
             pins[int(name[1:])] = Fraction(value)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1") from None
     return pins
 

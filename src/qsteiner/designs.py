@@ -7,20 +7,30 @@ subspaces of F_q^m.  Its checkable content is one counting equation per
 s-subspace X of F_q^m (max{0,t-p} <= s <= min{t,m}): the blocks
 containing X, weighted by multiplicity times the expansion-covering
 count, must account for every t-subspace of F_q^n extending X.
+
+A ``DesignMultiset`` stores that multiset as one ``{key: multiplicity}``
+table per block dimension, keyed by ``subspaces.rows_key``.  The
+constructions, ``puncture_design``, ``apply_transform`` and ``verify``
+work on the keys; ``DesignMultiset.blocks`` reads the tables as a
+``Mapping[Subspace, int]``, and reports name a ``Subspace`` only for a
+violation.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
-from .field import GF, make_field
+from .field import GF, SUPPORTED_ORDERS, make_field
 from .subspaces import (Subspace, _combine, coverage, enumerate_subspaces,
                         extension_raise_dim, extensions_same_dim,
-                        null_subspace, puncture, rref, vector_code,
-                        vector_from_code)
+                        grassmannian_keys, null_subspace, puncture,
+                        puncture_key, row_codes, rows_key, rref,
+                        subspace_from_key, vector_code, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -47,6 +57,11 @@ class DesignParams:
             raise ValueError(f"need 0 < t < k <= n, got {self}")
         if not 1 <= self.m < self.n:
             raise ValueError(f"need 1 <= m < n, got {self}")
+        if self.q < 2:
+            raise ValueError(f"need a field order q >= 2, got q={self.q}")
+        if self.q not in SUPPORTED_ORDERS:
+            raise ValueError(f"unsupported field order {self.q}; "
+                             f"supported: {SUPPORTED_ORDERS}")
 
     @property
     def p(self) -> int:
@@ -65,50 +80,102 @@ class DesignParams:
         return gaussian(self.n, self.t, self.q) // gaussian(self.k, self.t, self.q)
 
 
+def _check_block(params: DesignParams, b: Subspace, mult) -> None:
+    if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+        raise ValueError(f"multiplicity of {b!r} must be a positive integer")
+    if b.field.q != params.q or b.ambient != params.m:
+        raise ValueError(f"block {b!r} does not live in F_{params.q}^{params.m}")
+
+
 class DesignMultiset:
     """A multiset of subspaces of F_q^m with parameters (q,t,k,n,m).
 
-    ``blocks`` maps each distinct canonical subspace to its positive
-    multiplicity; absent means multiplicity zero.
+    Stored as key tables: ``tables[d]`` maps the key (``rows_key``) of
+    each distinct d-dimensional block to its positive multiplicity,
+    and a dimension without blocks has no table.  ``blocks`` is the
+    read-only ``Mapping[Subspace, int]`` view of the same multiset,
+    which builds a ``Subspace`` only when it is read.
     """
 
-    __slots__ = ("params", "blocks")
+    __slots__ = ("params", "tables")
 
-    def __init__(self, params: DesignParams, blocks: dict) -> None:
+    def __init__(self, params: DesignParams, blocks: Mapping) -> None:
+        tables: dict = {}
         for b, mult in blocks.items():
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
-                raise ValueError(f"multiplicity of {b!r} must be a positive integer")
-            if b.field.q != params.q or b.ambient != params.m:
-                raise ValueError(f"block {b!r} does not live in F_{params.q}^{params.m}")
+            _check_block(params, b, mult)
+            tables.setdefault(b.dim, {})[rows_key(params.q, b.rows)] = mult
         self.params = params
-        self.blocks = dict(blocks)
+        self.tables = tables
+
+    @classmethod
+    def _from_tables(cls, params: DesignParams, tables: dict) -> "DesignMultiset":
+        """A design from key tables whose keys are subspaces of F_q^m of
+        the table's dimension and whose multiplicities are positive
+        ints, unchecked; empty tables are dropped."""
+        design = cls.__new__(cls)
+        design.params = params
+        design.tables = {d: table for d, table in tables.items() if table}
+        return design
+
+    @property
+    def blocks(self) -> "_BlockView":
+        return _BlockView(self.params, self.tables)
 
     def total_multiplicity(self) -> int:
-        return sum(self.blocks.values())
+        return sum(sum(table.values()) for table in self.tables.values())
 
     def dimension_totals(self) -> dict:
-        out: dict = {}
-        for b, mult in self.blocks.items():
-            out[b.dim] = out.get(b.dim, 0) + mult
-        return out
+        return {d: sum(table.values()) for d, table in self.tables.items()}
 
     def with_block_multiplicity(self, block: Subspace, mult: int) -> "DesignMultiset":
         """Copy with one multiplicity replaced (0 removes the block)."""
-        blocks = dict(self.blocks)
-        if mult == 0:
-            blocks.pop(block, None)
-        else:
-            blocks[block] = mult
-        return DesignMultiset(self.params, blocks)
+        tables = {d: dict(table) for d, table in self.tables.items()}
+        key = rows_key(self.params.q, block.rows)
+        if mult:
+            _check_block(self.params, block, mult)
+            tables.setdefault(block.dim, {})[key] = mult
+        elif block in self.blocks:
+            del tables[block.dim][key]
+        return DesignMultiset._from_tables(self.params, tables)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DesignMultiset)
-                and self.params == other.params and self.blocks == other.blocks)
+                and self.params == other.params and self.tables == other.tables)
 
     def __repr__(self) -> str:
         p = self.params
         return (f"DesignMultiset(S_{p.q}({p.t},{p.k},{p.n};{p.m}), "
                 f"{len(self.blocks)} distinct blocks, total {self.total_multiplicity()})")
+
+
+class _BlockView(Mapping):
+    """``DesignMultiset.blocks``: its key tables read as a mapping from
+    each distinct block, a ``Subspace``, to its multiplicity."""
+
+    __slots__ = ("_params", "_tables")
+
+    def __init__(self, params: DesignParams, tables: dict) -> None:
+        self._params = params
+        self._tables = tables
+
+    def __getitem__(self, block) -> int:
+        p = self._params
+        if (isinstance(block, Subspace) and block.field.q == p.q
+                and block.ambient == p.m):
+            table = self._tables.get(block.dim, {})
+            key = rows_key(p.q, block.rows)
+            if key in table:
+                return table[key]
+        raise KeyError(block)
+
+    def __iter__(self):
+        field, m = make_field(self._params.q), self._params.m
+        for table in self._tables.values():
+            for key in table:
+                yield subspace_from_key(field, m, key)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._tables.values()))
 
 
 @dataclass(frozen=True)
@@ -147,17 +214,17 @@ def verify(design: DesignMultiset) -> VerificationReport:
     q, t, k, n, m = pr.q, pr.t, pr.k, pr.n, pr.m
     field = make_field(q)
     r_rng = pr.r_range()
-    dims = {len(b.rows) for b in design.blocks}
-    bad_dims = tuple((b, len(b.rows)) for b in design.blocks
-                     if len(b.rows) not in r_rng)
+    bad_dims = tuple((subspace_from_key(field, m, key), d)
+                     for d, table in design.tables.items() if d not in r_rng
+                     for key in table)
+    batches = _batches(design.tables)
     violations = []
     residuals = []
     for s in pr.s_range():
         expected = count_N(s, m, t, n, q)
-        coeff = {r: covering_coefficient(s, t, r, k, q) for r in dims}
-        acc = coverage(((y, mult * coeff[len(y.rows)])
-                        for y, mult in design.blocks.items()
-                        if coeff[len(y.rows)]), field, m, s)
+        coeff = {d: covering_coefficient(s, t, d, k, q) for d in design.tables}
+        acc = coverage([(d, mult * coeff[d], keys)
+                        for d, mult, keys in batches if coeff[d]], field, m, s)
         # a Subspace only for a violation
         for rows, got in acc:
             residuals.append(got - expected)
@@ -170,22 +237,44 @@ def verify(design: DesignMultiset) -> VerificationReport:
                               residuals=tuple(residuals))
 
 
+def _batches(tables: dict) -> list:
+    """The ``(d, multiplicity, keys)`` batches ``coverage`` reads: the
+    keys of each dimension's table, grouped by multiplicity."""
+    out = []
+    for d, table in tables.items():
+        mults = set(table.values())
+        if len(mults) == 1:
+            out.append((d, mults.pop(), table.keys()))
+            continue
+        groups = defaultdict(list)
+        for key, mult in table.items():
+            groups[mult].append(key)
+        out.extend((d, mult, keys) for mult, keys in groups.items())
+    return out
+
+
 def puncture_design(design: DesignMultiset) -> DesignMultiset:
     """Puncture every block once; multiplicities of colliding images add up."""
     pr = design.params
     if pr.m < 2:
         raise ValueError("cannot puncture a design below ambient dimension 1")
-    new_params = DesignParams(pr.q, pr.t, pr.k, pr.n, pr.m - 1)
-    blocks: dict = {}
-    for b, mult in design.blocks.items():
-        img = puncture(b, 1)
-        blocks[img] = blocks.get(img, 0) + mult
-    return DesignMultiset(new_params, blocks)
+    q, m = pr.q, pr.m
+    tables: dict = {}
+    for d, table in design.tables.items():
+        # an image keeps dimension d iff it keeps d base-q^(m-1) digits
+        full = q ** ((m - 1) * (d - 1)) if d else 0
+        for key, mult in table.items():
+            img = puncture_key(key, q, m)
+            out = tables.setdefault(d if img >= full else d - 1, {})
+            out[img] = out.get(img, 0) + mult
+    return DesignMultiset._from_tables(
+        DesignParams(q, pr.t, pr.k, pr.n, m - 1), tables)
 
 
 def distinctness_check(design: DesignMultiset) -> bool:
     """True iff every block appears exactly once."""
-    return all(mult == 1 for mult in design.blocks.values())
+    return all(mult == 1 for table in design.tables.values()
+               for mult in table.values())
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +302,9 @@ class SteinerSystem:
 
 def verify_steiner(system: SteinerSystem) -> bool:
     """Every t-subspace of the ambient space covered exactly once."""
-    cov = coverage(((b, 1) for b in system.blocks), system.field, system.n,
-                   system.t)
+    q = system.field.q
+    keys = [rows_key(q, b.rows) for b in system.blocks]
+    cov = coverage([(system.k, 1, keys)], system.field, system.n, system.t)
     return all(c == 1 for _, c in cov)
 
 
@@ -254,9 +344,10 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     if not verify_steiner(sub_system):
         raise ConstructionError("(k-1)-images do not form the derived Steiner system")
 
-    lower_cov = coverage(((b, 1) for b in lower), field, n - 1, t)
-    upper_cov = coverage(((b, mult) for b, mult in blocks.items()
-                          if b.dim == k), field, n - 1, t)
+    lower_cov = coverage([(k - 1, 1, [rows_key(q, b.rows) for b in lower])],
+                         field, n - 1, t)
+    upper_cov = coverage([b for b in _batches(design.tables) if b[0] == k],
+                         field, n - 1, t)
     for (rows, low), (_, got) in zip(lower_cov, upper_cov):
         want = 0 if low else q ** t
         if got != want:
@@ -280,8 +371,8 @@ class Spread:
                 raise ValueError(f"{line!r} is not a 2-subspace of F^{self.n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
         uncovered = False
-        for rows, c in coverage(((line, 1) for line in self.lines),
-                                self.field, self.n, 1):
+        keys = [rows_key(self.field.q, line.rows) for line in self.lines]
+        for rows, c in coverage([(2, 1, keys)], self.field, self.n, 1):
             if c > 1:
                 point = Subspace(self.field, self.n, rows)
                 raise ValueError(f"point {point!r} lies on {c} lines")
@@ -429,8 +520,11 @@ def build_parallelism(q: int, n: int, node_limit: int = 5_000_000) -> Parallelis
 # Constructions (they return the design unchecked; ``verify`` checks it)
 # ---------------------------------------------------------------------------
 
-def _add_block(blocks: dict, b: Subspace, mult: int) -> None:
-    blocks[b] = blocks.get(b, 0) + mult
+def _add_block(tables: dict, q: int, rows: tuple, mult: int) -> None:
+    """Add mult to the block with these RREF rows in key tables."""
+    table = tables.setdefault(len(rows), {})
+    key = rows_key(q, rows)
+    table[key] = table.get(key, 0) + mult
 
 
 def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
@@ -439,8 +533,7 @@ def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
     multiplicity assignment[r]."""
     params = DesignParams(q, t, k, n, m)
     r_rng = params.r_range()
-    field = make_field(q)
-    blocks: dict = {}
+    tables: dict = {}
     for r, mult in assignment.items():
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise ValueError(f"multiplicity for dimension {r} must be a "
@@ -451,9 +544,8 @@ def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
     for r in r_rng:
         mult = assignment.get(r, 0)
         if mult:
-            for y in enumerate_subspaces(field, m, r):
-                blocks[y] = mult
-    return DesignMultiset(params, blocks)
+            tables[r] = dict.fromkeys(grassmannian_keys(q, m, r), mult)
+    return DesignMultiset._from_tables(params, tables)
 
 
 def construct_s3485(q: int) -> DesignMultiset:
@@ -467,17 +559,21 @@ def construct_s3485(q: int) -> DesignMultiset:
     4-dimensional, q^8-q^7+q^3 each.
     """
     params = DesignParams(q, 3, 4, 8, 5)
-    field = make_field(q)
-    blocks: dict = {}
-    blocks[extension_raise_dim(null_subspace(field, 4))] = 1
-    for y in enumerate_subspaces(field, 5, 2):
-        if puncture(y, 1).dim == 2:
-            blocks[y] = 1
-    for y in enumerate_subspaces(field, 5, 3):
-        blocks[y] = q ** 4 if puncture(y, 1).dim == 2 else q * (q ** 3 - 1)
-    for y in enumerate_subspaces(field, 5, 4):
-        blocks[y] = q ** 7 * (q - 1) if puncture(y, 1).dim == 3 else q ** 8 - q ** 7 + q ** 3
-    return DesignMultiset(params, blocks)
+    raised = extension_raise_dim(null_subspace(make_field(q), 4))
+    tables = {1: {rows_key(q, raised.rows): 1}}
+    # dimension: (multiplicity of a block keeping it when punctured, of
+    # one dropping it); a block drops iff its last row, the top base-q^5
+    # digit of its key, is the last unit vector, whose code is q^4
+    parts = {2: (1, 0), 3: (q * (q ** 3 - 1), q ** 4),
+             4: (q ** 8 - q ** 7 + q ** 3, q ** 7 * (q - 1))}
+    for d, (keeps, drops) in parts.items():
+        top = q ** (5 * (d - 1))
+        table = tables[d] = {}
+        for y in grassmannian_keys(q, 5, d):
+            mult = drops if y // top == q ** 4 else keeps
+            if mult:
+                table[y] = mult
+    return DesignMultiset._from_tables(params, tables)
 
 
 def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
@@ -497,21 +593,21 @@ def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
         raise ValueError("parallelism of F_q^4 must have q^2+q+1 spreads")
     params = DesignParams(q, 2, 3, 7, 5)
     field = make_field(q)
-    blocks: dict = {}
-    _add_block(blocks, extension_raise_dim(null_subspace(field, 4)), 1)
+    tables: dict = {}
+    _add_block(tables, q, extension_raise_dim(null_subspace(field, 4)).rows, 1)
     for y in enumerate_subspaces(field, 4, 3):
         for ext in extensions_same_dim(y):
-            _add_block(blocks, ext, q * (q - 1))
+            _add_block(tables, q, ext.rows, q * (q - 1))
     set_a = parallelism.spreads[:q * q]
     set_b = parallelism.spreads[q * q:]
     for sp in set_a:
         for line in sp.lines:
-            _add_block(blocks, extension_raise_dim(line), q * q)
+            _add_block(tables, q, extension_raise_dim(line).rows, q * q)
     for sp in set_b:
         for line in sp.lines:
             for ext in extensions_same_dim(line):
-                _add_block(blocks, ext, 1)
-    return DesignMultiset(params, blocks)
+                _add_block(tables, q, ext.rows, 1)
+    return DesignMultiset._from_tables(params, tables)
 
 
 def construct_recursive(q: int, k: int, parallelism: Parallelism,
@@ -548,17 +644,16 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
     m1 = k + 1
     params = DesignParams(2, 2, 3, 2 * k + 1, m1 + r)
     suffixes = list(itertools.product(range(2), repeat=r))
-    blocks: dict = {}
+    tables: dict = {}
 
     top_mult = 2 ** (k + 1 - 3 * r)
     for y in enumerate_subspaces(field, m1, 3):
         for sfx in itertools.product(suffixes, repeat=3):
             rows = tuple(row + s for row, s in zip(y.rows, sfx))
-            _add_block(blocks, Subspace(field, m1 + r, rows), top_mult)
+            _add_block(tables, 2, rows, top_mult)
 
     for b, mult in base.blocks.items():
-        rows = tuple((0,) * m1 + row for row in b.rows)
-        _add_block(blocks, Subspace(field, m1 + r, rows), mult)
+        _add_block(tables, 2, tuple((0,) * m1 + row for row in b.rows), mult)
 
     spreads = parallelism.spreads
     zero_set = spreads[:2 ** (k - r) - 1]
@@ -568,7 +663,7 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
             for s1 in suffixes:
                 for s2 in suffixes:
                     rows = (line.rows[0] + s1, line.rows[1] + s2)
-                    _add_block(blocks, Subspace(field, m1 + r, rows), mult_zero)
+                    _add_block(tables, 2, rows, mult_zero)
 
     mult_v = 2 ** (k - 1 - 2 * (r - 1))
     for j in range(1, 2 ** r):
@@ -583,9 +678,9 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
                 for s1 in restricted:
                     for s2 in restricted:
                         rows = (line.rows[0] + s1, line.rows[1] + s2, vrow)
-                        _add_block(blocks, Subspace(field, m1 + r, rows), mult_v)
+                        _add_block(tables, 2, rows, mult_v)
 
-    return DesignMultiset(params, blocks)
+    return DesignMultiset._from_tables(params, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +723,23 @@ def apply_transform(target, column_ops: Iterable):
     """
     ops = list(column_ops)
     if isinstance(target, DesignMultiset):
-        field = make_field(target.params.q)
-        mat = _transform_matrix(field, target.params.m, ops)
-        blocks: dict = {}
-        for b, mult in target.blocks.items():
-            _add_block(blocks, _apply_matrix(field, b, mat), mult)
-        return DesignMultiset(target.params, blocks)
+        q, m = target.params.q, target.params.m
+        field = make_field(q)
+        mat = _transform_matrix(field, m, ops)
+        images: dict = {}      # row code -> the row times the matrix
+        tables: dict = {}
+        for table in target.tables.values():
+            for key, mult in table.items():
+                rows = []
+                for code in row_codes(key, q, m):
+                    image = images.get(code)
+                    if image is None:
+                        image = images[code] = _combine(
+                            field, m, vector_from_code(code, q, m), mat)
+                    rows.append(image)
+                _add_block(tables, q, rref(field, rows).rows if rows else (),
+                           mult)
+        return DesignMultiset._from_tables(target.params, tables)
     if isinstance(target, SteinerSystem):
         mat = _transform_matrix(target.field, target.n, ops)
         new_blocks = tuple(sorted((_apply_matrix(target.field, b, mat)

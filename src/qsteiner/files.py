@@ -13,7 +13,8 @@ basis rows joined by ";".  A row is written as m field-element digits,
 contiguous for q <= 9 and space-separated for larger q.  The dimension-0
 block is written with "-" in place of rows.  Blocks are sorted in
 canonical subspace order (dimension, then row-major lexicographic), so
-serialization is deterministic and diffable.
+serialization is deterministic and diffable.  Reading and writing go
+between row text and the key tables of ``DesignMultiset`` directly.
 
 Parallelism file (``qsteiner-parallelism v1``)::
 
@@ -31,7 +32,8 @@ from __future__ import annotations
 
 from .designs import DesignMultiset, DesignParams, Parallelism, Spread
 from .field import make_field
-from .subspaces import Subspace
+from .subspaces import (Subspace, row_codes, subspace_from_key, vector_code,
+                        vector_from_code)
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -83,28 +85,26 @@ def format_block_rows(block: Subspace) -> str:
     return ";".join(_format_row(r, block.field.q) for r in block.rows)
 
 
-def _parse_block_rows(field, text: str, m: int, dim: int, seen: dict) -> Subspace:
-    """One block; ``seen`` maps row text to its parsed row and that
-    row's ``_lead``, so each distinct row is parsed and checked once and
-    blocks sharing a row share one tuple."""
+def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
+    """The key (``subspaces.rows_key``) of one block of F_q^m written as
+    ``text``, checked; ``seen`` maps row text to its ``_row_entry``, so
+    each distinct row is parsed once."""
     if text == "-":
         if dim != 0:
             raise ValueError("'-' rows are only valid for dimension 0")
-        return Subspace(field, m, ())
-    rows = []
-    leads = []
-    for part in text.split(";"):
-        entry = seen.get(part)
-        if entry is None:
-            row = _parse_row(part, field.q, m)
-            entry = seen[part] = (row, _lead(row))
-        rows.append(entry[0])
-        leads.append(entry[1])
-    rows = tuple(rows)
-    if len(rows) != dim:
-        raise ValueError(f"block says dimension {dim} but has {len(rows)} rows")
-    _check_rref(rows, leads)
-    return Subspace(field, m, rows)
+        return 0
+    parts = text.split(";")
+    try:
+        entries = [seen[part] for part in parts]
+    except KeyError:
+        entries = []
+        for part in parts:
+            if part not in seen:
+                seen[part] = _row_entry(_parse_row(part, q, m), q)
+            entries.append(seen[part])
+    if len(entries) != dim:
+        raise ValueError(f"block says dimension {dim} but has {len(entries)} rows")
+    return _rref_key(entries, q ** m)
 
 
 def _lead(row: tuple) -> int:
@@ -117,31 +117,63 @@ def _lead(row: tuple) -> int:
     return -1 if any(row[:lead]) else lead
 
 
-def _check_rref(rows: tuple, leads: list) -> None:
-    """Reject rows that are not already a canonical RREF basis.
+def _row_entry(row: tuple, q: int) -> tuple:
+    """What the RREF check needs of a row: its code, its ``_lead``, the
+    bit mask of its nonzero columns, and the row."""
+    nonzero = sum(1 << j for j, x in enumerate(row) if x)
+    return vector_code(row, q), _lead(row), nonzero, row
 
-    Rows are accepted iff ``rref(field, rows).rows == rows``: every row
-    has a lead (``_lead`` is not -1), leads strictly increase, and each
-    pivot column is zero outside its own row.  Only the rows above a
-    pivot need checking: the rows below it lead further right.
+
+def _rref_key(entries: list, big: int) -> int:
+    """The key of the rows with these ``_row_entry`` values, ``big`` =
+    q**m; raises ValueError unless they are already a canonical RREF
+    basis.
+
+    Rows are accepted iff ``rref`` leaves them unchanged: every row has
+    a lead (``_lead`` is not -1), leads strictly increase, and each
+    pivot column is zero outside its own row.  Read bottom-up, that is:
+    each row leads left of the row below it and is zero in the lead
+    columns of all rows below it (the rows below a pivot lead further
+    right, so they are zero there).
     """
-    last = -1
-    for i, lead in enumerate(leads):
-        if lead <= last:
+    key, below, last = 0, 0, big
+    for code, lead, nonzero, _ in reversed(entries):
+        if not -1 < lead < last or nonzero & below:
+            rows = tuple(entry[3] for entry in entries)
             raise ValueError(f"rows {rows} are not in reduced row echelon form")
-        for above in rows[:i]:
-            if above[lead]:
-                raise ValueError(f"rows {rows} are not in reduced row echelon form")
+        below |= 1 << lead
         last = lead
+        key = key * big + code
+    return key
 
 
 def serialize_design(design: DesignMultiset) -> str:
+    """The design file text: blocks in canonical order, dimension first,
+    then the rows lexicographically."""
     p = design.params
-    lines = [DESIGN_HEADER,
-             f"q={p.q} t={p.t} k={p.k} n={p.n} m={p.m}"]
-    for block in sorted(design.blocks, key=lambda b: b.sort_key()):
-        lines.append(f"block {design.blocks[block]} {block.dim} "
-                     f"{format_block_rows(block)}")
+    q, m = p.q, p.m
+    big = q ** m
+    lines = [DESIGN_HEADER, f"q={q} t={p.t} k={p.k} n={p.n} m={m}"]
+    # row code -> (code of the row read right to left, row text); the
+    # reversed codes order rows lexicographically, and a block's rows
+    # read as one base-q^m number order blocks of one dimension so
+    rows: dict = {}
+    for d in sorted(design.tables):
+        entries = []
+        for key, mult in design.tables[d].items():
+            order, texts = 0, []
+            for code in row_codes(key, q, m):
+                entry = rows.get(code)
+                if entry is None:
+                    row = vector_from_code(code, q, m)
+                    entry = rows[code] = (vector_code(row[::-1], q),
+                                          _format_row(row, q))
+                order = order * big + entry[0]
+                texts.append(entry[1])
+            entries.append((order, f"block {mult} {d} {';'.join(texts) or '-'}"))
+        # orders are distinct within one dimension: no text is compared
+        entries.sort()
+        lines.extend(line for _, line in entries)
     return "\n".join(lines) + "\n"
 
 
@@ -153,8 +185,8 @@ def parse_design(text: str) -> DesignMultiset:
         params = DesignParams(*_parse_params(lines[1], "qtknm"))
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
-    blocks: dict = {}
-    field = None
+    q, m = params.q, params.m
+    tables: dict = {}
     seen: dict = {}
     # multiplicity and dimension tokens, each checked and parsed once
     numbers: dict = {}
@@ -174,13 +206,14 @@ def parse_design(text: str) -> DesignMultiset:
             mult, dim = numbers[parts[1]], numbers[parts[2]]
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
-        # made at the first block: a file without blocks parses for any q
-        field = field or make_field(params.q)
-        block = _parse_block_rows(field, parts[3], params.m, dim, seen)
-        if block in blocks:
+        key = _parse_block(parts[3], q, m, dim, seen)
+        table = tables.get(dim)
+        if table is None:
+            table = tables[dim] = {}
+        if key in table:
             raise ValueError(f"duplicate block line for {parts[3]!r}")
-        blocks[block] = mult
-    return DesignMultiset(params, blocks)
+        table[key] = mult
+    return DesignMultiset._from_tables(params, tables)
 
 
 def write_design(design: DesignMultiset, path) -> None:
@@ -220,8 +253,8 @@ def parse_parallelism(text: str) -> Parallelism:
             raise ValueError("line outside any spread section")
         # each line is checked as a block of its own row count; ``Spread``
         # then rejects a line that is not 2-dimensional
-        groups[-1].append(_parse_block_rows(field, ln, n, ln.count(";") + 1,
-                                            seen))
+        key = _parse_block(ln, q, n, ln.count(";") + 1, seen)
+        groups[-1].append(subspace_from_key(field, n, key))
     spreads = tuple(Spread(field, n, tuple(sorted(g, key=lambda s: s.rows)))
                     for g in groups)
     return Parallelism(field, n, tuple(sorted(

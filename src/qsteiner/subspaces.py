@@ -16,17 +16,25 @@ remaining columns to its right.  The d-subspaces with those pivots are
 therefore the product of the per-row choice lists
 (``_grassmannian_rows``).
 
-``coverage`` is the one coverage count every verifier reads: it
-yields, for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
-order, its RREF rows and the summed weight of the blocks containing it,
-0 included.  Internally, and private to this module, a subspace is
-keyed by one int: the code of its RREF matrix read row-major, i.e.
-``vector_code`` of the concatenated rows.  Each block's keys are read
-off the codes of its span and counted a batch of blocks at a time with
-``Counter``.  For characteristic 2 (q in {2, 4, 8, 16}) an element
-code is the bit pattern of its polynomial coefficients, so each base-q
-digit of a vector code is a bit field and vector addition is ``^`` on
-codes.
+Designs store their blocks as keys, not as ``Subspace`` objects.  The
+key of a subspace (``rows_key``) is one int: the code of its RREF
+matrix read row-major, i.e. ``vector_code`` of the concatenated rows,
+so row i of the key of a subspace of F_q^m is ``key // (q**m)**i %
+q**m`` (``row_codes``).  Puncturing (``puncture_key``) and coverage
+work on keys; ``subspace_from_key`` builds a ``Subspace`` only at the
+edges, where one is reported or asked for.
+
+``coverage`` is the one coverage count every verifier reads.  It takes
+the blocks as batches of keys of one dimension and weight, and yields,
+for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
+order, its RREF rows and the summed weight of the blocks containing
+it, 0 included.  The spans of a chunk of blocks are listed as columns
+of vector codes, one column per coefficient vector; the keys of the
+blocks' s-subspaces are read off those columns one coefficient basis at
+a time and counted with ``Counter``.  For characteristic 2 (q in {2,
+4, 8, 16}) an element code is the bit pattern of its polynomial
+coefficients, so each base-q digit of a vector code is a bit field and
+vector addition is ``^`` on codes, applied a whole column at a time.
 
 Puncturing always removes the last coordinate(s).  Deleting the last p
 columns of an RREF matrix leaves an RREF matrix once its zero rows are
@@ -42,10 +50,10 @@ which is 0 exactly for the dropped rows.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, xor
 from typing import Iterable, Iterator
 
 from .field import GF, make_field
@@ -389,115 +397,164 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
                                    for crow in c.rows))
 
 
+# ---------------------------------------------------------------------------
+# Keys: one int per subspace
+# ---------------------------------------------------------------------------
+
+def rows_key(q: int, rows: tuple) -> int:
+    """The key of the subspace with these RREF rows: the code of its
+    RREF matrix read row-major, i.e. ``vector_code`` of the
+    concatenated rows, ``sum(code(row_i) * (q**m)**i)`` (0 for the null
+    space).  Within one ambient space the key determines the subspace;
+    its dimension is its number of base ``q**m`` digits, as every row
+    code is nonzero."""
+    return vector_code([x for row in rows for x in row], q)
+
+
+def row_codes(key: int, q: int, m: int) -> list:
+    """The codes of the RREF rows of the subspace of F_q^m with this
+    key, top row first."""
+    big = q ** m
+    codes = []
+    while key:
+        key, code = divmod(key, big)
+        codes.append(code)
+    return codes
+
+
 @lru_cache(maxsize=4096)
-def _multiple_codes(row: tuple, field: GF) -> tuple:
-    """Codes of a*row for a = 1..q-1.  Cached: the blocks of a design
-    share rows."""
-    q, mul = field.q, field.mul_table
-    return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
+def _code_row(code: int, q: int, m: int) -> tuple:
+    """``vector_from_code``, cached: the blocks of a design share rows,
+    and subspaces decoded from keys share the row tuples."""
+    return vector_from_code(code, q, m)
 
 
-def _packed_rows(field: GF, rows: tuple) -> int:
-    """The coverage key of the subspace with these RREF rows: the code
-    of its RREF matrix read row-major, ``sum(code(row_i) * (q**m)**i)``,
-    which is ``vector_code`` of the concatenated rows (0 for the null
-    space)."""
-    key = 0
-    if rows:
-        big = field.q ** len(rows[0])
-        for r in reversed(rows):
-            key = key * big + _multiple_codes(r, field)[0]
-    return key
+def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
+    """The subspace of F_q^m whose key (``rows_key``) is ``key``."""
+    return Subspace(field, m, tuple(_code_row(code, field.q, m)
+                                    for code in row_codes(key, field.q, m)))
+
+
+def grassmannian_keys(q: int, m: int, d: int) -> list:
+    """The keys of all d-subspaces of F_q^m in ``enumerate_subspaces``
+    order."""
+    return [rows_key(q, rows) for rows in sorted(_grassmannian_rows(q, m, d))]
+
+
+def puncture_key(key: int, q: int, m: int) -> int:
+    """``puncture(y, 1)`` on keys: each row code loses its last digit,
+    and a last row that leads in the deleted column slices to 0 and
+    goes (see the module docstring)."""
+    small = q ** (m - 1)
+    out = 0
+    for code in reversed(row_codes(key, q, m)):
+        out = out * small + code % small
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _multiple_codes(code: int, field: GF, m: int) -> tuple:
+    """Codes of a*row for a = 1..q-1, the row given by its code."""
+    mul = field.mul_table
+    row = _code_row(code, field.q, m)
+    return tuple(vector_code([mul[a][x] for x in row], field.q)
+                 for a in range(1, field.q))
 
 
 @lru_cache(maxsize=None)
-def _coefficient_columns(q: int, d: int, s: int) -> tuple:
-    """The codes of the rows of ``_coefficient_bases(q, d, s)``, one
-    tuple per row index: column i holds the code of row i of each
-    basis, in basis order."""
-    return tuple(zip(*(tuple(vector_code(r, q) for r in c.rows)
-                       for c in _coefficient_bases(q, d, s))))
+def _coefficient_codes(q: int, d: int, s: int) -> tuple:
+    """The row codes of each basis of ``_coefficient_bases(q, d, s)``,
+    one tuple per basis, in basis order."""
+    return tuple(tuple(vector_code(r, q) for r in c.rows)
+                 for c in _coefficient_bases(q, d, s))
 
 
-def _span_codes(y: Subspace) -> list:
-    """Codes of vectors of y, indexed by coefficient code: entry
-    sum(c_i q^i) holds the code of sum(c_i * row_i).
+# Span entries (blocks times q**d) the coverage kernel holds at once
+_CHUNK = 1 << 14
 
-    Characteristic 2 fills all q^d entries, adding codes with ``^``.
-    Otherwise only the entries coefficient bases read (first nonzero
+
+def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
+    """The spans of the d-dimensional blocks with these keys, as
+    columns: entry b of column sum(c_i q^i) is the code of
+    sum(c_i * row_i) over the rows of block b.
+
+    Characteristic 2 fills all q^d columns, adding codes with ``^`` a
+    column at a time.  Otherwise each block's span is listed on its
+    own, and only the entries coefficient bases read (first nonzero
     coefficient 1), a (q-1)-th of the span, are computed; the rest
     stay 0.
     """
-    f = y.field
-    q = f.q
-    if f.p == 2:
-        span = [0]
-        for row in y.rows:
-            span += [v ^ mc for mc in _multiple_codes(row, f) for v in span]
+    q = field.q
+    big = q ** m
+    rows = []
+    for i in range(d):
+        place = big ** i
+        rows.append([key // place % big for key in keys])
+    if field.p == 2:
+        span = [[0] * len(keys)]
+        for col in rows:
+            multiples = [col]
+            if q > 2:
+                table = {c: _multiple_codes(c, field, m) for c in set(col)}
+                multiples += [[table[c][a] for c in col] for a in range(1, q - 1)]
+            span += [list(map(xor, v, mc)) for mc in multiples for v in span]
         return span
     # the bases of the 1-subspaces of F_q^d are those lead-one vectors
-    m, rows, d = y.ambient, y.rows, len(y.rows)
-    span = [0] * q ** d
-    for point, code in zip(_coefficient_bases(q, d, 1),
-                           _coefficient_columns(q, d, 1)[0]):
-        span[code] = vector_code(_combine(f, m, point.rows[0], rows), q)
-    return span
+    points = [(c.rows[0], code) for c, (code,) in
+              zip(_coefficient_bases(q, d, 1), _coefficient_codes(q, d, 1))]
+    spans = []
+    for codes in zip(*rows):
+        block = [_code_row(code, q, m) for code in codes]
+        span = [0] * q ** d
+        for coeffs, code in points:
+            span[code] = vector_code(_combine(field, m, coeffs, block), q)
+        spans.append(span)
+    return list(zip(*spans))
 
 
-def _block_keys(y: Subspace, columns: tuple, big: int):
-    """The key of each s-subspace of y (0 < s < dim y), lazily: if C
-    is an RREF coefficient matrix, C*Y is the RREF basis of its image
-    (see ``subspaces_within``), so row i of a key is the span entry at
-    the code of C's row i, placed at ``big**i`` (``big`` = q**m)."""
-    span = _span_codes(y)
-    keys = map(span.__getitem__, columns[0])
-    for col in columns[1:]:
-        span = list(map(big.__mul__, span))
-        keys = map(add, keys, map(span.__getitem__, col))
-    return keys
-
-
-def _coverage_counts(weighted_blocks: Iterable[tuple], s: int) -> dict:
-    """Map the key (``_packed_rows``) of each s-subspace x to the
-    summed weight of the (block, weight) pairs whose block contains x;
-    s-subspaces in no block are absent, and one covered only with
-    weight 0 maps to 0.
-
-    Blocks are batched by (weight, dimension); each batch's keys are
-    counted with ``Counter`` and enter the result as count * weight.
-    """
-    batches = defaultdict(list)
-    for y, w in weighted_blocks:
-        d = len(y.rows)
-        if s <= d:
-            batches[w, d].append(y)
-    cov: dict = {}
-    get = cov.get
-    for (w, d), ys in batches.items():
-        if s == d:
-            counts = Counter(_packed_rows(y.field, y.rows) for y in ys)
-        elif s == 0:
-            counts = {0: len(ys)}
-        else:
-            q, m = ys[0].field.q, ys[0].ambient
-            columns, big = _coefficient_columns(q, d, s), q ** m
-            counts = Counter(itertools.chain.from_iterable(
-                _block_keys(y, columns, big) for y in ys))
-        for key, c in counts.items():
-            cov[key] = get(key, 0) + c * w
-    return cov
-
-
-def coverage(weighted_blocks: Iterable[tuple], field: GF, m: int,
+def coverage(batches: Iterable[tuple], field: GF, m: int,
              s: int) -> Iterator[tuple]:
     """Yield ``(rows, weight)`` for every s-subspace of F_q^m, as its
     RREF rows, in ``enumerate_subspaces`` order: the summed weight of
-    the (block, weight) pairs whose block contains it, 0 where none
-    does.  All blocks must live in F_q^m.
+    the blocks containing it, 0 where none does.
+
+    ``batches`` holds ``(d, weight, keys)`` triples, ``keys`` a sized
+    collection (not a mapping) of ``rows_key`` values of d-subspaces of
+    F_q^m, each a block of that weight.  If C is an RREF coefficient
+    matrix and Y a block's RREF basis, C*Y is the RREF basis of its
+    image (see ``subspaces_within``), so row i of the key of an
+    s-subspace of a block is the span entry at the code of C's row i,
+    placed at ``big**i`` (``big`` = q**m).  Those keys are read off
+    ``_span_columns`` one coefficient basis at a time, counted with
+    ``Counter``, and enter the sum as count * weight.
     """
     if not 0 <= s <= m:
         raise ValueError(f"dimension {s} out of range for ambient {m}")
-    cov = _coverage_counts(weighted_blocks, s)
-    grassmannian = sorted(_grassmannian_rows(field.q, m, s))
-    keys = map(_packed_rows, itertools.repeat(field), grassmannian)
+    q, big = field.q, field.q ** m
+    cov: dict = {}
+    get = cov.get
+    for d, w, keys in batches:
+        if s > d:
+            continue
+        if s == d:
+            counts = Counter(keys)
+        elif s == 0:
+            counts = {0: len(keys)}
+        else:
+            counts = Counter()
+            blocks = iter(keys)
+            step = max(1, _CHUNK // q ** d)
+            while chunk := list(itertools.islice(blocks, step)):
+                span = _span_columns(field, m, d, chunk)
+                for basis in _coefficient_codes(q, d, s):
+                    covered = span[basis[0]]
+                    place = 1
+                    for code in basis[1:]:
+                        place *= big
+                        covered = map(add, covered, map(place.__mul__, span[code]))
+                    counts.update(covered)
+        for key, c in counts.items():
+            cov[key] = get(key, 0) + c * w
+    grassmannian = sorted(_grassmannian_rows(q, m, s))
+    keys = map(rows_key, itertools.repeat(q), grassmannian)
     return zip(grassmannian, map(cov.get, keys, itertools.repeat(0)))

@@ -1,9 +1,16 @@
 """Slow reference implementations that the fast paths are tested against."""
 
 import itertools
+from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import add
 
+from qsteiner.counting import count_N, covering_coefficient
+from qsteiner.designs import EquationViolation, VerificationReport
 from qsteiner.equations import SolveOutcome
+from qsteiner.field import make_field
+from qsteiner.subspaces import (Subspace, _coefficient_bases, _combine,
+                                _grassmannian_rows, vector_code)
 
 
 def slot_grassmannian_rows(q: int, m: int, d: int):
@@ -89,3 +96,91 @@ def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
             free_basis[keys[free_positions[fc]]] = vec
     nonneg = all(v.denominator == 1 and v >= 0 for v in assignment.values())
     return SolveOutcome(status, assignment, free_keys, nonneg, free_basis)
+
+
+# Object-keyed coverage: one Subspace per block, batched by (weight,
+# dimension), each block's span listed from its row tuples.
+# ``designs.verify`` must return a VerificationReport equal to
+# ``object_verify``'s.
+def _object_multiple_codes(row: tuple, field) -> tuple:
+    """Codes of a*row for a = 1..q-1."""
+    q, mul = field.q, field.mul_table
+    return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
+
+
+def _object_key(rows: tuple, q: int) -> int:
+    return vector_code(sum(rows, ()), q)
+
+
+def _object_span_codes(y: Subspace) -> list:
+    """Codes of the vectors of y, indexed by coefficient code."""
+    f, q = y.field, y.field.q
+    if f.p == 2:
+        span = [0]
+        for row in y.rows:
+            span += [v ^ mc for mc in _object_multiple_codes(row, f) for v in span]
+        return span
+    d = y.dim
+    span = [0] * q ** d
+    for point in _coefficient_bases(q, d, 1):
+        coeffs = point.rows[0]
+        span[vector_code(coeffs, q)] = vector_code(
+            _combine(f, y.ambient, coeffs, y.rows), q)
+    return span
+
+
+def _object_block_keys(y: Subspace, columns: tuple, big: int):
+    span = _object_span_codes(y)
+    keys = map(span.__getitem__, columns[0])
+    for col in columns[1:]:
+        span = list(map(big.__mul__, span))
+        keys = map(add, keys, map(span.__getitem__, col))
+    return keys
+
+
+def object_coverage(weighted_blocks, field, m: int, s: int):
+    """``(rows, weight)`` for every s-subspace of F_q^m in
+    ``enumerate_subspaces`` order, from ``(Subspace, weight)`` pairs."""
+    q = field.q
+    batches = defaultdict(list)
+    for y, w in weighted_blocks:
+        if s <= y.dim:
+            batches[w, y.dim].append(y)
+    cov: dict = {}
+    for (w, d), ys in batches.items():
+        if s == d:
+            counts = Counter(_object_key(y.rows, q) for y in ys)
+        elif s == 0:
+            counts = {0: len(ys)}
+        else:
+            columns = tuple(zip(*(tuple(vector_code(r, q) for r in c.rows)
+                                  for c in _coefficient_bases(q, d, s))))
+            counts = Counter(itertools.chain.from_iterable(
+                _object_block_keys(y, columns, q ** m) for y in ys))
+        for key, c in counts.items():
+            cov[key] = cov.get(key, 0) + c * w
+    for rows in sorted(_grassmannian_rows(q, m, s)):
+        yield rows, cov.get(_object_key(rows, q), 0)
+
+
+def object_verify(design) -> VerificationReport:
+    """``designs.verify`` over ``design.blocks`` and ``object_coverage``."""
+    pr = design.params
+    q, t, k, n, m = pr.q, pr.t, pr.k, pr.n, pr.m
+    field = make_field(q)
+    blocks = dict(design.blocks.items())
+    bad_dims = tuple((b, b.dim) for b in blocks if b.dim not in pr.r_range())
+    violations = []
+    residuals = []
+    for s in pr.s_range():
+        expected = count_N(s, m, t, n, q)
+        weighted = [(y, mult * covering_coefficient(s, t, y.dim, k, q))
+                    for y, mult in blocks.items()]
+        for rows, got in object_coverage(weighted, field, m, s):
+            residuals.append(got - expected)
+            if got != expected:
+                violations.append(EquationViolation(
+                    s, Subspace(field, m, rows), got, expected))
+    return VerificationReport(not violations and not bad_dims, len(residuals),
+                              tuple(violations), bad_dims,
+                              sum(blocks.values()), residuals=tuple(residuals))

@@ -235,6 +235,9 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     ("uniform-solve 1 2 3 7 4", "q >= 2"),
     ("uniform-solve 0 2 3 7 4 --pin X0=1", "q >= 2"),
     ("uniform-solve 2 2 3 7 4 --pin X0=1/0", "bad pin 'X0=1/0'"),
+    ("uniform-solve 2 2 3 7 4 --pin X0=abc", "bad pin 'X0=abc'; expected e.g. X0=1"),
+    ("uniform-solve 2 2 3 7 4 --pin Xa=1", "bad pin 'Xa=1'; expected e.g. X0=1"),
+    ("uniform-solve 6 2 3 7 4 --pin X0=1", "unsupported field order 6"),
     ("oracle C 0 1 1 40 2", "oracle would enumerate"),
     ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),
     ("oracle C 1 2 1 4", "oracle C takes 5 numbers: s t r k q"),

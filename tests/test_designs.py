@@ -4,7 +4,9 @@ import random
 import sys
 
 import pytest
+from slow_oracles import object_verify
 
+from qsteiner import subspaces
 from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               Parallelism, SearchExhausted, Spread,
@@ -15,11 +17,11 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               distinctness_check, puncture_design,
                               puncture_steiner, trivial_steiner, verify,
                               verify_steiner)
-from qsteiner.field import make_field
+from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_parallelism_file,
                             serialize_parallelism)
-from qsteiner.subspaces import (contains, enumerate_subspaces, puncture, rref,
-                                subspaces_within)
+from qsteiner.subspaces import (contains, enumerate_subspaces, null_subspace,
+                                puncture, rref, subspaces_within)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -54,6 +56,22 @@ def test_params_validation():
         DesignParams(2, 2, 3, 7, 0)
     # k = n (punctured trivial Steiner) is allowed
     DesignParams(2, 2, 3, 3, 1)
+
+
+def test_params_need_a_field_order():
+    """q must be the order of a supported field, as for every other
+    entry point that builds the field."""
+    for q in SUPPORTED_ORDERS:
+        assert DesignParams(q, 2, 3, 7, 4).q == q
+    for q in (6, 10, 12, 17):
+        with pytest.raises(ValueError, match=f"unsupported field order {q}"):
+            DesignParams(q, 2, 3, 7, 4)
+    for q in (-1, 0, 1):
+        with pytest.raises(ValueError, match="q >= 2"):
+            DesignParams(q, 2, 3, 7, 4)
+    # the parameter checks that ran before keep their messages
+    with pytest.raises(ValueError, match="need 0 < t < k <= n"):
+        DesignParams(6, 3, 3, 7, 4)
 
 
 def test_multiset_rejects_bad_multiplicities():
@@ -108,6 +126,40 @@ def test_mass_identity_on_verified_designs():
         p = d.params
         assert verify(d).ok
         assert d.total_multiplicity() == p.block_budget()
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_verify_matches_object_oracle(chunk, monkeypatch):
+    """verify on key tables against the object-keyed oracle: random
+    designs with legal and illegal block dimensions, mixed and equal
+    multiplicities, weights past 2**63, and verified designs with one
+    multiplicity altered; the whole report must agree.  A small kernel
+    chunk splits every batch into many chunks."""
+    if chunk:
+        monkeypatch.setattr(subspaces, "_CHUNK", chunk)
+    rng = random.Random(11)
+
+    def random_block(f, m, d):
+        y = null_subspace(f, m)
+        while y.dim < d:
+            y = rref(f, y.rows + (tuple(rng.randrange(f.q) for _ in range(m)),))
+        return y
+
+    designs = []
+    for q in (2, 3, 4, 5, 9, 16):
+        f = make_field(q)
+        m = 4 if q <= 5 else 3
+        for _ in range(3):
+            params = DesignParams(q, 2, 3, m + rng.randint(1, 3), m)
+            blocks = {random_block(f, m, rng.randint(0, m)):
+                      rng.choice((1, 2, q, 2 ** 63 + rng.randrange(9), 2 ** 70 + 1))
+                      for _ in range(rng.randint(1, 12))}
+            designs.append(DesignMultiset(params, blocks))
+    for good in (fano_m4(2), fano_m4(3), construct_s3485(2)):
+        block = next(iter(good.blocks))
+        designs += [good, good.with_block_multiplicity(block, 2 ** 64)]
+    for design in designs:
+        assert verify(design) == object_verify(design), design
 
 
 def test_section6_low_dimension_block_count():

@@ -7,10 +7,10 @@ import pytest
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
                               construct_s3485, construct_uniform_design)
 from qsteiner.field import make_field
-from qsteiner.files import (_check_rref, _lead, parse_design,
+from qsteiner.files import (_lead, _row_entry, _rref_key, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import rref
+from qsteiner.subspaces import rows_key, rref
 
 
 def test_design_round_trip_byte_identical():
@@ -124,13 +124,13 @@ def test_rref_check_matches_rref_oracle():
         for d in range(1, d_max + 1):
             for rows in itertools.product(vectors, repeat=d):
                 canon = rref(field, rows)
-                leads = [_lead(r) for r in rows]
+                entries = [_row_entry(r, q) for r in rows]
                 if canon.rows == rows:
-                    _check_rref(rows, leads)
-                    assert leads == list(canon.pivots)
+                    assert _rref_key(entries, q ** m) == rows_key(q, rows)
+                    assert [_lead(r) for r in rows] == list(canon.pivots)
                 else:
                     with pytest.raises(ValueError):
-                        _check_rref(rows, leads)
+                        _rref_key(entries, q ** m)
 
 
 def test_parallelism_parse_rejections():

@@ -1,0 +1,160 @@
+"""Property tests (hypothesis) for the key-table design form: file
+round trips, puncturing and column transforms, and the rejection of
+malformed block lines."""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
+                              construct_s3485, construct_uniform_design,
+                              puncture_design, verify)
+from qsteiner.field import make_field
+from qsteiner.files import format_block_rows, parse_design, serialize_design
+from qsteiner.subspaces import null_subspace, puncture, rref
+
+# deterministic, and no example database written to the working tree
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None, suppress_health_check=[HealthCheck.too_slow])
+
+# (q, m) pairs small enough for a quick verify
+SHAPES = ((2, 4), (3, 3), (4, 3), (5, 2), (9, 2), (16, 2))
+
+multiplicities = st.one_of(st.integers(1, 5), st.integers(2 ** 63, 2 ** 70))
+
+
+@st.composite
+def designs(draw, shapes=SHAPES, null_block=False):
+    """A design of random blocks, each the span of random vectors, with
+    random multiplicities; the null block is always there if asked."""
+    q, m = draw(st.sampled_from(shapes))
+    field = make_field(q)
+    params = DesignParams(q, 2, 3, max(m + draw(st.integers(1, 3)), 3), m)
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    blocks = {}
+    for vectors, mult in draw(st.lists(st.tuples(st.lists(vector, max_size=m),
+                                                 multiplicities), max_size=12)):
+        blocks[rref(field, vectors) if vectors else null_subspace(field, m)] = mult
+    if null_block:
+        blocks[null_subspace(field, m)] = 1
+    return DesignMultiset(params, blocks)
+
+
+@st.composite
+def column_ops(draw, q, m):
+    """One to three column operations, each keeping its own column."""
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, m - 1))
+        coeffs = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+        coeffs[j] = draw(st.integers(1, q - 1))
+        ops.append((j, tuple(coeffs)))
+    return ops
+
+
+VERIFIED = ("fano-m4 q=2", "fano-m4 q=3", "fano-m4 q=4", "s3485 q=2")
+
+
+@lru_cache(maxsize=None)
+def verified(name: str) -> DesignMultiset:
+    if name == "s3485 q=2":
+        return construct_s3485(2)
+    q = int(name[-1])
+    return construct_uniform_design(q, 2, 3, 7, 4,
+                                    {0: 1, 1: 0, 2: q * q, 3: q ** 4 * (q - 1)})
+
+
+@SETTINGS
+@given(designs())
+def test_serialize_parse_round_trip(design):
+    """Serialize, parse, serialize: the same design and the same bytes,
+    with the blocks in the canonical order read off Subspace objects."""
+    text = serialize_design(design)
+    again = parse_design(text)
+    assert again == design
+    assert serialize_design(again) == text
+    canonical = sorted(design.blocks.items(), key=lambda item: item[0].sort_key())
+    assert text.splitlines()[2:] == [f"block {mult} {b.dim} {format_block_rows(b)}"
+                                     for b, mult in canonical]
+
+
+@SETTINGS
+@given(st.sampled_from(VERIFIED), st.integers(1, 4))
+def test_puncture_keeps_verified_designs_verified(name, times):
+    design = verified(name)
+    for _ in range(min(times, design.params.m - 1)):
+        design = puncture_design(design)
+        assert verify(design).ok
+
+
+@SETTINGS
+@given(designs(shapes=[s for s in SHAPES if s[1] >= 2]))
+def test_puncture_design_matches_subspace_puncture(design):
+    """Puncturing keys gives the blocks ``puncture`` gives, images of
+    equal blocks adding up their multiplicities."""
+    expected: dict = {}
+    for b, mult in design.blocks.items():
+        image = puncture(b, 1)
+        expected[image] = expected.get(image, 0) + mult
+    assert puncture_design(design).blocks == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_transform_preserves_verification(data):
+    """A column transform permutes the subspaces of F_q^m and keeps
+    containment, so the verdict and the residual multiset stay."""
+    design = data.draw(st.one_of(st.sampled_from(VERIFIED).map(verified),
+                                 designs()))
+    ops = data.draw(column_ops(design.params.q, design.params.m))
+    before, after = verify(design), verify(apply_transform(design, ops))
+    assert after.ok == before.ok
+    assert sorted(after.residuals) == sorted(before.residuals)
+    assert len(after.block_dim_violations) == len(before.block_dim_violations)
+    assert after.total_multiplicity == before.total_multiplicity
+
+
+# The malformed block lines of tests/test_files.py, each with the exact
+# message it is rejected with: (q, m, line, message).
+MALFORMED = (
+    (2, 4, "block 0 0 -", "multiplicity must be positive in 'block 0 0 -'"),
+    (2, 4, "block 4 2 0100;1000",
+     "rows ((0, 1, 0, 0), (1, 0, 0, 0)) are not in reduced row echelon form"),
+    (2, 4, "block 9 0 -", "duplicate block line for '-'"),
+    (2, 4, "block 4 2 0210;0001", "row '0210' has elements outside F_2"),
+    (2, 4, "block 4 1 0010;0001", "block says dimension 1 but has 2 rows"),
+    (2, 4, "block 4 2 10x0;0001",
+     "row '10x0' is not written in ASCII decimal digits"),
+    (2, 4, "block 4 2 0000;0001",
+     "rows ((0, 0, 0, 0), (0, 0, 0, 1)) are not in reduced row echelon form"),
+    (2, 4, "block 4 2 00100;0001", "row '00100' does not have 4 coordinates"),
+    (2, 4, "block +1_0 0 -", "multiplicity and dimension must be ASCII "
+                             "decimal numbers in 'block +1_0 0 -'"),
+    (2, 4, "block 1 1 ０００１",
+     "row '０００１' is not written in ASCII decimal digits"),
+    (2, 4, "block x 0 -", "multiplicity and dimension must be ASCII "
+                          "decimal numbers in 'block x 0 -'"),
+    (2, 4, "block 1 1 1000 0100",
+     "row '1000 0100' is not written in ASCII decimal digits"),
+    (16, 2, "block 3 1 1 16", "row '1 16' has elements outside F_16"),
+    (16, 2, "block 3 1 1 +1_5",
+     "row '1 +1_5' is not written in ASCII decimal digits"),
+    (16, 2, "block 3 1 1 -1", "row '1 -1' is not written in ASCII decimal digits"),
+)
+
+
+@pytest.mark.parametrize("q, m, line, message", MALFORMED,
+                         ids=[case[2] for case in MALFORMED])
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_malformed_block_line_rejected(q, m, line, message, data):
+    """Wherever the line stands among the lines of a valid file, the
+    file is rejected with the line's message."""
+    design = data.draw(designs(shapes=[(q, m)], null_block=True))
+    lines = serialize_design(design).splitlines()
+    lines.insert(data.draw(st.integers(2, len(lines))), line)
+    with pytest.raises(ValueError) as exc:
+        parse_design("\n".join(lines) + "\n")
+    assert str(exc.value) == message

@@ -8,13 +8,13 @@ from slow_oracles import slot_grassmannian_rows
 
 from qsteiner.counting import gaussian
 from qsteiner.field import make_field
-from qsteiner.files import _check_rref, _lead
+from qsteiner.files import _row_entry, _rref_key
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
-                                _packed_rows, contains, coverage,
+                                contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
-                                null_subspace, puncture, rref,
+                                null_subspace, puncture, rows_key, rref,
                                 subspaces_within, vector_code,
                                 vector_from_code)
 
@@ -114,7 +114,7 @@ def test_grassmannian_rows_match_slot_enumeration():
                 assert len(set(got)) == len(got) == gaussian(m, d, q)
                 assert got == list(slot_grassmannian_rows(q, m, d)), (q, m, d)
                 for rows in got:
-                    _check_rref(rows, [_lead(r) for r in rows])
+                    _rref_key([_row_entry(r, q) for r in rows], q ** m)
 
 
 def test_enumeration_null_subspace():
@@ -450,7 +450,8 @@ def test_coverage_matches_object_oracle():
             by_within = [(x.rows, within.get(x, 0)) for x in xs]
             by_contains = [(x.rows, sum(w for y, w in blocks if contains(y, x)))
                            for x in xs]
-            got = list(coverage(blocks, f, m, s))
+            got = list(coverage([(y.dim, w, [rows_key(q, y.rows)])
+                                 for y, w in blocks], f, m, s))
             assert got == by_within == by_contains, (q, s)
 
 
@@ -462,6 +463,6 @@ def test_packed_is_row_major_matrix_code():
         for m in range(5):
             for s in range(m + 1):
                 xs = list(enumerate_subspaces(f, m, s))
-                keys = [_packed_rows(f, x.rows) for x in xs]
+                keys = [rows_key(q, x.rows) for x in xs]
                 assert keys == [vector_code(sum(x.rows, ()), q) for x in xs]
                 assert len(set(keys)) == len(xs) == gaussian(m, s, q), (q, m, s)
