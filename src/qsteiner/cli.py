@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 on success (verification passed where applicable), 1 when
-a check or verification fails or a parallelism search exhausts its node
-budget, 2 on bad arguments.  All numeric output is exact decimal; stdout
-is deterministic for fixed inputs.
+a check or verification fails, 2 on bad arguments or unreadable input.
+All numeric output is exact decimal; stdout is deterministic for fixed
+inputs.
 
 The environment variable QSTEINER_DATA may point at a directory of
 parallelism files named ``parallelism-q{q}-n{n}.txt``; ``--parallelism
 auto`` looks there, then at the files shipped with the package, before
-falling back to the backtracking search.
+falling back to the orbit search (q = 2, n in {2, 4, 6, 8, 10}).
 """
 
 from __future__ import annotations
@@ -343,9 +343,6 @@ def main(argv=None) -> int:
             exc = exc.args[0]
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except designs.SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -30,15 +30,11 @@ from .subspaces import (Subspace, _combine, coverage, enumerate_subspaces,
                         extension_raise_dim, extensions_same_dim,
                         grassmannian_keys, null_subspace, puncture,
                         puncture_key, row_codes, rows_key, rref,
-                        subspace_from_key, vector_code, vector_from_code)
+                        subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
     """A puncture or transform broke a structure it must preserve."""
-
-
-class SearchExhausted(RuntimeError):
-    """Backtracking ran out of its node budget without a result."""
 
 
 @dataclass(frozen=True)
@@ -433,87 +429,102 @@ class Parallelism:
             raise ValueError("spreads do not cover every 2-subspace")
 
 
-def _search_parallelism(field: GF, n: int, node_limit: int) -> tuple:
-    """Deterministic backtracking: each new spread is anchored on the
-    lexicographically first unused line and completed first-fit on the
-    lowest uncovered vector.
-
-    The stack holds one entry per placed line: the cover before that
-    line (the bit mask of the nonzero vectors on the lines placed before
-    it in its spread), the iterator of the lines still to try in its
-    place, and the line.  A full cover starts a new spread: its anchor's
-    cover is 0 and its only candidate is the first unused line, so each
-    stored cover of 0 begins a spread.
-    """
-    q = field.q
-    lines = list(enumerate_subspaces(field, n, 2))
-    nv = q ** n - 1
-    full = (1 << nv) - 1
-    masks = []
-    through: dict = {i: [] for i in range(nv)}
-    for idx, line in enumerate(lines):
-        mask = 0
-        for v in line.vectors():
-            if any(v):
-                mask |= 1 << (vector_code(v, q) - 1)
-        masks.append(mask)
-        bits = mask
-        while bits:
-            low = bits & -bits
-            through[low.bit_length() - 1].append(idx)
-            bits ^= low
-    used = bytearray(len(lines))
-    stack: list = []
-    nodes = 0
-    cover, candidates = 0, iter((0,))     # line 0 anchors the first spread
-    while True:
-        for li in candidates:
-            if not (used[li] or masks[li] & cover):
-                break
-        else:
-            if not stack:
-                raise SearchExhausted(f"no parallelism found for q={q}, n={n}")
-            cover, candidates, li = stack.pop()
-            used[li] = 0
-            continue
-        nodes += 1
-        if nodes > node_limit:
-            raise SearchExhausted(
-                f"parallelism search for q={q}, n={n} exhausted {node_limit} nodes")
-        used[li] = 1
-        stack.append((cover, candidates, li))
-        cover |= masks[li]
-        if cover != full:
-            missing = full & ~cover
-            candidates = iter(through[(missing & -missing).bit_length() - 1])
-            continue
-        anchor = used.find(0)
-        if anchor < 0:
-            break
-        cover, candidates = 0, iter((anchor,))
-    spreads: list = []
-    for before, _, li in stack:
-        if not before:
-            spreads.append([])
-        spreads[-1].append(li)
-    return tuple(Spread(field, n, tuple(lines[i] for i in sorted(members)))
-                 for members in spreads)
+def _canonical_parallelism(field: GF, n: int, groups: Iterable) -> Parallelism:
+    """The parallelism of these groups of lines, in canonical file order."""
+    spreads = (Spread(field, n, tuple(sorted(g, key=lambda s: s.rows)))
+               for g in groups)
+    return Parallelism(field, n, tuple(sorted(
+        spreads, key=lambda sp: tuple(l.rows for l in sp.lines))))
 
 
-def build_parallelism(q: int, n: int, node_limit: int = 5_000_000) -> Parallelism:
-    """A verified parallelism of F_q^n found by the deterministic
-    backtracking search (supported regime: q = 2, n even);
-    ``files.parse_parallelism_file`` loads one from a file.
+# For each n the orbit search supports, a primitive polynomial of degree n-1
+_PRIMITIVE = {2: 0b11, 4: 0b1011, 6: 0b100101, 8: 0b10000011, 10: 0b1000010001}
 
-    Each spread's anchor is its smallest line and the anchors increase,
-    so the spreads come out in the canonical order a parsed file is
-    sorted into.
+
+def _exact_cover(columns: dict, rows: dict):
+    """Knuth's Algorithm X: the names of rows (name -> its columns)
+    covering each column of ``columns`` (name -> the rows through it)
+    once, or None.  It branches on the column with fewest rows, smallest
+    name first, tries rows in sorted order, and restores ``columns``."""
+    if not columns:
+        return []
+    col = min(columns, key=lambda c: (len(columns[c]), c))
+    for r in sorted(columns[col]):
+        removed = [columns.pop(c) for c in rows[r]]
+        clashes = [(c, other) for other in set().union(*removed)
+                   for c in rows[other] if c in columns]
+        for c, other in clashes:
+            columns[c].discard(other)
+        rest = _exact_cover(columns, rows)
+        for c, other in clashes:
+            columns[c].add(other)
+        columns.update(zip(rows[r], removed))
+        if rest is not None:
+            return [r] + rest
+    return None
+
+
+def build_parallelism(q: int, n: int) -> Parallelism:
+    """A verified parallelism of F_2^n, n in {2, 4, 6, 8, 10}, by
+    Denniston's cyclic orbit search; ``files.parse_parallelism_file``
+    loads one for other parameters.
+
+    A vector code's low n-1 bits are a in F_{2^(n-1)}, in the basis of
+    powers of a root alpha of ``_PRIMITIVE[n]``; its top bit is b.
+    g: (a, b) -> (alpha*a, b) has odd order and fixes no line, so a
+    spread S with one line in each g-orbit gives the parallelism
+    {g^i S}.  S is an exact cover of the nonzero vectors and the
+    g-orbits by orbits of lines under (a, b) -> (a^2, b).
     """
     field = make_field(q)
-    if q != 2 or n % 2:
-        raise ValueError("search mode supports q = 2 with n even; "
-                         "use a file for other parameters")
-    return Parallelism(field, n, _search_parallelism(field, n, node_limit))
+    if q != 2 or n not in _PRIMITIVE:
+        raise ValueError(f"search mode supports q = 2 with n in "
+                         f"{{{', '.join(map(str, _PRIMITIVE))}}}; "
+                         f"use a file for other parameters")
+    size, top, poly = 1 << n, 1 << (n - 1), _PRIMITIVE[n]
+    alpha = [(a ^ poly if a & top else a) | (c & top)      # g on vector codes
+             for c in range(size) for a in [(c & (top - 1)) << 1]]
+    frobenius = list(range(size))   # (a, b) -> (a^2, b)
+    a = square = 1
+    for _ in range(top - 1):        # a = alpha^k, square = alpha^2k
+        frobenius[a], frobenius[a | top] = square, square | top
+        a, square = alpha[a], alpha[alpha[square]]
+
+    def image(point_map, line):
+        return tuple(sorted([point_map[p] for p in line]))
+
+    # a line is the sorted triple of its nonzero vector codes
+    lines = [(u, v, u ^ v) for u in range(1, size)
+             for v in range(u + 1, size) if u ^ v > v]
+    orbit_of: dict = {}             # line -> the column of its g-orbit
+    for line in lines:
+        label = size + len(orbit_of)
+        while line not in orbit_of:
+            orbit_of[line] = label
+            line = image(alpha, line)
+    columns = {c: set() for c in [*range(1, size), *orbit_of.values()]}
+    rows: dict = {}                 # an orbit of lines under a -> a^2
+    for line in lines:
+        if line not in orbit_of:    # popped with an orbit read before
+            continue
+        orbit = [line]
+        while (nxt := image(frobenius, orbit[-1])) != line:
+            orbit.append(nxt)
+        points = [p for ln in orbit for p in ln]
+        labels = {orbit_of.pop(ln) for ln in orbit}
+        if len(set(points)) == len(points) and len(labels) == len(orbit):
+            orbit = tuple(orbit)
+            rows[orbit] = [*points, *labels]
+            for c in rows[orbit]:
+                columns[c].add(orbit)
+    # _PRIMITIVE holds only n whose exact cover exists
+    spread = [ln for orbit in _exact_cover(columns, rows) for ln in orbit]
+    groups = []
+    for _ in range(top - 1):
+        groups.append([rref(field, [vector_from_code(p, 2, n) for p in ln[:2]])
+                       for ln in spread])
+        spread = [image(alpha, ln) for ln in spread]
+    return _canonical_parallelism(field, n, groups)
 
 
 # ---------------------------------------------------------------------------

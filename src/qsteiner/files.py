@@ -30,10 +30,11 @@ Each ``spread`` marker starts a spread; each following line is one
 
 from __future__ import annotations
 
-from .designs import DesignMultiset, DesignParams, Parallelism, Spread
+from .designs import (DesignMultiset, DesignParams, Parallelism,
+                      _canonical_parallelism)
 from .field import make_field
-from .subspaces import (Subspace, row_codes, subspace_from_key, vector_code,
-                        vector_from_code)
+from .subspaces import (Subspace, _row_entry, _rref_key, row_codes,
+                        subspace_from_key, vector_code, vector_from_code)
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -105,46 +106,6 @@ def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
     if len(entries) != dim:
         raise ValueError(f"block says dimension {dim} but has {len(entries)} rows")
     return _rref_key(entries, q ** m)
-
-
-def _lead(row: tuple) -> int:
-    """The column of the row's leading 1; -1 if the row is zero or its
-    first nonzero entry is not 1."""
-    try:
-        lead = row.index(1)
-    except ValueError:
-        return -1
-    return -1 if any(row[:lead]) else lead
-
-
-def _row_entry(row: tuple, q: int) -> tuple:
-    """What the RREF check needs of a row: its code, its ``_lead``, the
-    bit mask of its nonzero columns, and the row."""
-    nonzero = sum(1 << j for j, x in enumerate(row) if x)
-    return vector_code(row, q), _lead(row), nonzero, row
-
-
-def _rref_key(entries: list, big: int) -> int:
-    """The key of the rows with these ``_row_entry`` values, ``big`` =
-    q**m; raises ValueError unless they are already a canonical RREF
-    basis.
-
-    Rows are accepted iff ``rref`` leaves them unchanged: every row has
-    a lead (``_lead`` is not -1), leads strictly increase, and each
-    pivot column is zero outside its own row.  Read bottom-up, that is:
-    each row leads left of the row below it and is zero in the lead
-    columns of all rows below it (the rows below a pivot lead further
-    right, so they are zero there).
-    """
-    key, below, last = 0, 0, big
-    for code, lead, nonzero, _ in reversed(entries):
-        if not -1 < lead < last or nonzero & below:
-            rows = tuple(entry[3] for entry in entries)
-            raise ValueError(f"rows {rows} are not in reduced row echelon form")
-        below |= 1 << lead
-        last = lead
-        key = key * big + code
-    return key
 
 
 def serialize_design(design: DesignMultiset) -> str:
@@ -255,10 +216,7 @@ def parse_parallelism(text: str) -> Parallelism:
         # then rejects a line that is not 2-dimensional
         key = _parse_block(ln, q, n, ln.count(";") + 1, seen)
         groups[-1].append(subspace_from_key(field, n, key))
-    spreads = tuple(Spread(field, n, tuple(sorted(g, key=lambda s: s.rows)))
-                    for g in groups)
-    return Parallelism(field, n, tuple(sorted(
-        spreads, key=lambda sp: tuple(l.rows for l in sp.lines))))
+    return _canonical_parallelism(field, n, groups)
 
 
 def write_parallelism(para: Parallelism, path) -> None:
@@ -274,8 +232,8 @@ def parse_parallelism_file(path) -> Parallelism:
 def packaged_parallelism_path(q: int, n: int):
     """Path of a parallelism shipped with the package, or None.
 
-    The package carries verified parallelisms of F_2^6 and F_3^4, whose
-    construction is out of reach of the bundled backtracking search.
+    The package carries one verified parallelism, of F_3^4: the orbit
+    search of ``designs.build_parallelism`` covers q = 2 only.
     """
     from importlib.resources import files as resource_files
     candidate = resource_files("qsteiner") / "data" / f"parallelism-q{q}-n{n}.txt"

@@ -64,12 +64,20 @@ class Subspace:
 
     The null subspace (d = 0) is represented by an empty row tuple.
     Instances are immutable and hashable; two subspaces compare equal
-    iff they are the same set of vectors.
+    iff they are the same set of vectors.  The constructor raises
+    ValueError unless ``rows`` is an RREF basis of F_q^ambient, checked
+    as a file's block rows are (``_rref_key``).
     """
 
     __slots__ = ("field", "ambient", "rows", "_hash")
 
     def __init__(self, field: GF, ambient: int, rows: tuple) -> None:
+        q = field.q
+        digits = set(range(q))
+        for row in rows:
+            if len(row) != ambient or not digits.issuperset(row):
+                raise ValueError(f"row {row} is not a vector of F_{q}^{ambient}")
+        _rref_key([_row_entry(row, q) for row in rows], q ** ambient)
         self.field = field
         self.ambient = ambient
         self.rows = rows
@@ -129,6 +137,48 @@ def vector_from_code(code: int, q: int, m: int) -> tuple:
         out.append(code % q)
         code //= q
     return tuple(out)
+
+
+def _lead(row: tuple) -> int:
+    """The column of the row's leading 1; -1 if the row is zero or its
+    first nonzero entry is not 1."""
+    try:
+        lead = row.index(1)
+    except ValueError:
+        return -1
+    return -1 if any(row[:lead]) else lead
+
+
+@lru_cache(maxsize=4096)
+def _row_entry(row: tuple, q: int) -> tuple:
+    """What the RREF check needs of a row: its code, its ``_lead``, the
+    bit mask of its nonzero columns, and the row; cached, as the
+    subspaces built one after another share rows."""
+    nonzero = sum(1 << j for j, x in enumerate(row) if x)
+    return vector_code(row, q), _lead(row), nonzero, row
+
+
+def _rref_key(entries: list, big: int) -> int:
+    """The key of the rows with these ``_row_entry`` values, ``big`` =
+    q**m; raises ValueError unless they are already a canonical RREF
+    basis.
+
+    Rows are accepted iff ``rref`` leaves them unchanged: every row has
+    a lead (``_lead`` is not -1), leads strictly increase, and each
+    pivot column is zero outside its own row.  Read bottom-up, that is:
+    each row leads left of the row below it and is zero in the lead
+    columns of all rows below it (the rows below a pivot lead further
+    right, so they are zero there).
+    """
+    key, below, last = 0, 0, big
+    for code, lead, nonzero, _ in reversed(entries):
+        if not -1 < lead < last or nonzero & below:
+            rows = tuple(entry[3] for entry in entries)
+            raise ValueError(f"rows {rows} are not in reduced row echelon form")
+        below |= 1 << lead
+        last = lead
+        key = key * big + code
+    return key
 
 
 def _combine(field: GF, m: int, coeffs: tuple, rows: tuple) -> tuple:

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from qsteiner import designs
 from qsteiner.cli import main
-from qsteiner.files import (packaged_parallelism_path, parse_design_file,
-                            parse_parallelism_file)
+from qsteiner.designs import build_parallelism
+from qsteiner.files import (parse_design_file, parse_parallelism_file,
+                            write_parallelism)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -150,17 +150,23 @@ def test_parallelism_from_packaged_data(tmp_path, capsys, monkeypatch):
 
 
 def test_parallelism_source_errors(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+    para26 = tmp_path / "parallelism-q2-n6.txt"
+    write_parallelism(build_parallelism(2, 6), para26)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
     code, out, err = run(capsys, "build", "fano-m5", "--q", "2", "--parallelism",
-                         str(packaged_parallelism_path(2, 6)))
+                         str(para26))
     assert code == 2 and out == ""
     assert err == "error: file holds a parallelism for q=2, n=6, requested q=2, n=4\n"
-    assert os.listdir(tmp_path) == []
-    code, out, err = run(capsys, "parallelism", "3", "4", "--source", "search")
-    assert code == 2 and out == ""
-    assert err == ("error: search mode supports q = 2 with n even; "
-                   "use a file for other parameters\n")
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(work) == []
+    for argv in ("parallelism 3 4 --source search", "parallelism 2 12",
+                 "parallelism 2 5"):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "", argv
+        assert err == ("error: search mode supports q = 2 with n in "
+                       "{2, 4, 6, 8, 10}; use a file for other parameters\n")
+    assert os.listdir(work) == []
 
 
 def test_qsteiner_data_dir_lookup(tmp_path, capsys, monkeypatch):
@@ -250,15 +256,6 @@ def test_degenerate_arguments_exit_2(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-
-
-def test_search_exhausted_exit_1(capsys, monkeypatch):
-    def exhausted(*args, **kwargs):
-        raise designs.SearchExhausted("node budget exhausted")
-    monkeypatch.setattr(designs, "build_parallelism", exhausted)
-    code, out, err = run(capsys, "parallelism", "2", "6", "--source", "search")
-    assert code == 1 and out == ""
-    assert err.strip() == "error: node budget exhausted"
 
 
 def test_readme_commands_run(tmp_path, capsys, monkeypatch):

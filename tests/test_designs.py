@@ -9,9 +9,8 @@ from slow_oracles import object_verify
 from qsteiner import subspaces
 from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
-                              Parallelism, SearchExhausted, Spread,
-                              _search_parallelism,
-                              apply_transform, build_parallelism, build_spread,
+                              Parallelism, Spread, apply_transform,
+                              build_parallelism, build_spread,
                               construct_fano_m5, construct_recursive,
                               construct_s3485, construct_uniform_design,
                               distinctness_check, puncture_design,
@@ -297,16 +296,16 @@ qsteiner-parallelism v1
 q=2 n=4
 spread
 0010;0001
-1000;0100
+1000;0101
 1001;0111
-1010;0101
-1011;0110
+1010;0110
+1011;0100
 spread
 0100;0001
-1000;0010
-1001;0110
-1011;0111
-1101;0011
+1000;0111
+1001;0011
+1011;0110
+1100;0010
 spread
 0100;0010
 1000;0001
@@ -315,22 +314,22 @@ spread
 1100;0011
 spread
 0100;0011
-1000;0101
-1001;0010
-1010;0110
-1110;0001
-spread
-0101;0010
 1000;0110
-1001;0011
-1011;0100
+1001;0010
+1010;0101
 1100;0001
 spread
-0101;0011
-1000;0111
-1001;0100
+0101;0010
+1000;0100
+1001;0110
 1010;0001
-1100;0010
+1101;0011
+spread
+0101;0011
+1000;0010
+1001;0100
+1011;0111
+1110;0001
 spread
 0110;0001
 1000;0011
@@ -341,48 +340,29 @@ spread
 
 
 def test_parallelism_search_keeps_recursion_limit(monkeypatch):
-    """The search runs on an explicit stack: same result, same node
-    count (F_2^4 needs exactly 40 nodes, F_2^2 one, and F_2^3 fails
-    after one), no interpreter state changed."""
+    """The exact cover recurses once per chosen row, well inside the
+    default limit: same result, no interpreter state changed."""
 
     def refuse(limit):
         raise AssertionError("the search changed the recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert serialize_parallelism(build_parallelism(2, 4)) == PARALLELISM_2_4
-    build_parallelism(2, 4, node_limit=40)
-    with pytest.raises(SearchExhausted, match="exhausted 39 nodes"):
-        build_parallelism(2, 4, node_limit=39)
-    with pytest.raises(SearchExhausted):
-        build_parallelism(2, 6, node_limit=10_000)
-    with pytest.raises(SearchExhausted, match="no parallelism"):
-        _search_parallelism(F2, 3, 1000)     # 7 points admit no spread
-    with pytest.raises(SearchExhausted, match="no parallelism"):
-        _search_parallelism(F2, 3, 1)        # every line meets the anchor
-    assert len(build_parallelism(2, 2, node_limit=1).spreads) == 1
-    with pytest.raises(SearchExhausted, match="exhausted 0 nodes"):
-        build_parallelism(2, 2, node_limit=0)
+    assert len(build_parallelism(2, 6).spreads) == 31
 
 
 def test_parallelism_search_regime():
-    with pytest.raises(ValueError):
-        build_parallelism(3, 4)
-    with pytest.raises(ValueError):
-        build_parallelism(2, 5)
-
-
-def test_parallelism_node_guard():
-    with pytest.raises(SearchExhausted):
-        build_parallelism(2, 6, node_limit=10_000)
+    for q, n in ((3, 4), (2, 5), (2, 12), (2, 3)):
+        with pytest.raises(ValueError, match=r"n in \{2, 4, 6, 8, 10\}"):
+            build_parallelism(q, n)
 
 
 def test_packaged_parallelisms_load_and_validate():
-    for q, n, spreads in ((2, 6, 31), (3, 4, 13)):
-        path = packaged_parallelism_path(q, n)
-        assert path is not None
-        para = parse_parallelism_file(path)
-        assert (para.field.q, para.n) == (q, n)
-        assert len(para.spreads) == spreads
+    path = packaged_parallelism_path(3, 4)
+    assert path is not None
+    para = parse_parallelism_file(path)
+    assert (para.field.q, para.n, len(para.spreads)) == (3, 4, 13)
+    assert packaged_parallelism_path(2, 6) is None
 
 
 def test_parallelism_rejects_bad_partition():
@@ -477,9 +457,8 @@ def test_construct_fano_m5_q3_from_file():
 
 
 def test_construct_fano_m5_rejects_wrong_parallelism():
-    para26 = parse_parallelism_file(packaged_parallelism_path(2, 6))
     with pytest.raises(ValueError):
-        construct_fano_m5(2, para26)
+        construct_fano_m5(2, build_parallelism(2, 6))
 
 
 def test_construct_recursive_k3():

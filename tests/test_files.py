@@ -7,10 +7,9 @@ import pytest
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
                               construct_s3485, construct_uniform_design)
 from qsteiner.field import make_field
-from qsteiner.files import (_lead, _row_entry, _rref_key, parse_design,
-                            parse_parallelism, serialize_design,
+from qsteiner.files import (parse_design, parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import rows_key, rref
+from qsteiner.subspaces import _lead, _row_entry, _rref_key, rows_key, rref
 
 
 def test_design_round_trip_byte_identical():

@@ -1,18 +1,22 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
-malformed block lines."""
+malformed block lines; for ``rref`` as the canonical form; and for the
+parallelisms of the orbit search."""
 
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
-                              construct_s3485, construct_uniform_design,
-                              puncture_design, verify)
+                              build_parallelism, construct_s3485,
+                              construct_uniform_design, puncture_design,
+                              verify)
 from qsteiner.field import make_field
-from qsteiner.files import format_block_rows, parse_design, serialize_design
+from qsteiner.files import (format_block_rows, parse_design,
+                            parse_parallelism, serialize_design,
+                            serialize_parallelism)
 from qsteiner.subspaces import null_subspace, puncture, rref
 
 # deterministic, and no example database written to the working tree
@@ -158,3 +162,40 @@ def test_malformed_block_line_rejected(q, m, line, message, data):
     with pytest.raises(ValueError) as exc:
         parse_design("\n".join(lines) + "\n")
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("q, m", SHAPES)
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_rref_is_canonical(q, m, data):
+    """``rref`` leaves an RREF basis unchanged and maps every other basis
+    of its span, an invertible combination of its rows, back to it."""
+    field = make_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    x = rref(field, data.draw(st.lists(vector, min_size=1, max_size=m)))
+    assume(x.dim)
+    assert rref(field, x.rows) == x
+    add, mul = field.add_table, field.mul_table
+    rows = [list(r) for r in x.rows]
+    index = st.integers(0, x.dim - 1)
+    # row i becomes c * row i if i == j, else row i + c * row j; c != 0
+    for i, j, c in data.draw(st.lists(st.tuples(index, index,
+                                                st.integers(1, q - 1)),
+                                      max_size=8)):
+        if i == j:
+            rows[i] = [mul[c][a] for a in rows[i]]
+        else:
+            rows[i] = [add[a][mul[c][b]] for a, b in zip(rows[i], rows[j])]
+    order = data.draw(st.permutations(range(x.dim)))
+    assert rref(field, [tuple(rows[k]) for k in order]) == x
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_parallelism_search_round_trip(n):
+    """The orbit search gives 2^(n-1)-1 spreads in the canonical order
+    of a parsed file, and the same bytes on every call."""
+    para = build_parallelism(2, n)
+    text = serialize_parallelism(para)
+    assert len(para.spreads) == 2 ** (n - 1) - 1
+    assert parse_parallelism(text) == para
+    assert serialize_parallelism(build_parallelism(2, n)) == text

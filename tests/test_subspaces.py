@@ -8,8 +8,8 @@ from slow_oracles import slot_grassmannian_rows
 
 from qsteiner.counting import gaussian
 from qsteiner.field import make_field
-from qsteiner.files import _row_entry, _rref_key
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
+                                _row_entry, _rref_key,
                                 contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
@@ -49,6 +49,18 @@ def test_rref_leading_one_scaling():
 def test_rref_length_mismatch():
     with pytest.raises(ValueError):
         rref(F2, [(1, 0), (1, 0, 0)])
+
+
+def test_subspace_rejects_non_rref_rows():
+    """The constructor accepts only an RREF basis of F_q^ambient, so equal
+    spans cannot be two unequal Subspaces."""
+    with pytest.raises(ValueError, match="not in reduced row echelon form"):
+        Subspace(F2, 2, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="not a vector of F_2\\^3"):
+        Subspace(F2, 3, ((1, 2, 0),))
+    with pytest.raises(ValueError, match="not a vector of F_2\\^3"):
+        Subspace(F2, 3, ((1, 0),))
+    assert Subspace(F2, 2, ((1, 0), (0, 1))) == rref(F2, [(1, 0), (0, 1)])
 
 
 def test_rref_idempotent_exhaustive():
