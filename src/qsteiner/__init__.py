@@ -14,8 +14,8 @@ from .designs import (DesignMultiset, DesignParams, Parallelism, Spread,
                       puncture_design, puncture_steiner, trivial_steiner,
                       verify, verify_steiner)
 from .equations import (FullSystem, NonIntegralSolution, SolveOutcome,
-                        UniformSystem, build_full, build_uniform, evaluate,
-                        solve, uniform_family_solution)
+                        UniformSystem, build_full, build_uniform, solve,
+                        uniform_family_solution)
 from .field import GF, make_field
 from .files import (parse_design, parse_design_file, parse_parallelism,
                     parse_parallelism_file, serialize_design,

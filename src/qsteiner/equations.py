@@ -5,7 +5,9 @@ Two flavours are built.  The uniform system has one equation per
 covered dimension s and one unknown X_r per block dimension r, with
 coefficient D_{s,r,m} * C_{(s,t),(r,k)}.  The full system has one
 equation per s-subspace X of F_q^m and one unknown a_Y per r-subspace
-Y, with coefficient C_{(s,t),(r,k)} when X <= Y and 0 otherwise.  All
+Y, with coefficient C_{(s,t),(r,k)} when X <= Y and 0 otherwise, placed
+by the verifier's coverage kernel; ``designs.verify`` checks a design
+against these equations without materializing them.  All
 arithmetic is exact: coefficients are integers, elimination is sparse
 and fraction-free over Python integers, ``fractions.Fraction`` values
 are formed only for the answer, and a solution is only ever reported
@@ -20,10 +22,9 @@ from functools import partial
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
-from .designs import (DesignMultiset, DesignParams, EquationViolation,
-                      VerificationReport)
+from .designs import DesignParams
 from .field import make_field
-from .subspaces import contains, enumerate_subspaces
+from .subspaces import _within_columns, enumerate_subspaces, rows_key
 
 # Largest number of equations a materialized full system may have.
 FULL_SYSTEM_GUARD = 10 ** 5
@@ -103,7 +104,10 @@ def build_uniform(q: int, t: int, k: int, n: int, m: int) -> UniformSystem:
 
 
 def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
-    """The per-subspace equation system for S_q(t,k,n;m).
+    """The per-subspace equation system for S_q(t,k,n;m), placed by
+    the coverage kernel: ``subspaces._within_columns`` lists the keys of
+    the s-subspaces X of each r-subspace Y; row X gets C_{(s,t),(r,k)}
+    in column Y.
 
     Guarded: systems beyond FULL_SYSTEM_GUARD equations must be checked
     with the streaming verifier instead of being materialized.
@@ -114,23 +118,28 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
         raise ValueError(f"full system would have {n_eq} equations "
                          f"(> {FULL_SYSTEM_GUARD}); use the streaming verifier")
     field = make_field(q)
-    variables = [y for r in params.r_range()
-                 for y in enumerate_subspaces(field, m, r)]
+    by_dim = {r: list(enumerate_subspaces(field, m, r))
+              for r in params.r_range()}
+    variables = [y for ys in by_dim.values() for y in ys]
     subjects = []
-    matrix = []
     rhs = []
     for s in params.s_range():
-        by_dim = {r: covering_coefficient(s, t, r, k, q)
-                  for r in params.r_range()}
-        weights = [by_dim[y.dim] for y in variables]
-        b = count_N(s, m, t, n, q)
-        for x in enumerate_subspaces(field, m, s):
-            subjects.append(x)
-            matrix.append(tuple(c if c and contains(y, x) else 0
-                                for c, y in zip(weights, variables)))
-            rhs.append(b)
+        subjects += enumerate_subspaces(field, m, s)
+        rhs += [count_N(s, m, t, n, q)] * gaussian(m, s, q)
+    row_of = {rows_key(q, x.rows): i for i, x in enumerate(subjects)}
+    matrix = [[0] * len(variables) for _ in subjects]
+    offset = 0
+    for r, ys in by_dim.items():
+        keys = [rows_key(q, y.rows) for y in ys]
+        for s in params.s_range():
+            c = covering_coefficient(s, t, r, k, q)
+            if c:
+                for start, column in _within_columns(field, m, r, keys, s):
+                    for j, key in enumerate(column, offset + start):
+                        matrix[row_of[key]][j] = c
+        offset += len(ys)
     return FullSystem(params, tuple(subjects), tuple(variables),
-                      tuple(matrix), tuple(rhs))
+                      tuple(map(tuple, matrix)), tuple(rhs))
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:
@@ -239,28 +248,6 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
                     free_basis[unpinned[c]][unpinned[col]] = Fraction(-v, lead)
     nonneg = all(v.denominator == 1 and v >= 0 for v in assignment.values())
     return SolveOutcome(status, assignment, free_keys, nonneg, free_basis)
-
-
-def evaluate(system: FullSystem, design: DesignMultiset) -> VerificationReport:
-    """Substitute a design's multiplicities into the full system and
-    report the per-equation residuals (lhs - rhs)."""
-    if system.params != design.params:
-        raise ValueError(f"system {system.params} does not match design "
-                         f"{design.params}")
-    r_rng = design.params.r_range()
-    bad_dims = tuple((b, b.dim) for b in design.blocks if b.dim not in r_rng)
-    mults = {y: design.blocks.get(y, 0) for y in system.variables}
-    residuals = []
-    violations = []
-    for x, row, b in zip(system.subjects, system.matrix, system.rhs):
-        lhs = sum(c * mults[y] for c, y in zip(row, system.variables) if c)
-        residuals.append(lhs - b)
-        if lhs != b:
-            violations.append(EquationViolation(x.dim, x, lhs, b))
-    ok = not violations and not bad_dims
-    return VerificationReport(ok, len(system.subjects), tuple(violations),
-                              bad_dims, design.total_multiplicity(),
-                              residuals=tuple(residuals))
 
 
 # ---------------------------------------------------------------------------

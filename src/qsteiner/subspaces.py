@@ -28,13 +28,14 @@ edges, where one is reported or asked for.
 the blocks as batches of keys of one dimension and weight, and yields,
 for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
 order, its RREF rows and the summed weight of the blocks containing
-it, 0 included.  The spans of a chunk of blocks are listed as columns
-of vector codes, one column per coefficient vector; the keys of the
-blocks' s-subspaces are read off those columns one coefficient basis at
-a time and counted with ``Counter``.  For characteristic 2 (q in {2,
-4, 8, 16}) an element code is the bit pattern of its polynomial
-coefficients, so each base-q digit of a vector code is a bit field and
-vector addition is ``^`` on codes, applied a whole column at a time.
+it, 0 included.  It and ``equations.build_full`` read one generator,
+``_within_columns``: the spans of a chunk of blocks are listed as
+columns of vector codes, one per coefficient vector, and the keys of
+the blocks' s-subspaces are read off them one coefficient basis at a
+time.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
+the bit pattern of its polynomial coefficients, so each base-q digit
+of a vector code is a bit field and vector addition is ``^`` on codes,
+applied a whole column at a time.
 
 Puncturing always removes the last coordinate(s).  Deleting the last p
 columns of an RREF matrix leaves an RREF matrix once its zero rows are
@@ -207,9 +208,9 @@ def null_subspace(field: GF, m: int) -> Subspace:
 def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
     """Canonicalize the span of the given vectors into a Subspace.
 
-    All vectors must share one length (the ambient dimension);
-    raises ValueError on a length mismatch or an empty vector list
-    (the ambient dimension would be unknown).
+    All vectors must share one length (the ambient dimension); raises
+    ValueError on a length mismatch, an entry outside ``range(q)`` or
+    an empty vector list (the ambient dimension would be unknown).
     """
     vecs = [list(v) for v in vectors]
     if not vecs:
@@ -217,6 +218,8 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
     m = len(vecs[0])
     if any(len(v) != m for v in vecs):
         raise ValueError("vectors of unequal length")
+    if not all(map(set(range(field.q)).issuperset, vecs)):
+        raise ValueError(f"an entry of {vecs} is outside F_{field.q}")
     sub, mul = field.sub_table, field.mul_table
     rank = 0
     for col in range(m):
@@ -562,6 +565,35 @@ def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
     return list(zip(*spans))
 
 
+def _within_columns(field: GF, m: int, d: int, keys: Iterable,
+                    s: int) -> Iterator[tuple]:
+    """Yield ``(start, column)`` per chunk of the blocks (d-subspaces
+    with these keys, a sized collection) and coefficient basis C: entry
+    j of ``column`` is the key of C*Y, Y = ``keys[start + j]``.  C*Y is
+    RREF (see ``subspaces_within``): its row i is the span entry at the
+    code of C's row i, placed at ``big**i`` (``big`` = q**m)."""
+    if s > d:
+        return
+    if s == d:
+        yield 0, keys
+        return
+    if s == 0:
+        yield 0, itertools.repeat(0, len(keys))
+        return
+    q, big = field.q, field.q ** m
+    blocks = iter(keys)
+    step = max(1, _CHUNK // q ** d)
+    for start in range(0, len(keys), step):
+        span = _span_columns(field, m, d, list(itertools.islice(blocks, step)))
+        for basis in _coefficient_codes(q, d, s):
+            column = span[basis[0]]
+            place = 1
+            for code in basis[1:]:
+                place *= big
+                column = map(add, column, map(place.__mul__, span[code]))
+            yield start, column
+
+
 def coverage(batches: Iterable[tuple], field: GF, m: int,
              s: int) -> Iterator[tuple]:
     """Yield ``(rows, weight)`` for every s-subspace of F_q^m, as its
@@ -570,41 +602,20 @@ def coverage(batches: Iterable[tuple], field: GF, m: int,
 
     ``batches`` holds ``(d, weight, keys)`` triples, ``keys`` a sized
     collection (not a mapping) of ``rows_key`` values of d-subspaces of
-    F_q^m, each a block of that weight.  If C is an RREF coefficient
-    matrix and Y a block's RREF basis, C*Y is the RREF basis of its
-    image (see ``subspaces_within``), so row i of the key of an
-    s-subspace of a block is the span entry at the code of C's row i,
-    placed at ``big**i`` (``big`` = q**m).  Those keys are read off
-    ``_span_columns`` one coefficient basis at a time, counted with
-    ``Counter``, and enter the sum as count * weight.
+    F_q^m, each a block of that weight.  The keys of the blocks'
+    s-subspaces (``_within_columns``) are counted with ``Counter`` and
+    enter the sum as count * weight.
     """
     if not 0 <= s <= m:
         raise ValueError(f"dimension {s} out of range for ambient {m}")
-    q, big = field.q, field.q ** m
     cov: dict = {}
     get = cov.get
     for d, w, keys in batches:
-        if s > d:
-            continue
-        if s == d:
-            counts = Counter(keys)
-        elif s == 0:
-            counts = {0: len(keys)}
-        else:
-            counts = Counter()
-            blocks = iter(keys)
-            step = max(1, _CHUNK // q ** d)
-            while chunk := list(itertools.islice(blocks, step)):
-                span = _span_columns(field, m, d, chunk)
-                for basis in _coefficient_codes(q, d, s):
-                    covered = span[basis[0]]
-                    place = 1
-                    for code in basis[1:]:
-                        place *= big
-                        covered = map(add, covered, map(place.__mul__, span[code]))
-                    counts.update(covered)
+        counts = Counter()
+        for _, column in _within_columns(field, m, d, keys, s):
+            counts.update(column)
         for key, c in counts.items():
             cov[key] = get(key, 0) + c * w
-    grassmannian = sorted(_grassmannian_rows(q, m, s))
-    keys = map(rows_key, itertools.repeat(q), grassmannian)
+    grassmannian = sorted(_grassmannian_rows(field.q, m, s))
+    keys = map(rows_key, itertools.repeat(field.q), grassmannian)
     return zip(grassmannian, map(cov.get, keys, itertools.repeat(0)))

@@ -6,16 +6,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from slow_oracles import dense_fraction_solve
+from slow_oracles import dense_fraction_solve, object_verify
 
+from qsteiner import subspaces
 from qsteiner.counting import count_D, count_N, covering_coefficient, gaussian
-from qsteiner.designs import construct_uniform_design
+from qsteiner.designs import DesignMultiset, construct_uniform_design, verify
 from qsteiner.equations import (FULL_SYSTEM_GUARD, NonIntegralSolution,
-                                build_full, build_uniform, evaluate,
+                                build_full, build_uniform,
                                 family_system_params, solve,
                                 uniform_family_solution)
-from qsteiner.field import make_field
 from qsteiner.subspaces import contains
+
+# (q, m) of S_q(2,3,7;m) systems covering q = 2, odd q and the
+# characteristic-2 table field q = 4
+FULL_CASES = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 4), (4, 3))
+
+
+def residuals(system, design) -> list:
+    """matrix * multiplicities - rhs of a full system at a design."""
+    mults = [design.blocks.get(y, 0) for y in system.variables]
+    return [sum(c * a for c, a in zip(row, mults)) - b
+            for row, b in zip(system.matrix, system.rhs)]
 
 
 def test_uniform_system_shape():
@@ -103,28 +114,49 @@ def test_solver_residuals_zero_on_uniform():
 
 
 def test_full_system_counts_match_lemmas():
-    """Equation and variable totals per the counting lemmas, q=2, m <= 4."""
-    for m in range(1, 5):
-        fs = build_full(2, 2, 3, 7, m)
+    """Equation and variable totals per the counting lemmas, and the
+    number of nonzero coefficients in every equation."""
+    for q, m in FULL_CASES:
+        fs = build_full(q, 2, 3, 7, m)
         params = fs.params
-        assert len(fs.subjects) == sum(gaussian(m, s, 2) for s in params.s_range())
-        assert len(fs.variables) == sum(gaussian(m, r, 2) for r in params.r_range())
+        assert len(fs.subjects) == sum(gaussian(m, s, q) for s in params.s_range())
+        assert len(fs.variables) == sum(gaussian(m, r, q) for r in params.r_range())
         # nonzero coefficients per equation: sum over r of D_{s,r,m}
         for x, row in zip(fs.subjects, fs.matrix):
             s = x.dim
             nonzero = sum(1 for c in row if c)
-            expected = sum(count_D(s, r, m, 2) for r in params.r_range()
-                           if r >= s and covering_coefficient(s, 2, r, 3, 2))
+            expected = sum(count_D(s, r, m, q) for r in params.r_range()
+                           if r >= s and covering_coefficient(s, 2, r, 3, q))
             assert nonzero == expected
 
 
 def test_full_system_coefficient_placement():
-    fs = build_full(2, 2, 3, 7, 2)
-    for x, row in zip(fs.subjects, fs.matrix):
-        for y, c in zip(fs.variables, row):
-            if c:
-                assert contains(y, x)
-                assert c == covering_coefficient(x.dim, 2, y.dim, 3, 2)
+    """Every nonzero coefficient sits where ``contains`` holds and is
+    the covering coefficient; with the lemma counts above, the
+    placement is exact."""
+    for q, m in FULL_CASES:
+        fs = build_full(q, 2, 3, 7, m)
+        for x, row in zip(fs.subjects, fs.matrix):
+            for y, c in zip(fs.variables, row):
+                if c:
+                    assert contains(y, x)
+                    assert c == covering_coefficient(x.dim, 2, y.dim, 3, q)
+
+
+def test_full_system_across_kernel_chunks(monkeypatch):
+    """A kernel chunk of 8 span entries puts one q = 3 block of
+    dimension 2 or 3 in each chunk; the full system and the verifier
+    must not change."""
+    fs = build_full(3, 2, 3, 7, 4)
+    x = uniform_family_solution("S(2,3,7;4)", 3)
+    good = construct_uniform_design(3, 2, 3, 7, 4, x)
+    block = next(b for b in good.blocks if b.dim == 3)
+    bad = good.with_block_multiplicity(block, x[3] + 1)
+    monkeypatch.setattr(subspaces, "_CHUNK", 8)
+    assert build_full(3, 2, 3, 7, 4) == fs
+    for design in (good, bad):
+        assert verify(design) == object_verify(design)
+    assert not verify(bad).ok
 
 
 def test_full_system_guard():
@@ -142,19 +174,20 @@ def test_uniform_to_full_consistency():
         assert uout.status == "unique" and uout.nonneg_integer
         assignment = {r: int(uout.assignment[r]) for r in us.r_values}
         design = construct_uniform_design(2, 2, 3, 7, m, assignment)
-        ev = evaluate(build_full(2, 2, 3, 7, m), design)
-        assert ev.ok and all(r == 0 for r in ev.residuals)
+        assert not any(residuals(build_full(2, 2, 3, 7, m), design))
 
 
 def test_evaluate_reports_residuals_and_mismatch():
+    """The verifier fails exactly the equations of the full system that
+    a mutated block takes part in."""
     fs = build_full(2, 2, 3, 7, 4)
     good = construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
-    rep = evaluate(fs, good)
+    rep = verify(good)
     assert rep.ok and rep.total_multiplicity == 381
 
     block = next(b for b in good.blocks if b.dim == 3)
     bad = good.with_block_multiplicity(block, 15)
-    rep = evaluate(fs, bad)
+    rep = verify(bad)
     assert not rep.ok
     # exactly the equations for s-subspaces inside the mutated block fail,
     # each short by one covering coefficient
@@ -168,33 +201,24 @@ def test_evaluate_reports_residuals_and_mismatch():
 
 def test_evaluate_empty_design_residuals():
     fs = build_full(2, 2, 3, 7, 2)
-    from qsteiner.designs import DesignMultiset
     empty = DesignMultiset(fs.params, {})
-    rep = evaluate(fs, empty)
+    rep = verify(empty)
     assert not rep.ok
     assert list(rep.residuals) == [-b for b in fs.rhs]
-
-
-def test_evaluate_parameter_mismatch():
-    fs = build_full(2, 2, 3, 7, 2)
-    other = construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
-    with pytest.raises(ValueError):
-        evaluate(fs, other)
 
 
 def test_streaming_verifier_agrees_with_materialized_system():
     """The streaming verifier and the materialized full system compute
     identical residual vectors (equations share one canonical order)."""
-    from qsteiner.designs import verify
     good = construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
     block = next(b for b in good.blocks if b.dim == 2)
     bad = good.with_block_multiplicity(block, 7)
     fs = build_full(2, 2, 3, 7, 4)
     for design in (good, bad):
         streamed = verify(design)
-        materialized = evaluate(fs, design)
-        assert streamed.residuals == materialized.residuals
-        assert streamed.ok == materialized.ok
+        materialized = residuals(fs, design)
+        assert list(streamed.residuals) == materialized
+        assert streamed.ok == (not any(materialized))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ def test_rref_length_mismatch():
         rref(F2, [(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("q, vectors", [(2, [(2, 0)]),
+                                        (4, [(0, 1), (1, 7)]),
+                                        (2, [(0, -1)])])
+def test_rref_rejects_entries_outside_field(q, vectors):
+    """Out-of-field entries are a ValueError, not an IndexError from the
+    field tables, and a negative entry is not read as a table index."""
+    with pytest.raises(ValueError, match=f"outside F_{q}"):
+        rref(make_field(q), vectors)
+
+
 def test_subspace_rejects_non_rref_rows():
     """The constructor accepts only an RREF basis of F_q^ambient, so equal
     spans cannot be two unequal Subspaces."""
