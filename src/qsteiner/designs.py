@@ -18,7 +18,6 @@ violation.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -26,11 +25,9 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
-from .subspaces import (Subspace, _combine, coverage, enumerate_subspaces,
-                        extension_raise_dim, extensions_same_dim,
-                        grassmannian_keys, null_subspace, puncture,
-                        puncture_key, row_codes, rows_key, rref,
-                        subspace_from_key, vector_from_code)
+from .subspaces import (Subspace, _combine, _extension_keys, coverage,
+                        grassmannian_keys, puncture, puncture_key, row_codes,
+                        rows_key, rref, subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -363,8 +360,8 @@ class Spread:
 
     def __post_init__(self) -> None:
         for line in self.lines:
-            if line.dim != 2 or line.ambient != self.n:
-                raise ValueError(f"{line!r} is not a 2-subspace of F^{self.n}")
+            if line.dim != 2 or line.ambient != self.n or line.field.q != self.field.q:
+                raise ValueError(f"{line!r} is not a 2-subspace of F_{self.field.q}^{self.n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
         uncovered = False
         keys = [rows_key(self.field.q, line.rows) for line in self.lines]
@@ -531,11 +528,23 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 # Constructions (they return the design unchecked; ``verify`` checks it)
 # ---------------------------------------------------------------------------
 
-def _add_block(tables: dict, q: int, rows: tuple, mult: int) -> None:
-    """Add mult to the block with these RREF rows in key tables."""
-    table = tables.setdefault(len(rows), {})
-    key = rows_key(q, rows)
-    table[key] = table.get(key, 0) + mult
+def _line_keys(q: int, spreads) -> list:
+    """The keys of the lines of these spreads, spread by spread."""
+    return [rows_key(q, line.rows) for sp in spreads for line in sp.lines]
+
+
+def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
+    """The key tables of the blocks of F_q^n listed by ``parts``: part
+    ``(d, keys, bottom, mult)`` is the d-subspaces ``_extension_keys(q,
+    m, keys, n, bottom)``, each at multiplicity mult.  A construction's
+    parts differ in dimension or in which rows lead in the new columns,
+    so none repeats another's block."""
+    tables: dict = {}
+    for d, keys, bottom, mult in parts:
+        table = tables.setdefault(d, {})
+        for key in _extension_keys(q, m, keys, n, bottom):
+            table[key] = mult
+    return tables
 
 
 def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
@@ -570,21 +579,14 @@ def construct_s3485(q: int) -> DesignMultiset:
     4-dimensional, q^8-q^7+q^3 each.
     """
     params = DesignParams(q, 3, 4, 8, 5)
-    raised = extension_raise_dim(null_subspace(make_field(q), 4))
-    tables = {1: {rows_key(q, raised.rows): 1}}
-    # dimension: (multiplicity of a block keeping it when punctured, of
-    # one dropping it); a block drops iff its last row, the top base-q^5
-    # digit of its key, is the last unit vector, whose code is q^4
-    parts = {2: (1, 0), 3: (q * (q ** 3 - 1), q ** 4),
-             4: (q ** 8 - q ** 7 + q ** 3, q ** 7 * (q - 1))}
-    for d, (keeps, drops) in parts.items():
-        top = q ** (5 * (d - 1))
-        table = tables[d] = {}
-        for y in grassmannian_keys(q, 5, d):
-            mult = drops if y // top == q ** 4 else keeps
-            if mult:
-                table[y] = mult
-    return DesignMultiset._from_tables(params, tables)
+    # (dimension d, bottom, multiplicity) per part: a block keeping d when
+    # punctured extends a d-subspace of F_q^4 by a free last column (bottom
+    # 0), one dropping to d - 1 a (d-1)-subspace by the unit vector (1)
+    parts = ((1, 1, 1), (2, 0, 1), (3, 0, q * (q ** 3 - 1)), (3, 1, q ** 4),
+             (4, 0, q ** 8 - q ** 7 + q ** 3), (4, 1, q ** 7 * (q - 1)))
+    return DesignMultiset._from_tables(params, _extension_tables(q, 4, 5, [
+        (d, grassmannian_keys(q, 4, d - bottom), bottom, mult)
+        for d, bottom, mult in parts]))
 
 
 def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
@@ -603,22 +605,14 @@ def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
     if len(parallelism.spreads) != q * q + q + 1:
         raise ValueError("parallelism of F_q^4 must have q^2+q+1 spreads")
     params = DesignParams(q, 2, 3, 7, 5)
-    field = make_field(q)
-    tables: dict = {}
-    _add_block(tables, q, extension_raise_dim(null_subspace(field, 4)).rows, 1)
-    for y in enumerate_subspaces(field, 4, 3):
-        for ext in extensions_same_dim(y):
-            _add_block(tables, q, ext.rows, q * (q - 1))
-    set_a = parallelism.spreads[:q * q]
-    set_b = parallelism.spreads[q * q:]
-    for sp in set_a:
-        for line in sp.lines:
-            _add_block(tables, q, extension_raise_dim(line).rows, q * q)
-    for sp in set_b:
-        for line in sp.lines:
-            for ext in extensions_same_dim(line):
-                _add_block(tables, q, ext.rows, 1)
-    return DesignMultiset._from_tables(params, tables)
+    spreads = parallelism.spreads
+    # extensions of keys of F_q^4 by a free last column (bottom 0) or by
+    # the last unit vector (bottom 1), type by type
+    return DesignMultiset._from_tables(params, _extension_tables(q, 4, 5, [
+        (1, [0], 1, 1),
+        (3, grassmannian_keys(q, 4, 3), 0, q * (q - 1)),
+        (3, _line_keys(q, spreads[:q * q]), 1, q * q),
+        (2, _line_keys(q, spreads[q * q:]), 0, 1)]))
 
 
 def construct_recursive(q: int, k: int, parallelism: Parallelism,
@@ -651,47 +645,21 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
     if not verify(base).ok:
         raise ValueError("base design fails verification")
 
-    field = make_field(2)
     m1 = k + 1
-    params = DesignParams(2, 2, 3, 2 * k + 1, m1 + r)
-    suffixes = list(itertools.product(range(2), repeat=r))
-    tables: dict = {}
-
-    top_mult = 2 ** (k + 1 - 3 * r)
-    for y in enumerate_subspaces(field, m1, 3):
-        for sfx in itertools.product(suffixes, repeat=3):
-            rows = tuple(row + s for row, s in zip(y.rows, sfx))
-            _add_block(tables, 2, rows, top_mult)
-
-    for b, mult in base.blocks.items():
-        _add_block(tables, 2, tuple((0,) * m1 + row for row in b.rows), mult)
-
+    n = m1 + r
+    params = DesignParams(2, 2, 3, 2 * k + 1, n)
     spreads = parallelism.spreads
-    zero_set = spreads[:2 ** (k - r) - 1]
-    mult_zero = 2 ** (k - 1 - 2 * r)
-    for sp in zero_set:
-        for line in sp.lines:
-            for s1 in suffixes:
-                for s2 in suffixes:
-                    rows = (line.rows[0] + s1, line.rows[1] + s2)
-                    _add_block(tables, 2, rows, mult_zero)
-
-    mult_v = 2 ** (k - 1 - 2 * (r - 1))
+    size = 2 ** (k - r)
+    parts = [(3, grassmannian_keys(2, m1, 3), 0, 2 ** (k + 1 - 3 * r))]
+    parts += [(d, [0], b, mult) for d, table in base.tables.items()
+              for b, mult in table.items()]
+    parts.append((2, _line_keys(2, spreads[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
+    # the set tagged with v, the j-th after the zero set, has bottom
+    # <v>, whose key is the code of v: j
     for j in range(1, 2 ** r):
-        v = tuple((j >> i) & 1 for i in range(r))
-        j0 = next(i for i in range(r) if v[i])
-        lo = 2 ** (k - r) - 1 + (j - 1) * 2 ** (k - r)
-        group = spreads[lo:lo + 2 ** (k - r)]
-        vrow = (0,) * m1 + v
-        restricted = [s for s in suffixes if s[j0] == 0]
-        for sp in group:
-            for line in sp.lines:
-                for s1 in restricted:
-                    for s2 in restricted:
-                        rows = (line.rows[0] + s1, line.rows[1] + s2, vrow)
-                        _add_block(tables, 2, rows, mult_v)
-
-    return DesignMultiset._from_tables(params, tables)
+        group = spreads[size - 1 + (j - 1) * size:size - 1 + j * size]
+        parts.append((3, _line_keys(2, group), j, 2 ** (k - 1 - 2 * (r - 1))))
+    return DesignMultiset._from_tables(params, _extension_tables(2, m1, n, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +716,9 @@ def apply_transform(target, column_ops: Iterable):
                         image = images[code] = _combine(
                             field, m, vector_from_code(code, q, m), mat)
                     rows.append(image)
-                _add_block(tables, q, rref(field, rows).rows if rows else (),
-                           mult)
+                out = tables.setdefault(len(rows), {})
+                key = rows_key(q, rref(field, rows).rows) if rows else 0
+                out[key] = out.get(key, 0) + mult
         return DesignMultiset._from_tables(target.params, tables)
     if isinstance(target, SteinerSystem):
         mat = _transform_matrix(target.field, target.n, ops)

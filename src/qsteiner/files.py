@@ -30,11 +30,13 @@ Each ``spread`` marker starts a spread; each following line is one
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .designs import (DesignMultiset, DesignParams, Parallelism,
                       _canonical_parallelism)
 from .field import make_field
-from .subspaces import (Subspace, _row_entry, _rref_key, row_codes,
-                        subspace_from_key, vector_code, vector_from_code)
+from .subspaces import (Subspace, _row_entry, _rref_key, subspace_from_key,
+                        vector_code, vector_from_code)
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -108,34 +110,45 @@ def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
     return _rref_key(entries, q ** m)
 
 
-def serialize_design(design: DesignMultiset) -> str:
-    """The design file text: blocks in canonical order, dimension first,
-    then the rows lexicographically."""
+def _design_lines(design: DesignMultiset) -> Iterator[str]:
+    """The lines of the design file: blocks in canonical order, dimension
+    first, then the rows lexicographically, one dimension's keys sorted
+    at a time."""
     p = design.params
     q, m = p.q, p.m
     big = q ** m
-    lines = [DESIGN_HEADER, f"q={q} t={p.t} k={p.k} n={p.n} m={m}"]
-    # row code -> (code of the row read right to left, row text); the
-    # reversed codes order rows lexicographically, and a block's rows
+    yield f"{DESIGN_HEADER}\nq={q} t={p.t} k={p.k} n={p.n} m={m}\n"
+    # row code -> the code of the row read right to left, and -> its text;
+    # the reversed codes order rows lexicographically, and a block's rows
     # read as one base-q^m number order blocks of one dimension so
-    rows: dict = {}
+    reversed_code, text = {}, {}
+
+    def order(key: int) -> int:
+        out = 0
+        while key:
+            key, code = divmod(key, big)
+            rev = reversed_code.get(code)
+            if rev is None:
+                row = vector_from_code(code, q, m)
+                rev = reversed_code[code] = vector_code(row[::-1], q)
+                text[code] = _format_row(row, q)
+            out = out * big + rev
+        return out
+
     for d in sorted(design.tables):
-        entries = []
-        for key, mult in design.tables[d].items():
-            order, texts = 0, []
-            for code in row_codes(key, q, m):
-                entry = rows.get(code)
-                if entry is None:
-                    row = vector_from_code(code, q, m)
-                    entry = rows[code] = (vector_code(row[::-1], q),
-                                          _format_row(row, q))
-                order = order * big + entry[0]
-                texts.append(entry[1])
-            entries.append((order, f"block {mult} {d} {';'.join(texts) or '-'}"))
-        # orders are distinct within one dimension: no text is compared
-        entries.sort()
-        lines.extend(line for _, line in entries)
-    return "\n".join(lines) + "\n"
+        table = design.tables[d]
+        # orders are distinct within one dimension: only ints are compared
+        for key in sorted(table, key=order):
+            texts, rest = [], key
+            while rest:
+                rest, code = divmod(rest, big)
+                texts.append(text[code])
+            yield f"block {table[key]} {d} {';'.join(texts) or '-'}\n"
+
+
+def serialize_design(design: DesignMultiset) -> str:
+    """The design file text (see the module docstring)."""
+    return "".join(_design_lines(design))
 
 
 def parse_design(text: str) -> DesignMultiset:
@@ -179,7 +192,7 @@ def parse_design(text: str) -> DesignMultiset:
 
 def write_design(design: DesignMultiset, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_design(design))
+        fh.writelines(_design_lines(design))
 
 
 def parse_design_file(path) -> DesignMultiset:

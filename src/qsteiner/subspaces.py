@@ -24,6 +24,13 @@ q**m`` (``row_codes``).  Puncturing (``puncture_key``) and coverage
 work on keys; ``subspace_from_key`` builds a ``Subspace`` only at the
 edges, where one is reported or asked for.
 
+Appending columns works on keys too: ``_extension_keys`` yields the
+keys of the subspaces of F_q^n with RREF [[G1 B], [0 G2]], G1 and G2
+given by keys of F_q^m and F_q^(n-m), B free outside G2's pivot
+columns.  A top row with suffix code b has the code ``code + b *
+q**m``, a row of G2 the code ``code * q**m``.  ``enumerate_extensions``
+decodes these keys; the constructions of ``designs`` store them.
+
 ``coverage`` is the one coverage count every verifier reads.  It takes
 the blocks as batches of keys of one dimension and weight, and yields,
 for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
@@ -356,9 +363,8 @@ def extension_raise_dim(x: Subspace) -> Subspace:
 def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[Subspace]:
     """All t_target-subspaces of F_q^{n_target} puncturing to x.
 
-    Generated from the block RREF structure [[G1 B], [0 G2]]: G2 runs
-    over the (t-s)-subspaces of the appended coordinates and B is free
-    outside G2's pivot columns.
+    Their RREF is [[G1 B], [0 G2]] (``_extension_keys``), G2 running
+    over the (t-s)-subspaces of the appended coordinates in order.
     """
     s, m = x.dim, x.ambient
     p = n_target - m
@@ -369,20 +375,30 @@ def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[
     if t_target - s > p:
         raise ValueError("not enough new coordinates to raise the dimension")
     q = x.field.q
-    field = x.field
-    for g2 in enumerate_subspaces(field, p, t_target - s):
-        g2piv = set(g2.pivots)
-        free_cols = [c for c in range(p) if c not in g2piv]
-        bottom = tuple((0,) * m + row for row in g2.rows)
-        for vals in itertools.product(range(q), repeat=len(free_cols) * s):
-            it = iter(vals)
-            top = []
-            for i in range(s):
-                suffix = [0] * p
-                for c in free_cols:
-                    suffix[c] = next(it)
-                top.append(x.rows[i] + tuple(suffix))
-            yield Subspace(field, n_target, tuple(top) + bottom)
+    keys = [rows_key(q, x.rows)]
+    for bottom in grassmannian_keys(q, p, t_target - s):
+        for ext in _extension_keys(q, m, keys, n_target, bottom):
+            yield subspace_from_key(x.field, n_target, ext)
+
+
+def _extension_keys(q: int, m: int, keys: Iterable, n: int,
+                    bottom: int) -> Iterator[int]:
+    """The keys of the [[G1 B], [0 G2]] subspaces of F_q^n (module
+    docstring), G1 given by each key of ``keys`` in turn and G2 by
+    ``bottom``; per key the top row's suffix varies slowest."""
+    small, big = q ** m, q ** n
+    g2 = row_codes(bottom, q, n - m)
+    pivots = {_code_row(code, q, n - m).index(1) for code in g2}
+    suffixes = [0]
+    for c in range(n - m):
+        if c not in pivots:
+            suffixes = [b + v * q ** c for b in suffixes for v in range(q)]
+    for key in keys:
+        top = row_codes(key, q, m)
+        base = sum(code * small * big ** (len(top) + i) for i, code in enumerate(g2))
+        choices = [[(code + b * small) * big ** i for b in suffixes]
+                   for i, code in enumerate(top)]
+        yield from map(base.__add__, map(sum, itertools.product(*choices)))
 
 
 @dataclass(frozen=True)

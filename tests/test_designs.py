@@ -1,5 +1,6 @@
 """Design verification, puncturing, spreads, constructions, transforms."""
 
+import hashlib
 import random
 import sys
 
@@ -18,12 +19,16 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_parallelism_file,
-                            serialize_parallelism)
+                            serialize_design, serialize_parallelism)
 from qsteiner.subspaces import (contains, enumerate_subspaces, null_subspace,
                                 puncture, rref, subspaces_within)
 
 F2 = make_field(2)
 F3 = make_field(3)
+
+
+def file_sha256(design):
+    return hashlib.sha256(serialize_design(design).encode()).hexdigest()
 
 
 def fano_m4(q=2):
@@ -226,6 +231,12 @@ def test_spread_rejects_bad_partition():
         Spread(F2, 4, lines[1:])
     with pytest.raises(ValueError, match=twice):   # one line twice
         Spread(F2, 4, lines + lines[:1])
+
+
+def test_spread_rejects_line_over_another_field():
+    line = rref(F3, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=r"not a 2-subspace of F_2\^2"):
+        Spread(F2, 2, (line,))
 
 
 def test_puncture_steiner_spreads():
@@ -454,6 +465,9 @@ def test_construct_fano_m5_q3_from_file():
     d = construct_fano_m5(3, para)
     assert verify(d).ok
     assert d.total_multiplicity() == 7651
+    # the written file, pinned byte for byte
+    assert file_sha256(d) == (
+        "893420bb6a430ccc1b3e307545ef78c4523e79635aec385a1e4e71b1a82828ea")
 
 
 def test_construct_fano_m5_rejects_wrong_parallelism():
@@ -474,6 +488,8 @@ def test_construct_recursive_k3():
         key = (b.dim, mult)
         sizes[key] = sizes.get(key, 0) + 1
     assert sizes == {(1, 1): 1, (2, 1): 60, (3, 2): 120, (3, 4): 20}
+    assert file_sha256(d) == (
+        "c31fb486bddb1a2fb4efad2c65cc2162d9be1a814d71ad4fc68c6fc9e62d784a")
     assert verify(d).ok
     assert puncture_design(d) == fano_m4()
     # same verified parameters as the four-type construction, equal up to

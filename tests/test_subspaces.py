@@ -6,7 +6,7 @@ import random
 import pytest
 from slow_oracles import slot_grassmannian_rows
 
-from qsteiner.counting import gaussian
+from qsteiner.counting import count_N, gaussian
 from qsteiner.field import make_field
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
                                 _row_entry, _rref_key,
@@ -300,6 +300,30 @@ def test_extension_round_trip_and_uniqueness():
                     raised = extension_raise_dim(x)
                     assert raised.dim == t + 1
                     assert puncture(raised, 1) == x
+
+
+def test_enumerate_extensions_against_puncture_filter():
+    """Every t-subspace of F_q^n puncturing to x, once each, count_N of
+    them, in order: against a filter of the whole Grassmannian by
+    puncture (q in {2, 3, 4}, n <= m + 2)."""
+    for q, mmax in ((2, 3), (3, 3), (4, 3)):
+        f = make_field(q)
+        for m in range(1, mmax + 1):
+            for n in range(m + 1, m + 3):
+                for t in range(n + 1):
+                    filtered = {}
+                    for y in enumerate_subspaces(f, n, t):
+                        filtered.setdefault(puncture(y, n - m), set()).add(y)
+                    for s in range(max(0, t - n + m), min(t, m) + 1):
+                        for x in enumerate_subspaces(f, m, s):
+                            exts = list(enumerate_extensions(x, t, n))
+                            count = count_N(s, m, t, n, q)
+                            assert len(exts) == len(set(exts)) == count
+                            assert set(exts) == filtered.pop(x)
+                            # G2 in canonical order, then the rows
+                            assert exts == sorted(
+                                exts, key=lambda y: (y.rows[s:], y.rows[:s]))
+                    assert not filtered
 
 
 def test_extension_raise_dim_examples():
