@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _contains_rows, _grassmannian_rows,
-                        _row_choices, contains, extension_raise_dim,
+from .subspaces import (Subspace, _row_choices, contains, extension_raise_dim,
                         first_subspace, puncture, subspaces_within,
                         vector_code)
 
@@ -239,6 +238,32 @@ def oracle_D(s: int, r: int, m: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
+    if r == 0:
+        return 1                        # the null space holds the null witness
+    sub, mul = field.sub_table, field.mul_table
     inner = witness.rows
-    return sum(1 for rows in _grassmannian_rows(q, m, r)
-               if _contains_rows(field, rows, inner))
+    total = 0
+    # An RREF Y holds x iff x = sum of x[p] * (row of Y leading at p).
+    # Per pivot cell, the row with the most choices goes last: for each
+    # choice of the other rows, the residual of every witness row is
+    # found once, then matched against c * y for each last-row choice y.
+    for pivots in itertools.combinations(range(m), r):
+        choices = _row_choices(q, m, pivots)
+        last = max(range(r), key=lambda i: len(choices[i]))
+        p_last = pivots[last]
+        targets = [tuple(vector_code([mul[x[p_last]][a] for a in y], q)
+                         for x in inner)
+                   for y in choices.pop(last)]
+        others = pivots[:last] + pivots[last + 1:]
+        for prefix in itertools.product(*choices):
+            residual = []
+            for x in inner:
+                v = x
+                for p, y in zip(others, prefix):
+                    c = x[p]
+                    if c:
+                        mc = mul[c]
+                        v = [sub[a][mc[b]] for a, b in zip(v, y)]
+                residual.append(vector_code(v, q))
+            total += targets.count(tuple(residual))
+    return total

@@ -15,6 +15,11 @@ block is written with "-" in place of rows.  Blocks are sorted in
 canonical subspace order (dimension, then row-major lexicographic), so
 serialization is deterministic and diffable.  Reading and writing go
 between row text and the key tables of ``DesignMultiset`` directly.
+A design file is read in chunks, never whole.  Each block line is keyed
+from its top row and the text of the rows below it (its suffix): a
+table of the suffixes seen so far holds each one's key and what the RREF
+check needs of it, so a block over a known suffix costs one row check.
+Memory is bounded by the distinct suffixes, not by the blocks.
 
 Parallelism file (``qsteiner-parallelism v1``)::
 
@@ -30,6 +35,8 @@ Each ``spread`` marker starts a spread; each following line is one
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain
 from typing import Iterator
 
 from .designs import (DesignMultiset, DesignParams, Parallelism,
@@ -40,6 +47,9 @@ from .subspaces import (Subspace, _row_entry, _rref_key, subspace_from_key,
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
+
+# characters read from a design file at a time
+_CHUNK = 1 << 20
 
 
 def _format_row(row: tuple, q: int) -> str:
@@ -112,8 +122,12 @@ def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
 
 def _design_lines(design: DesignMultiset) -> Iterator[str]:
     """The lines of the design file: blocks in canonical order, dimension
-    first, then the rows lexicographically, one dimension's keys sorted
-    at a time."""
+    first, then the rows lexicographically, one dimension at a time.
+
+    Each key is split once, into its top row and the key of the rows
+    below it (its suffix).  The blocks under one top row are sorted by
+    the order of their suffixes, which is worked out, with the suffix
+    text, once per distinct suffix."""
     p = design.params
     q, m = p.q, p.m
     big = q ** m
@@ -123,27 +137,40 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
     # read as one base-q^m number order blocks of one dimension so
     reversed_code, text = {}, {}
 
-    def order(key: int) -> int:
-        out = 0
+    def row_codes(key: int) -> list:
+        codes = []
         while key:
             key, code = divmod(key, big)
-            rev = reversed_code.get(code)
-            if rev is None:
+            if code not in text:
                 row = vector_from_code(code, q, m)
-                rev = reversed_code[code] = vector_code(row[::-1], q)
+                reversed_code[code] = vector_code(row[::-1], q)
                 text[code] = _format_row(row, q)
-            out = out * big + rev
-        return out
+            codes.append(code)
+        return codes
 
     for d in sorted(design.tables):
         table = design.tables[d]
-        # orders are distinct within one dimension: only ints are compared
-        for key in sorted(table, key=order):
-            texts, rest = [], key
-            while rest:
-                rest, code = divmod(rest, big)
-                texts.append(text[code])
-            yield f"block {table[key]} {d} {';'.join(texts) or '-'}\n"
+        if d == 0:
+            yield f"block {table[0]} 0 -\n"
+            continue
+        below = defaultdict(list)          # top row code -> suffix keys
+        for key in table:
+            rest, code = divmod(key, big)
+            below[code].append(rest)
+        suffix_order, suffix_text = {}, {}
+        for rest in set().union(*below.values()):
+            codes, order = row_codes(rest), 0
+            for code in codes:
+                order = order * big + reversed_code[code]
+            suffix_order[rest] = order
+            suffix_text[rest] = "".join([";" + text[c] for c in codes]) + "\n"
+        for code in below:
+            row_codes(code)
+        for code in sorted(below, key=reversed_code.__getitem__):
+            top, rests = f" {d} {text[code]}", below.pop(code)
+            rests.sort(key=suffix_order.__getitem__)
+            yield "".join([f"block {table[code + big * rest]}{top}{suffix_text[rest]}"
+                           for rest in rests])
 
 
 def serialize_design(design: DesignMultiset) -> str:
@@ -151,20 +178,60 @@ def serialize_design(design: DesignMultiset) -> str:
     return "".join(_design_lines(design))
 
 
-def parse_design(text: str) -> DesignMultiset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != DESIGN_HEADER:
+def _pieces(source) -> Iterator[str]:
+    """``source``, a str or an open text file, in pieces that end where
+    lines end: a file is read in chunks, each cut after its last "\\n",
+    so splitting the pieces cuts the lines of the whole text."""
+    if isinstance(source, str):
+        yield source
+        return
+    pending: list = []
+    while chunk := source.read(_CHUNK):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    yield "".join(pending)
+
+
+def _suffix_entry(text: str, seen: dict, big: int) -> tuple:
+    """The key, top-row lead, pivot mask and dimension of the block rows
+    ``text``, whose rows are all in ``seen`` and already checked."""
+    entries = [seen[part] for part in text.split(";")]
+    pivots = sum(1 << entry[1] for entry in entries)
+    return _rref_key(entries, big), entries[0][1], pivots, len(entries)
+
+
+def parse_design(source) -> DesignMultiset:
+    """The design in ``source``: the text of a design file, or the file
+    open for reading, read in chunks."""
+    lines = chain.from_iterable(filter(str.strip, piece.splitlines())
+                                for piece in _pieces(source))
+    if next(lines, "").strip() != DESIGN_HEADER:
         raise ValueError(f"missing header {DESIGN_HEADER!r}")
+    param_line = next(lines, None)
+    if param_line is None:
+        raise ValueError("missing parameter line")
     try:
-        params = DesignParams(*_parse_params(lines[1], "qtknm"))
+        params = DesignParams(*_parse_params(param_line, "qtknm"))
     except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"bad parameter line {lines[1]!r}") from exc
+        raise ValueError(f"bad parameter line {param_line!r}") from exc
     q, m = params.q, params.m
-    tables: dict = {}
+    big = q ** m
+    tables: dict = defaultdict(dict)
     seen: dict = {}
+    # block rows below the top row -> their ``_suffix_entry``; a block is
+    # its top row, in ``seen``, over a known suffix, so checking it is
+    # checking the top row against the suffix, and its key is one step
+    # of ``_rref_key``; a one-row block stands over the empty suffix
+    suffixes: dict = {}
+    empty = (0, big, 0, 0)
     # multiplicity and dimension tokens, each checked and parsed once
     numbers: dict = {}
-    for ln in lines[2:]:
+    for ln in lines:
         parts = ln.split(maxsplit=3)
         if len(parts) != 4 or parts[0] != "block":
             raise ValueError(f"bad block line {ln!r}")
@@ -180,12 +247,21 @@ def parse_design(text: str) -> DesignMultiset:
             mult, dim = numbers[parts[1]], numbers[parts[2]]
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
-        key = _parse_block(parts[3], q, m, dim, seen)
-        table = tables.get(dim)
-        if table is None:
-            table = tables[dim] = {}
+        text = parts[3]
+        top, sep, rest = text.partition(";")
+        row = seen.get(top)
+        below = suffixes.get(rest) if sep else empty
+        if (row is not None and below is not None and dim == below[3] + 1
+                and -1 < row[1] < below[1] and not row[2] & below[2]):
+            key = row[0] + big * below[0]
+        else:
+            # the full check, with its message; a "row;" block fails it
+            key = _parse_block(text, q, m, dim, seen)
+            if sep:
+                suffixes[rest] = _suffix_entry(rest, seen, big)
+        table = tables[dim]
         if key in table:
-            raise ValueError(f"duplicate block line for {parts[3]!r}")
+            raise ValueError(f"duplicate block line for {text!r}")
         table[key] = mult
     return DesignMultiset._from_tables(params, tables)
 
@@ -197,7 +273,19 @@ def write_design(design: DesignMultiset, path) -> None:
 
 def parse_design_file(path) -> DesignMultiset:
     with open(path, encoding="ascii") as fh:
-        return parse_design(fh.read())
+        try:
+            return parse_design(fh)
+        except ValueError:
+            # a file that is not all ASCII is rejected for that before any
+            # line, at the byte position a whole-file read reports
+            fh.seek(0)
+            try:
+                while fh.read(_CHUNK):
+                    pass
+            except UnicodeDecodeError:
+                fh.seek(0)
+                fh.read()
+            raise
 
 
 def serialize_parallelism(para: Parallelism) -> str:
@@ -212,6 +300,8 @@ def parse_parallelism(text: str) -> Parallelism:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != PARALLELISM_HEADER:
         raise ValueError(f"missing header {PARALLELISM_HEADER!r}")
+    if len(lines) < 2:
+        raise ValueError("missing parameter line")
     try:
         q, n = _parse_params(lines[1], "qn")
     except (KeyError, IndexError, ValueError) as exc:

@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
+from qsteiner import files
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
                               construct_s3485, construct_uniform_design)
 from qsteiner.field import make_field
-from qsteiner.files import (parse_design, parse_parallelism, serialize_design,
-                            serialize_parallelism)
+from qsteiner.files import (parse_design, parse_design_file, parse_parallelism,
+                            serialize_design, serialize_parallelism)
 from qsteiner.subspaces import _lead, _row_entry, _rref_key, rows_key, rref
 
 
@@ -155,3 +156,45 @@ def test_parallelism_parse_rejections():
     for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_", "q=2 n=5 n=4"):
         with pytest.raises(ValueError, match="bad parameter line"):
             parse_parallelism(text.replace("q=2 n=4", bad))
+
+
+def _outcome(parse, source):
+    """The design ``parse`` reads from ``source``, or its error."""
+    try:
+        return parse(source)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64, 1 << 20])
+def test_file_reads_as_its_text(tmp_path, monkeypatch, chunk):
+    """A file read in chunks gives the design, or the error, its whole
+    text gives: with CR LF, CR, form feed and record separator line
+    ends, blank lines, and block lines cut by the chunk boundaries."""
+    monkeypatch.setattr(files, "_CHUNK", chunk)
+    text = serialize_design(construct_s3485(2))
+    variants = [text, text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                text.replace("\n", "\x0c"), text.replace("\n", "\n\n \t\n"),
+                text.replace("\n", "\x1e", 5), text + "block 1 1 0001;\n",
+                text + "block 1 1 ;0001\n", text.replace("block", "blok", 1),
+                text + "block 9 0 -\n", text[:-1], "qsteiner-design v1\n",
+                "", "\n \n"]
+    path = tmp_path / "d.design"
+    for variant in variants:
+        path.write_bytes(variant.encode("ascii"))
+        expected = _outcome(parse_design, variant)
+        assert _outcome(parse_design_file, path) == expected
+        assert _outcome(parse_design_file, str(path)) == expected
+    # a byte that is not ASCII is reported before an earlier bad line, at
+    # its position in the file, as reading the whole file reports it
+    path.write_bytes(f"{text}block 1 1 0001;\n{text}".encode("ascii") + b"\xc3\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="ascii")
+    assert _outcome(parse_design_file, path) == (UnicodeDecodeError, str(whole.value))
+
+
+def test_missing_parameter_line():
+    for parse, header in ((parse_design, "qsteiner-design v1"),
+                          (parse_parallelism, "qsteiner-parallelism v1")):
+        with pytest.raises(ValueError, match="missing parameter line"):
+            parse(header + "\n\n")

@@ -146,6 +146,10 @@ MALFORMED = (
     (16, 2, "block 3 1 1 +1_5",
      "row '1 +1_5' is not written in ASCII decimal digits"),
     (16, 2, "block 3 1 1 -1", "row '1 -1' is not written in ASCII decimal digits"),
+    # an empty row: after the last ";", before the first, between two
+    (2, 4, "block 1 1 0001;", "row '' does not have 4 coordinates"),
+    (2, 4, "block 1 2 ;0001", "row '' does not have 4 coordinates"),
+    (2, 4, "block 1 3 1000;;0001", "row '' does not have 4 coordinates"),
 )
 
 
