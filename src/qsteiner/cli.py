@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success (verification passed where applicable), 1 when
-a check or verification fails, 2 on bad arguments or unreadable input.
+a check or verification fails, 2 on bad arguments or unreadable input,
+and 141 (128 + SIGPIPE, the status a shell reports for a program ended
+by a closed pipe) when stdout is closed before the output is written,
+as by ``| head``; nothing is printed then.
 All numeric output is exact decimal; stdout is deterministic for fixed
 inputs.
 
@@ -198,7 +201,7 @@ def cmd_spread(args) -> int:
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    print(f"PASS: {len(spread.lines)} lines partition the nonzero vectors")
+    print(f"PASS: {len(spread.keys)} lines partition the nonzero vectors")
     return 0
 
 
@@ -206,7 +209,7 @@ def cmd_parallelism(args) -> int:
     para = _resolve_parallelism(args.q, args.n, args.source)
     out = args.output or f"parallelism-q{args.q}-n{args.n}.txt"
     files.write_parallelism(para, out)
-    sizes = {len(sp.lines) for sp in para.spreads}
+    sizes = {len(sp.keys) for sp in para.spreads}
     print(f"wrote {out} ({len(para.spreads)} spreads of "
           f"{', '.join(map(str, sorted(sizes)))} lines)")
     return 0
@@ -336,7 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (``| head``): stop without a
+        # message, and point stdout's descriptor at os.devnull, so the
+        # interpreter's last flush of what is left cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its argument; print the text
         if isinstance(exc, KeyError) and exc.args:

@@ -13,21 +13,25 @@ table per block dimension, keyed by ``subspaces.rows_key``.  The
 constructions, ``puncture_design``, ``apply_transform`` and ``verify``
 work on the keys; ``DesignMultiset.blocks`` reads the tables as a
 ``Mapping[Subspace, int]``, and reports name a ``Subspace`` only for a
-violation.
+violation.  Steiner systems, spreads and parallelisms are stored as keys
+as well: ``SteinerSystem.keys`` (a ``Spread`` is the checked S_q(1,2,n))
+holds each block's key, and ``blocks`` and ``lines`` decode them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
-from .subspaces import (Subspace, _combine, _extension_keys, coverage,
-                        grassmannian_keys, puncture, puncture_key, row_codes,
-                        rows_key, rref, subspace_from_key, vector_from_code)
+from .subspaces import (Subspace, _code_row, _combine, _extension_keys,
+                        _within_columns, coverage, grassmannian_keys,
+                        puncture_key, row_codes, rows_key, rref,
+                        subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -251,17 +255,23 @@ def puncture_design(design: DesignMultiset) -> DesignMultiset:
     pr = design.params
     if pr.m < 2:
         raise ValueError("cannot puncture a design below ambient dimension 1")
-    q, m = pr.q, pr.m
-    tables: dict = {}
-    for d, table in design.tables.items():
+    return DesignMultiset._from_tables(
+        DesignParams(pr.q, pr.t, pr.k, pr.n, pr.m - 1),
+        _punctured_tables(pr.q, pr.m, design.tables))
+
+
+def _punctured_tables(q: int, m: int, tables: dict) -> dict:
+    """The key tables of the images of the blocks of F_q^m in these key
+    tables under one puncture; multiplicities of colliding images add up."""
+    out_tables: dict = {}
+    for d, table in tables.items():
         # an image keeps dimension d iff it keeps d base-q^(m-1) digits
         full = q ** ((m - 1) * (d - 1)) if d else 0
         for key, mult in table.items():
             img = puncture_key(key, q, m)
-            out = tables.setdefault(d if img >= full else d - 1, {})
+            out = out_tables.setdefault(d if img >= full else d - 1, {})
             out[img] = out.get(img, 0) + mult
-    return DesignMultiset._from_tables(
-        DesignParams(q, pr.t, pr.k, pr.n, m - 1), tables)
+    return out_tables
 
 
 def distinctness_check(design: DesignMultiset) -> bool:
@@ -274,30 +284,58 @@ def distinctness_check(design: DesignMultiset) -> bool:
 # q-Steiner systems, spreads, parallelisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SteinerSystem:
     """A q-Steiner system S_q(t,k,n): every t-subspace of F_q^n lies in
-    exactly one block."""
+    exactly one block.
 
-    field: GF
-    t: int
-    k: int
-    n: int
-    blocks: tuple
+    Stored as ``keys``, the key (``rows_key``) of each block in block
+    order; ``blocks`` decodes them into ``Subspace`` objects when read.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.k <= self.n:
-            raise ValueError(f"need 0 <= t <= k <= n, got t={self.t}, k={self.k}, n={self.n}")
-        for b in self.blocks:
-            if b.dim != self.k or b.ambient != self.n or b.field.q != self.field.q:
-                raise ValueError(f"block {b!r} is not a {self.k}-subspace of F^{self.n}")
+    def __init__(self, field: GF, t: int, k: int, n: int, blocks: tuple) -> None:
+        if not 0 <= t <= k <= n:
+            raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+        for b in blocks:
+            if b.dim != k or b.ambient != n or b.field.q != field.q:
+                raise ValueError(f"block {b!r} is not a {k}-subspace of F^{n}")
+        self._set(field, t, k, n, [rows_key(field.q, b.rows) for b in blocks])
+
+    @classmethod
+    def _of_keys(cls, field: GF, t: int, k: int, n: int, keys) -> "SteinerSystem":
+        """The system whose blocks have these keys, RREF keys of
+        k-subspaces of F_q^n; unchecked, but a ``Spread`` checks that
+        its lines partition the points (``Spread._set``)."""
+        system = cls.__new__(cls)
+        system._set(field, t, k, n, keys)
+        return system
+
+    def _set(self, field: GF, t: int, k: int, n: int, keys) -> None:
+        self.field, self.t, self.k, self.n, self.keys = field, t, k, n, tuple(keys)
+
+    @property
+    def blocks(self) -> tuple:
+        return tuple(subspace_from_key(self.field, self.n, key) for key in self.keys)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SteinerSystem) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(self.keys)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(field={self.field!r}, t={self.t}, "
+                f"k={self.k}, n={self.n}, blocks={self.blocks!r})")
+
+
+def _row_order(q: int, m: int):
+    """The sort key putting keys of subspaces of F_q^m in the order of
+    their RREF rows, lexicographically."""
+    return lambda key: [_code_row(code, q, m) for code in row_codes(key, q, m)]
 
 
 def verify_steiner(system: SteinerSystem) -> bool:
     """Every t-subspace of the ambient space covered exactly once."""
-    q = system.field.q
-    keys = [rows_key(q, b.rows) for b in system.blocks]
-    cov = coverage([(system.k, 1, keys)], system.field, system.n, system.t)
+    cov = coverage([(system.k, 1, system.keys)], system.field, system.n, system.t)
     return all(c == 1 for _, c in cov)
 
 
@@ -322,23 +360,19 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
         raise ValueError("input is not a valid q-Steiner system")
     q, t, k, n = system.field.q, system.t, system.k, system.n
     field = system.field
-    blocks: dict = {}
-    for b in system.blocks:
-        img = puncture(b, 1)
-        blocks[img] = blocks.get(img, 0) + 1
-    design = DesignMultiset(DesignParams(q, t, k, n, n - 1), blocks)
+    tables = _punctured_tables(q, n, {k: dict.fromkeys(system.keys, 1)})
+    design = DesignMultiset._from_tables(DesignParams(q, t, k, n, n - 1), tables)
 
-    lower = tuple(sorted((b for b in blocks if b.dim == k - 1),
-                         key=lambda s: s.rows))
-    for b in lower:
-        if blocks[b] != 1:
-            raise ConstructionError(f"repeated (k-1)-image {b!r}")
-    sub_system = SteinerSystem(field, t - 1, k - 1, n - 1, lower)
+    lower = sorted(tables.get(k - 1, ()), key=_row_order(q, n - 1))
+    for key in lower:
+        if tables[k - 1][key] != 1:
+            raise ConstructionError(
+                f"repeated (k-1)-image {subspace_from_key(field, n - 1, key)!r}")
+    sub_system = SteinerSystem._of_keys(field, t - 1, k - 1, n - 1, lower)
     if not verify_steiner(sub_system):
         raise ConstructionError("(k-1)-images do not form the derived Steiner system")
 
-    lower_cov = coverage([(k - 1, 1, [rows_key(q, b.rows) for b in lower])],
-                         field, n - 1, t)
+    lower_cov = coverage([(k - 1, 1, sub_system.keys)], field, n - 1, t)
     upper_cov = coverage([b for b in _batches(design.tables) if b[0] == k],
                          field, n - 1, t)
     for (rows, low), (_, got) in zip(lower_cov, upper_cov):
@@ -350,31 +384,42 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     return design, sub_system
 
 
-@dataclass(frozen=True)
-class Spread:
-    """A partition of the nonzero vectors of F_q^n into 2-subspaces."""
+class Spread(SteinerSystem):
+    """A partition of the nonzero vectors of F_q^n into 2-subspaces, its
+    ``lines``: the q-Steiner system S_q(1,2,n), checked whenever one is
+    made."""
 
-    field: GF
-    n: int
-    lines: tuple
+    def __init__(self, field: GF, n: int, lines: tuple) -> None:
+        for line in lines:
+            if line.dim != 2 or line.ambient != n or line.field.q != field.q:
+                raise ValueError(f"{line!r} is not a 2-subspace of F_{field.q}^{n}")
+        self._set(field, 1, 2, n, [rows_key(field.q, line.rows) for line in lines])
 
-    def __post_init__(self) -> None:
-        for line in self.lines:
-            if line.dim != 2 or line.ambient != self.n or line.field.q != self.field.q:
-                raise ValueError(f"{line!r} is not a 2-subspace of F_{self.field.q}^{self.n}")
+    def _set(self, field: GF, t: int, k: int, n: int, keys) -> None:
+        super()._set(field, t, k, n, keys)
+        big = field.q ** n
+        for key in self.keys:
+            if not big <= key < big * big:
+                line = subspace_from_key(field, n, key)
+                raise ValueError(f"{line!r} is not a 2-subspace of F_{field.q}^{n}")
+        if n < 1:
+            raise ValueError(f"dimension 1 out of range for ambient {n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
-        uncovered = False
-        keys = [rows_key(self.field.q, line.rows) for line in self.lines]
-        for rows, c in coverage([(2, 1, keys)], self.field, self.n, 1):
-            if c > 1:
-                point = Subspace(self.field, self.n, rows)
-                raise ValueError(f"point {point!r} lies on {c} lines")
-            uncovered = uncovered or not c
-        if uncovered:
+        points = Counter()
+        for _, column in _within_columns(field, n, 2, self.keys, 1):
+            points.update(column)
+        shared = [key for key, c in points.items() if c > 1]
+        if shared:
+            key = min(shared, key=_row_order(field.q, n))
+            raise ValueError(f"point {subspace_from_key(field, n, key)!r} "
+                             f"lies on {points[key]} lines")
+        if len(points) != gaussian(n, 1, field.q):
             raise ValueError("lines do not cover every nonzero vector")
 
+    lines = SteinerSystem.blocks
+
     def to_steiner(self) -> SteinerSystem:
-        return SteinerSystem(self.field, 1, 2, self.n, self.lines)
+        return self
 
 
 def build_spread(q: int, n: int) -> Spread:
@@ -400,8 +445,8 @@ def build_spread(q: int, n: int) -> Spread:
         u = []
         for c in xw:
             u.extend((c % q, c // q))
-        lines.add(rref(field, [v, tuple(u)]))
-    return Spread(field, n, tuple(sorted(lines, key=lambda s: s.rows)))
+        lines.add(rows_key(q, rref(field, [v, tuple(u)]).rows))
+    return Spread._of_keys(field, 1, 2, n, sorted(lines, key=_row_order(q, n)))
 
 
 @dataclass(frozen=True)
@@ -418,20 +463,32 @@ class Parallelism:
         for sp in self.spreads:
             if sp.n != self.n or sp.field.q != q:
                 raise ValueError("spread with mismatched parameters")
-            for line in sp.lines:
-                if line in seen:
+            for key in sp.keys:
+                if key in seen:
+                    line = subspace_from_key(self.field, self.n, key)
                     raise ValueError(f"line {line!r} appears in two spreads")
-                seen.add(line)
+                seen.add(key)
         if len(seen) != gaussian(self.n, 2, q):
             raise ValueError("spreads do not cover every 2-subspace")
 
 
 def _canonical_parallelism(field: GF, n: int, groups: Iterable) -> Parallelism:
-    """The parallelism of these groups of lines, in canonical file order."""
-    spreads = (Spread(field, n, tuple(sorted(g, key=lambda s: s.rows)))
-               for g in groups)
-    return Parallelism(field, n, tuple(sorted(
-        spreads, key=lambda sp: tuple(l.rows for l in sp.lines))))
+    """The parallelism of these groups of line keys, in canonical file
+    order."""
+    order = _row_order(field.q, n)
+    spreads = [Spread._of_keys(field, 1, 2, n, sorted(g, key=order)) for g in groups]
+    spreads.sort(key=lambda sp: list(map(order, sp.keys)))
+    return Parallelism(field, n, tuple(spreads))
+
+
+def _line_key(u: int, v: int, n: int) -> int:
+    """The key of the line of F_2^n through the vectors with codes u and
+    v.  A code's lowest set bit is the vector's lead column; the second
+    RREF row is the one of u, v, u ^ v whose lead lies furthest right,
+    and the first is the one of the other two that is 0 there."""
+    bottom = max(u, v, u ^ v, key=lambda x: x & -x)
+    top = v if u == bottom else u
+    return (top ^ bottom if top & bottom & -bottom else top) | bottom << n
 
 
 # For each n the orbit search supports, a primitive polynomial of degree n-1
@@ -518,8 +575,7 @@ def build_parallelism(q: int, n: int) -> Parallelism:
     spread = [ln for orbit in _exact_cover(columns, rows) for ln in orbit]
     groups = []
     for _ in range(top - 1):
-        groups.append([rref(field, [vector_from_code(p, 2, n) for p in ln[:2]])
-                       for ln in spread])
+        groups.append([_line_key(u, v, n) for u, v, _ in spread])
         spread = [image(alpha, ln) for ln in spread]
     return _canonical_parallelism(field, n, groups)
 
@@ -527,11 +583,6 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 # ---------------------------------------------------------------------------
 # Constructions (they return the design unchecked; ``verify`` checks it)
 # ---------------------------------------------------------------------------
-
-def _line_keys(q: int, spreads) -> list:
-    """The keys of the lines of these spreads, spread by spread."""
-    return [rows_key(q, line.rows) for sp in spreads for line in sp.lines]
-
 
 def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
     """The key tables of the blocks of F_q^n listed by ``parts``: part
@@ -605,14 +656,14 @@ def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
     if len(parallelism.spreads) != q * q + q + 1:
         raise ValueError("parallelism of F_q^4 must have q^2+q+1 spreads")
     params = DesignParams(q, 2, 3, 7, 5)
-    spreads = parallelism.spreads
+    keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
     # extensions of keys of F_q^4 by a free last column (bottom 0) or by
     # the last unit vector (bottom 1), type by type
     return DesignMultiset._from_tables(params, _extension_tables(q, 4, 5, [
         (1, [0], 1, 1),
         (3, grassmannian_keys(q, 4, 3), 0, q * (q - 1)),
-        (3, _line_keys(q, spreads[:q * q]), 1, q * q),
-        (2, _line_keys(q, spreads[q * q:]), 0, 1)]))
+        (3, chain(*keys[:q * q]), 1, q * q),
+        (2, chain(*keys[q * q:]), 0, 1)]))
 
 
 def construct_recursive(q: int, k: int, parallelism: Parallelism,
@@ -648,17 +699,17 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
     m1 = k + 1
     n = m1 + r
     params = DesignParams(2, 2, 3, 2 * k + 1, n)
-    spreads = parallelism.spreads
+    keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
     size = 2 ** (k - r)
     parts = [(3, grassmannian_keys(2, m1, 3), 0, 2 ** (k + 1 - 3 * r))]
     parts += [(d, [0], b, mult) for d, table in base.tables.items()
               for b, mult in table.items()]
-    parts.append((2, _line_keys(2, spreads[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
+    parts.append((2, chain(*keys[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
     # the set tagged with v, the j-th after the zero set, has bottom
     # <v>, whose key is the code of v: j
     for j in range(1, 2 ** r):
-        group = spreads[size - 1 + (j - 1) * size:size - 1 + j * size]
-        parts.append((3, _line_keys(2, group), j, 2 ** (k - 1 - 2 * (r - 1))))
+        group = keys[size - 1 + (j - 1) * size:size - 1 + j * size]
+        parts.append((3, chain(*group), j, 2 ** (k - 1 - 2 * (r - 1))))
     return DesignMultiset._from_tables(params, _extension_tables(2, m1, n, parts))
 
 
@@ -687,12 +738,6 @@ def _transform_matrix(field: GF, ncols: int, column_ops: Iterable) -> list:
     return list(zip(*cols))
 
 
-def _apply_matrix(field: GF, sub: Subspace, mat: list) -> Subspace:
-    if sub.dim == 0:
-        return sub
-    return rref(field, [_combine(field, sub.ambient, row, mat) for row in sub.rows])
-
-
 def apply_transform(target, column_ops: Iterable):
     """Replace columns by linear combinations (each including the
     replaced column with nonzero coefficient) in every block.
@@ -702,30 +747,30 @@ def apply_transform(target, column_ops: Iterable):
     """
     ops = list(column_ops)
     if isinstance(target, DesignMultiset):
-        q, m = target.params.q, target.params.m
-        field = make_field(q)
-        mat = _transform_matrix(field, m, ops)
-        images: dict = {}      # row code -> the row times the matrix
-        tables: dict = {}
-        for table in target.tables.values():
-            for key, mult in table.items():
-                rows = []
-                for code in row_codes(key, q, m):
-                    image = images.get(code)
-                    if image is None:
-                        image = images[code] = _combine(
-                            field, m, vector_from_code(code, q, m), mat)
-                    rows.append(image)
-                out = tables.setdefault(len(rows), {})
-                key = rows_key(q, rref(field, rows).rows) if rows else 0
-                out[key] = out.get(key, 0) + mult
-        return DesignMultiset._from_tables(target.params, tables)
-    if isinstance(target, SteinerSystem):
-        mat = _transform_matrix(target.field, target.n, ops)
-        new_blocks = tuple(sorted((_apply_matrix(target.field, b, mat)
-                                   for b in target.blocks),
-                                  key=lambda s: s.rows))
-        if len(set(new_blocks)) != len(new_blocks):
-            raise ConstructionError("transform collapsed two blocks")
-        return SteinerSystem(target.field, target.t, target.k, target.n, new_blocks)
-    raise TypeError(f"cannot transform {type(target).__name__}")
+        q, m, tables = target.params.q, target.params.m, target.tables
+    elif isinstance(target, SteinerSystem):
+        q, m, tables = target.field.q, target.n, {target.k: dict.fromkeys(target.keys, 1)}
+    else:
+        raise TypeError(f"cannot transform {type(target).__name__}")
+    field = make_field(q)
+    mat = _transform_matrix(field, m, ops)
+    images: dict = {}      # row code -> the row times the matrix
+    out_tables: dict = {}
+    for table in tables.values():
+        for key, mult in table.items():
+            rows = []
+            for code in row_codes(key, q, m):
+                image = images.get(code)
+                if image is None:
+                    image = images[code] = _combine(
+                        field, m, vector_from_code(code, q, m), mat)
+                rows.append(image)
+            out = out_tables.setdefault(len(rows), {})
+            key = rows_key(q, rref(field, rows).rows) if rows else 0
+            out[key] = out.get(key, 0) + mult
+    if isinstance(target, DesignMultiset):
+        return DesignMultiset._from_tables(target.params, out_tables)
+    keys = sorted(out_tables.get(target.k, ()), key=_row_order(q, m))
+    if len(keys) != len(target.keys):
+        raise ConstructionError("transform collapsed two blocks")
+    return SteinerSystem._of_keys(target.field, target.t, target.k, m, keys)

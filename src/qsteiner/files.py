@@ -42,7 +42,7 @@ from typing import Iterator
 from .designs import (DesignMultiset, DesignParams, Parallelism,
                       _canonical_parallelism)
 from .field import make_field
-from .subspaces import (Subspace, _row_entry, _rref_key, subspace_from_key,
+from .subspaces import (Subspace, _row_entry, _rref_key, row_codes,
                         vector_code, vector_from_code)
 
 DESIGN_HEADER = "qsteiner-design v1"
@@ -289,10 +289,14 @@ def parse_design_file(path) -> DesignMultiset:
 
 
 def serialize_parallelism(para: Parallelism) -> str:
-    lines = [PARALLELISM_HEADER, f"q={para.field.q} n={para.n}"]
+    q, n = para.field.q, para.n
+    # each vector's text, formatted once: a parallelism of F_q^n has
+    # about q^(2n-4) lines, F_q^n q^n vectors
+    text = [_format_row(vector_from_code(code, q, n), q) for code in range(q ** n)]
+    lines = [PARALLELISM_HEADER, f"q={q} n={n}"]
     for sp in para.spreads:
         lines.append("spread")
-        lines.extend(map(format_block_rows, sp.lines))
+        lines.extend(";".join([text[c] for c in row_codes(key, q, n)]) for key in sp.keys)
     return "\n".join(lines) + "\n"
 
 
@@ -317,8 +321,7 @@ def parse_parallelism(text: str) -> Parallelism:
             raise ValueError("line outside any spread section")
         # each line is checked as a block of its own row count; ``Spread``
         # then rejects a line that is not 2-dimensional
-        key = _parse_block(ln, q, n, ln.count(";") + 1, seen)
-        groups[-1].append(subspace_from_key(field, n, key))
+        groups[-1].append(_parse_block(ln, q, n, ln.count(";") + 1, seen))
     return _canonical_parallelism(field, n, groups)
 
 

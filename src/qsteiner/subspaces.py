@@ -534,8 +534,8 @@ def _multiple_codes(code: int, field: GF, m: int) -> tuple:
 def _coefficient_codes(q: int, d: int, s: int) -> tuple:
     """The row codes of each basis of ``_coefficient_bases(q, d, s)``,
     one tuple per basis, in basis order."""
-    return tuple(tuple(vector_code(r, q) for r in c.rows)
-                 for c in _coefficient_bases(q, d, s))
+    return tuple(tuple(vector_code(r, q) for r in rows)
+                 for rows in sorted(_grassmannian_rows(q, d, s)))
 
 
 # Span entries (blocks times q**d) the coverage kernel holds at once
@@ -569,8 +569,7 @@ def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
             span += [list(map(xor, v, mc)) for mc in multiples for v in span]
         return span
     # the bases of the 1-subspaces of F_q^d are those lead-one vectors
-    points = [(c.rows[0], code) for c, (code,) in
-              zip(_coefficient_bases(q, d, 1), _coefficient_codes(q, d, 1))]
+    points = [(_code_row(code, q, d), code) for code, in _coefficient_codes(q, d, 1)]
     spans = []
     for codes in zip(*rows):
         block = [_code_row(code, q, m) for code in codes]

@@ -10,7 +10,7 @@ from qsteiner.designs import EquationViolation, VerificationReport
 from qsteiner.equations import SolveOutcome
 from qsteiner.field import make_field
 from qsteiner.subspaces import (Subspace, _coefficient_bases, _combine,
-                                _grassmannian_rows, vector_code)
+                                _grassmannian_rows, rref, vector_code)
 
 
 def slot_grassmannian_rows(q: int, m: int, d: int):
@@ -184,3 +184,26 @@ def object_verify(design) -> VerificationReport:
     return VerificationReport(not violations and not bad_dims, len(residuals),
                               tuple(violations), bad_dims,
                               sum(blocks.values()), residuals=tuple(residuals))
+
+
+# Object-level column transform: each column operation applied to every
+# row of every block in turn, each image row-reduced by ``rref``.
+# ``designs.apply_transform`` must give the same blocks.
+def object_transform(blocks, column_ops) -> Counter:
+    """The images of ``blocks``, a ``{Subspace: multiplicity}`` mapping,
+    under the column operations; multiplicities of equal images add up.
+
+    An operation ``(j, coeffs)`` replaces entry j of a row by the
+    combination of the row's entries with those coefficients."""
+    out = Counter()
+    for b, mult in blocks.items():
+        add, mul = b.field.add_table, b.field.mul_table
+        rows = [list(r) for r in b.rows]
+        for j, coeffs in column_ops:
+            for row in rows:
+                acc = 0
+                for c, x in zip(coeffs, row):
+                    acc = add[acc][mul[c][x]]
+                row[j] = acc
+        out[rref(b.field, rows) if rows else b] += mult
+    return out

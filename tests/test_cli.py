@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line interface (in-process)."""
 
+import hashlib
 import os
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from qsteiner.cli import main
 from qsteiner.designs import build_parallelism
 from qsteiner.files import (parse_design_file, parse_parallelism_file,
-                            write_parallelism)
+                            serialize_parallelism, write_parallelism)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -275,3 +277,48 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
             codes[shlex.join(argv)] = exc.code
         capsys.readouterr()
     assert codes == dict.fromkeys(codes, 0)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_parallelism_and_spread_outputs_pinned(capsys):
+    """Parallelism files of the search and ``spread`` stdout, pinned by
+    their sha256."""
+    for n, digest in (
+            (6, "bc10601a1252fa2f3306e5b155e5532b9c6d7b573eff3c2785dfa2ef68732721"),
+            (8, "8f441bf41a70ec3df53312df204f796b31064c0c361dc3d113ded15c479d0700")):
+        assert sha256(serialize_parallelism(build_parallelism(2, n))) == digest
+    for argv, digest in (
+            (("2", "6"), "6d2cb729775566ef9e197bcc6359800ea0ed2d283cd7ebbdc60ca3ae9ea58022"),
+            (("3", "4"), "77efed336041ad0ba62334adf641be22d9564ff7769ed7a462737a3043d48820")):
+        code, out, _ = run(capsys, "spread", *argv)
+        assert code == 0 and sha256(out) == digest
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch):
+    """A reader that closes stdout early (``| head -1``) ends the command
+    with exit code 141 and no message, and stdout's descriptor then
+    points at os.devnull, so the last flush cannot fail again."""
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["full-solve", "2", "2", "3", "7", "5"]) == 141
+        os.write(write_end, b"left over")
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.read() == b""        # the pipe was closed, unwritten
+    assert capsys.readouterr().err == ""

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from slow_oracles import object_verify
+from slow_oracles import object_transform, object_verify
 
 from qsteiner import subspaces
 from qsteiner.counting import gaussian
@@ -14,12 +14,13 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               build_parallelism, build_spread,
                               construct_fano_m5, construct_recursive,
                               construct_s3485, construct_uniform_design,
-                              distinctness_check, puncture_design,
+                              _line_key, distinctness_check, puncture_design,
                               puncture_steiner, trivial_steiner, verify,
                               verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
-from qsteiner.files import (packaged_parallelism_path, parse_parallelism_file,
-                            serialize_design, serialize_parallelism)
+from qsteiner.files import (packaged_parallelism_path, parse_parallelism,
+                            parse_parallelism_file, serialize_design,
+                            serialize_parallelism)
 from qsteiner.subspaces import (contains, enumerate_subspaces, null_subspace,
                                 puncture, rref, subspaces_within)
 
@@ -384,6 +385,31 @@ def test_parallelism_rejects_bad_partition():
         Parallelism(F2, 4, para.spreads + (para.spreads[0],))
 
 
+def test_line_key_matches_rref():
+    """Spreads and parallelisms are checked on their keys, which is exact
+    only for RREF keys: the bit arithmetic of ``_line_key`` gives the
+    key of the row-reduced line through every pair of vectors."""
+    for n in range(2, 7):
+        for u in range(1, 2 ** n):
+            for v in range(u + 1, 2 ** n):
+                line = rref(F2, [subspaces.vector_from_code(c, 2, n) for c in (u, v)])
+                assert _line_key(u, v, n) == subspaces.rows_key(2, line.rows), (n, u, v)
+
+
+def test_parallelisms_build_no_subspace(monkeypatch):
+    """The search, a parallelism file and their serialization go from
+    vector codes and row text to keys and back without a ``Subspace``."""
+    text = packaged_parallelism_path(3, 4).read_text(encoding="ascii")
+
+    def refuse(*args):
+        raise AssertionError("a Subspace was built")
+
+    monkeypatch.setattr(subspaces.Subspace, "__init__", refuse)
+    assert len(serialize_parallelism(build_parallelism(2, 6)).splitlines()) \
+        == 2 + 31 * (1 + 21)
+    assert serialize_parallelism(parse_parallelism(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -550,3 +576,42 @@ def test_transform_rejects_singular_op():
         apply_transform(d, [(1, (1, 1, 0))])
     with pytest.raises(ValueError):
         apply_transform(d, [(1, (1, 2, 0, 0))])  # 2 outside F_2
+
+
+def _random_ops(rng, q, m, count):
+    ops = []
+    for _ in range(count):
+        j = rng.randrange(m)
+        coeffs = [rng.randrange(q) for _ in range(m)]
+        coeffs[j] = rng.randrange(1, q)
+        ops.append((j, tuple(coeffs)))
+    return ops
+
+
+def test_transform_matches_object_oracle():
+    """The keyed transform gives, block by block, the images the object
+    oracle gets by row-reducing each transformed block: Steiner systems
+    (spreads at q = 2 and 3, in canonical block order) and designs with
+    mixed multiplicities at q = 2, 3 and 4."""
+    rng = random.Random(16)
+    for q, n in ((2, 4), (2, 6), (3, 4)):
+        st = build_spread(q, n).to_steiner()
+        for _ in range(5):
+            ops = _random_ops(rng, q, n, rng.randrange(1, 4))
+            out = apply_transform(st, ops)
+            want = object_transform(dict.fromkeys(st.blocks, 1), ops)
+            assert set(want.values()) == {1}
+            assert out.blocks == tuple(sorted(want, key=lambda b: b.rows))
+            assert (out.t, out.k, out.n) == (1, 2, n) and verify_steiner(out)
+    for q in (2, 3, 4):
+        f = make_field(q)
+        blocks = {}
+        for d in range(5):
+            subs = list(enumerate_subspaces(f, 4, d))
+            for b in rng.sample(subs, min(len(subs), 12)):
+                blocks[b] = rng.randrange(1, 6)
+        d = DesignMultiset(DesignParams(q, 2, 3, 7, 4), blocks)
+        for _ in range(5):
+            ops = _random_ops(rng, q, 4, rng.randrange(1, 4))
+            assert dict(apply_transform(d, ops).blocks.items()) \
+                == object_transform(blocks, ops)

@@ -198,3 +198,31 @@ def test_missing_parameter_line():
                           (parse_parallelism, "qsteiner-parallelism v1")):
         with pytest.raises(ValueError, match="missing parameter line"):
             parse(header + "\n\n")
+
+
+def test_parallelism_parse_messages():
+    """Each way a parallelism file can fail names what failed: a line of
+    the wrong row count, a point on two lines of a spread, a spread
+    missing a line, a line in two spreads, a line not in RREF."""
+    lines = serialize_parallelism(build_parallelism(2, 4)).splitlines()
+    for edited, message in (
+            (lines[:3] + ["1000"] + lines[3:],
+             "Subspace(q=2, m=4, [1000]) is not a 2-subspace of F_2^4"),
+            (lines[:3] + ["1000;0100;0010"] + lines[3:],
+             "Subspace(q=2, m=4, [1000;0100;0010]) is not a 2-subspace of F_2^4"),
+            (lines + ["1000"],
+             "Subspace(q=2, m=4, [1000]) is not a 2-subspace of F_2^4"),
+            (lines[:4] + [lines[3]] + lines[4:],
+             "point Subspace(q=2, m=4, [0001]) lies on 2 lines"),
+            (lines[:3] + lines[4:9] + [lines[3]] + lines[9:],
+             "lines do not cover every nonzero vector"),
+            (lines + ["spread"] + lines[3:8],
+             "line Subspace(q=2, m=4, [0010;0001]) appears in two spreads"),
+            (lines[:3] + ["0011;0000"] + lines[3:],
+             "rows ((0, 0, 1, 1), (0, 0, 0, 0)) are not in reduced row echelon form"),
+            (lines[:2] + ["spread"], "lines do not cover every nonzero vector"),
+            ([lines[0], "q=2 n=0", "spread"],
+             "dimension 1 out of range for ambient 0")):
+        with pytest.raises(ValueError) as exc:
+            parse_parallelism("\n".join(edited) + "\n")
+        assert str(exc.value) == message
