@@ -28,10 +28,10 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
-from .subspaces import (Subspace, _code_row, _combine, _extension_keys,
-                        _within_columns, coverage, grassmannian_keys,
-                        puncture_key, row_codes, rows_key, rref,
-                        subspace_from_key, vector_from_code)
+from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
+                        _extension_keys, _within_columns, coverage,
+                        grassmannian_keys, puncture_key, row_codes, rows_key,
+                        rref, subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -205,7 +205,12 @@ def verify(design: DesignMultiset) -> VerificationReport:
     For each s in the covered range and each s-subspace X of F_q^m the
     accumulated sum over blocks Y >= X of mult(Y) * C-coefficient must
     equal N_{(s,m),(t,n)}.  Equations are never materialized as a
-    matrix.
+    matrix.  Per block dimension d, the multiplicity w that the most
+    d-subspaces carry (absent ones counting as 0, and 0 on a tie)
+    enters every equation in closed form, w * C * count_D(s, d, m, q);
+    the coverage kernel lists only the blocks whose multiplicity is not
+    w and, if w is not 0, the d-subspaces absent from the design
+    (``_batches``).
     """
     pr = design.params
     q, t, k, n, m = pr.q, pr.t, pr.k, pr.n, pr.m
@@ -214,14 +219,14 @@ def verify(design: DesignMultiset) -> VerificationReport:
     bad_dims = tuple((subspace_from_key(field, m, key), d)
                      for d, table in design.tables.items() if d not in r_rng
                      for key in table)
-    batches = _batches(design.tables)
+    batches = _batches(q, m, design.tables)
     violations = []
     residuals = []
     for s in pr.s_range():
         expected = count_N(s, m, t, n, q)
         coeff = {d: covering_coefficient(s, t, d, k, q) for d in design.tables}
-        acc = coverage([(d, mult * coeff[d], keys)
-                        for d, mult, keys in batches if coeff[d]], field, m, s)
+        acc = coverage([(d, w * coeff[d], keys)
+                        for d, w, keys in batches if coeff[d]], field, m, s)
         # a Subspace only for a violation
         for rows, got in acc:
             residuals.append(got - expected)
@@ -234,19 +239,38 @@ def verify(design: DesignMultiset) -> VerificationReport:
                               residuals=tuple(residuals))
 
 
-def _batches(tables: dict) -> list:
-    """The ``(d, multiplicity, keys)`` batches ``coverage`` reads: the
-    keys of each dimension's table, grouped by multiplicity."""
+def _batches(q: int, m: int, tables: dict) -> list:
+    """The ``(d, weight, keys)`` batches ``coverage`` reads for these key
+    tables of subspaces of F_q^m.
+
+    Per dimension d, w is the multiplicity the most d-subspaces of F_q^m
+    carry, a subspace absent from the table counting as 0; 0 on a tie.
+    If w is not 0 the batches are: every d-subspace at weight w (keys
+    None, counted in closed form), each block of another multiplicity
+    at mult - w, and each d-subspace absent from the table at -w, its
+    key listed from the pivot cells (``_cell_keys``).  If w is 0 they
+    are the table's blocks.  Keys are grouped by weight.
+    """
     out = []
     for d, table in tables.items():
-        mults = set(table.values())
-        if len(mults) == 1:
-            out.append((d, mults.pop(), table.keys()))
+        counts = Counter(table.values())
+        counts[0] = gaussian(m, d, q) - len(table)
+        (w, most), *rest = counts.most_common(2)
+        if rest and rest[0][1] == most:
+            w = 0
+        if w == 0 and len(counts) == 2:     # one multiplicity, and 0
+            out.append((d, next(iter(counts)), table.keys()))
             continue
         groups = defaultdict(list)
         for key, mult in table.items():
-            groups[mult].append(key)
-        out.extend((d, mult, keys) for mult, keys in groups.items())
+            if mult != w:
+                groups[mult - w].append(key)
+        if w:
+            out.append((d, w, None))
+            if counts[0]:
+                groups[-w] = [key for key in _cell_keys(q, m, d)
+                              if key not in table]
+        out.extend((d, weight, keys) for weight, keys in groups.items())
     return out
 
 
@@ -373,8 +397,8 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
         raise ConstructionError("(k-1)-images do not form the derived Steiner system")
 
     lower_cov = coverage([(k - 1, 1, sub_system.keys)], field, n - 1, t)
-    upper_cov = coverage([b for b in _batches(design.tables) if b[0] == k],
-                         field, n - 1, t)
+    upper = [b for b in _batches(q, n - 1, design.tables) if b[0] == k]
+    upper_cov = coverage(upper, field, n - 1, t)
     for (rows, low), (_, got) in zip(lower_cov, upper_cov):
         want = 0 if low else q ** t
         if got != want:

@@ -143,16 +143,19 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:
-    """Exact Gauss-Jordan elimination after substituting the pinned values.
+    """Exact elimination after substituting the pinned values.
 
     Elimination is sparse and fraction-free: each equation is a dict of
     its nonzero integer entries, the right-hand side in the column after
     the last unknown, scaled by the denominator of that right-hand side
-    once the pins are substituted.  A row is cleared of a pivot column by cross-multiplying
-    with the pivot row and dividing out the gcd of its entries, and
-    every other row, pivoted or not, is cleared, so the result is the
-    reduced row echelon form up to row scaling.  Rationals are formed
-    only from the reduced rows, as right-hand side over lead.
+    once the pins are substituted.  A row is cleared of a pivot column
+    by cross-multiplying with the pivot row and dividing out the gcd of
+    its entries.  Forward elimination clears each pivot column from the
+    rows not yet pivoted, picking the pivot row with the fewest entries,
+    then the smallest lead; back substitution then clears it from the
+    pivot rows above.  The result is the reduced row echelon form up to
+    row scaling, whatever rows are picked.  Rationals are formed only
+    from the reduced rows, as right-hand side over lead.
 
     Returns the full assignment (pins included).  When underdetermined,
     the assignment is the particular solution with all free variables
@@ -186,35 +189,47 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
             row[ncol] = rhs_val.numerator
         rows.append(row)
 
+    def clear(i: int, col: int, prow: dict) -> None:
+        """Clear column col of row i by the pivot row prow, cross
+        multiplying and dividing out the gcd of the entries."""
+        row = rows[i]
+        p, f = prow[col], row[col]
+        g = gcd(p, f)
+        a, b = p // g, f // g
+        new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+        for c, v in prow.items():
+            w = new.get(c, 0) - b * v
+            if w:
+                new[c] = w
+            else:
+                del new[c]
+        content = gcd(*new.values())
+        if content > 1:
+            new = {c: v // content for c, v in new.items()}
+        rows[i] = new
+
+    # forward elimination on the rows not yet pivoted
     pivots = []            # (column, row index), columns ascending
     active = list(range(len(rows)))
     for col in range(ncol):
         cands = [i for i in active if col in rows[i]]
         if not cands:
             continue
-        # smallest lead, then sparsest row, keeps the integers small
-        pr = min(cands, key=lambda i: (abs(rows[i][col]), len(rows[i])))
+        # the sparsest row, then the smallest lead, keeps the fill-in
+        # and the integers small
+        pr = min(cands, key=lambda i: (len(rows[i]), abs(rows[i][col])))
         active.remove(pr)
-        prow = rows[pr]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            f = row.get(col)
-            if f is None or i == pr:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
-            for c, v in prow.items():
-                w = new.get(c, 0) - b * v
-                if w:
-                    new[c] = w
-                else:
-                    del new[c]
-            content = gcd(*new.values())
-            if content > 1:
-                new = {c: v // content for c, v in new.items()}
-            rows[i] = new
+        for i in cands:
+            if i != pr:
+                clear(i, col, rows[pr])
         pivots.append((col, pr))
+    # back substitution, last pivot first, leaves each pivot row zero
+    # in every other pivot column
+    for j in range(len(pivots) - 1, 0, -1):
+        col, pr = pivots[j]
+        for _, i in pivots[:j]:
+            if col in rows[i]:
+                clear(i, col, rows[pr])
 
     # rows never pivoted hold at most a right-hand side
     if any(rows[i] for i in active):

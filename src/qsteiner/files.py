@@ -310,6 +310,9 @@ def parse_parallelism(text: str) -> Parallelism:
         q, n = _parse_params(lines[1], "qn")
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"bad parameter line {lines[1]!r}") from exc
+    if n < 2 or n % 2:
+        raise ValueError(f"bad parameter line {lines[1]!r}: n={n} is not "
+                         f"an even number >= 2")
     field = make_field(q)
     groups: list = []
     seen: dict = {}

@@ -35,11 +35,17 @@ decodes these keys; the constructions of ``designs`` store them.
 the blocks as batches of keys of one dimension and weight, and yields,
 for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
 order, its RREF rows and the summed weight of the blocks containing
-it, 0 included.  It and ``equations.build_full`` read one generator,
-``_within_columns``: the spans of a chunk of blocks are listed as
-columns of vector codes, one per coefficient vector, and the keys of
-the blocks' s-subspaces are read off them one coefficient basis at a
-time.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
+it, 0 included.  A batch may stand for every d-subspace of F_q^m: it
+adds the same closed-form count to every s-subspace and lists nothing.
+``designs.verify`` gives each block dimension's majority multiplicity
+w that way, and lists only the blocks of another multiplicity, at
+their difference from w, and the d-subspaces absent from the design,
+at -w; ``_cell_keys`` forms the keys of those from the pivot cells,
+unsorted.  ``coverage`` and ``equations.build_full`` read one
+generator, ``_within_columns``: the spans of a chunk of blocks are
+listed as columns of vector codes, one per coefficient vector, and the
+keys of the blocks' s-subspaces are read off them one coefficient basis
+at a time.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
 the bit pattern of its polynomial coefficients, so each base-q digit
 of a vector code is a bit field and vector addition is ``^`` on codes,
 applied a whole column at a time.
@@ -389,16 +395,38 @@ def _extension_keys(q: int, m: int, keys: Iterable, n: int,
     small, big = q ** m, q ** n
     g2 = row_codes(bottom, q, n - m)
     pivots = {_code_row(code, q, n - m).index(1) for code in g2}
-    suffixes = [0]
-    for c in range(n - m):
-        if c not in pivots:
-            suffixes = [b + v * q ** c for b in suffixes for v in range(q)]
+    suffixes = _free_codes(q, [c for c in range(n - m) if c not in pivots])
     for key in keys:
         top = row_codes(key, q, m)
         base = sum(code * small * big ** (len(top) + i) for i, code in enumerate(g2))
         choices = [[(code + b * small) * big ** i for b in suffixes]
                    for i, code in enumerate(top)]
         yield from map(base.__add__, map(sum, itertools.product(*choices)))
+
+
+def _free_codes(q: int, columns: list) -> list:
+    """The codes of all vectors that are zero outside these columns,
+    the last column's digit varying fastest."""
+    codes = [0]
+    for c in columns:
+        codes = [code + v * q ** c for code in codes for v in range(q)]
+    return codes
+
+
+def _cell_keys(q: int, m: int, d: int) -> Iterator[int]:
+    """The keys of all d-subspaces of F_q^m, pivot cell by pivot cell
+    and unsorted, by key arithmetic: row i leading at column p is
+    ``q**p`` plus any code free in the columns right of p that are no
+    pivot, placed at ``(q**m)**i``."""
+    big = q ** m
+    for pivots in itertools.combinations(range(m), d):
+        choices = []
+        for i, p in enumerate(pivots):
+            free = [c for c in range(p + 1, m) if c not in pivots]
+            place = big ** i
+            choices.append([(q ** p + code) * place
+                            for code in _free_codes(q, free)])
+        yield from map(sum, itertools.product(*choices))
 
 
 @dataclass(frozen=True)
@@ -617,15 +645,25 @@ def coverage(batches: Iterable[tuple], field: GF, m: int,
 
     ``batches`` holds ``(d, weight, keys)`` triples, ``keys`` a sized
     collection (not a mapping) of ``rows_key`` values of d-subspaces of
-    F_q^m, each a block of that weight.  The keys of the blocks'
-    s-subspaces (``_within_columns``) are counted with ``Counter`` and
-    enter the sum as count * weight.
+    F_q^m, each a block of that weight, or None for every d-subspace of
+    F_q^m.  The keys of the blocks' s-subspaces (``_within_columns``)
+    are counted with ``Counter`` and enter the sum as count * weight; a
+    None batch adds weight * gaussian(m-s, d-s, q), the number of
+    d-subspaces containing a given s-subspace, to every sum, and lists
+    nothing.  A weight may be negative, so a batch can take back part
+    of a None batch.
     """
+    # counting imports this module for its oracles
+    from .counting import gaussian
     if not 0 <= s <= m:
         raise ValueError(f"dimension {s} out of range for ambient {m}")
     cov: dict = {}
     get = cov.get
+    every = 0
     for d, w, keys in batches:
+        if keys is None:
+            every += w * gaussian(m - s, d - s, field.q)
+            continue
         counts = Counter()
         for _, column in _within_columns(field, m, d, keys, s):
             counts.update(column)
@@ -633,4 +671,5 @@ def coverage(batches: Iterable[tuple], field: GF, m: int,
             cov[key] = get(key, 0) + c * w
     grassmannian = sorted(_grassmannian_rows(field.q, m, s))
     keys = map(rows_key, itertools.repeat(field.q), grassmannian)
-    return zip(grassmannian, map(cov.get, keys, itertools.repeat(0)))
+    return zip(grassmannian, map(every.__add__,
+                                 map(cov.get, keys, itertools.repeat(0))))

@@ -14,9 +14,9 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               build_parallelism, build_spread,
                               construct_fano_m5, construct_recursive,
                               construct_s3485, construct_uniform_design,
-                              _line_key, distinctness_check, puncture_design,
-                              puncture_steiner, trivial_steiner, verify,
-                              verify_steiner)
+                              _batches, _line_key, distinctness_check,
+                              puncture_design, puncture_steiner,
+                              trivial_steiner, verify, verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_parallelism,
                             parse_parallelism_file, serialize_design,
@@ -163,6 +163,28 @@ def test_verify_matches_object_oracle(chunk, monkeypatch):
     for good in (fano_m4(2), fano_m4(3), construct_s3485(2)):
         block = next(iter(good.blocks))
         designs += [good, good.with_block_multiplicity(block, 2 ** 64)]
+    # verify counts the multiplicity most d-subspaces carry in closed
+    # form: complete tables at one multiplicity (and at two, in s3485),
+    # a nearly complete table (fano-m5 at q = 3: 1170 of the 1210
+    # 3-subspaces), a complete table with one block dropped or raised,
+    # and tables at or below half of the Grassmannian
+    para3 = parse_parallelism_file(packaged_parallelism_path(3, 4))
+    uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
+    designs += [uniform, construct_uniform_design(2, 2, 3, 6, 4, {1: 3, 2: 1}),
+                construct_fano_m5(3, para3)]
+    plane = next(b for b in uniform.blocks if b.dim == 3)
+    designs += [uniform.with_block_multiplicity(plane, 0),
+                uniform.with_block_multiplicity(plane, 2 ** 64)]
+    lines = list(enumerate_subspaces(F2, 4, 2))
+    for count in (len(lines) // 2 + 1, len(lines) // 2, 3):
+        designs.append(DesignMultiset(DesignParams(2, 2, 3, 7, 4),
+                                      dict.fromkeys(lines[:count], 4)))
+    # one line more than half: the closed form at 4, the rest taken back;
+    # exactly half ties with the absent lines, so only the blocks are listed
+    assert [(w, keys if keys is None else len(keys)) for _, w, keys in
+            _batches(2, 4, designs[-3].tables)] == [(4, None), (-4, 17)]
+    assert [(w, len(keys)) for _, w, keys in
+            _batches(2, 4, designs[-2].tables)] == [(4, 17)]
     for design in designs:
         assert verify(design) == object_verify(design), design
 
@@ -263,6 +285,12 @@ def test_puncture_steiner_trivial_system():
     only = next(iter(design.blocks))
     assert only.dim == 3 and design.blocks[only] == 1
     assert sub.blocks == (only,)
+    # the whole space punctures to the whole space, the one block of its
+    # dimension: its table is complete, and no block keeps dimension k
+    for q, t, n in ((2, 2, 4), (3, 1, 3), (2, 1, 2)):
+        design, sub = puncture_steiner(trivial_steiner(q, t, n))
+        assert list(design.tables) == [n - 1]
+        assert verify(design).ok and verify_steiner(sub)
 
 
 def test_puncture_steiner_rejects_non_steiner():

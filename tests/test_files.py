@@ -222,7 +222,11 @@ def test_parallelism_parse_messages():
              "rows ((0, 0, 1, 1), (0, 0, 0, 0)) are not in reduced row echelon form"),
             (lines[:2] + ["spread"], "lines do not cover every nonzero vector"),
             ([lines[0], "q=2 n=0", "spread"],
-             "dimension 1 out of range for ambient 0")):
+             "bad parameter line 'q=2 n=0': n=0 is not an even number >= 2"),
+            ([lines[0], "q=2 n=1", "spread"],
+             "bad parameter line 'q=2 n=1': n=1 is not an even number >= 2"),
+            (lines[:1] + ["q=2 n=5"] + lines[2:],
+             "bad parameter line 'q=2 n=5': n=5 is not an even number >= 2")):
         with pytest.raises(ValueError) as exc:
             parse_parallelism("\n".join(edited) + "\n")
         assert str(exc.value) == message
