@@ -16,7 +16,8 @@ Every closed form has an independent oracle that counts by exhaustive
 enumeration; the oracles never evaluate the formulas.  ``oracle_N``
 reads a census of the punctures of every t-subspace of F_q^n, keyed by
 the integer codes of the image's RREF rows rather than by ``Subspace``
-objects; every t-subspace is enumerated and counted once.  All values
+objects; each pivot cell of t-subspaces is enumerated by its punctured
+images, each weighted by the choices the puncture collapses.  All values
 are exact arbitrary-precision integers.
 """
 
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _row_choices, contains, extension_raise_dim,
-                        first_subspace, puncture, subspaces_within,
-                        vector_code)
+from .subspaces import (Subspace, _free_codes, _row_choices, contains,
+                        extension_raise_dim, first_subspace, puncture,
+                        subspaces_within, vector_code)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -134,35 +135,43 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
                               all(e.divides for e in entries))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
     """Map each subspace of F_q^m, keyed by the tuple of its RREF row
     codes (``vector_code``), to the number of t-subspaces of F_q^n
     puncturing onto it.
 
-    Every t-subspace is enumerated once, as its RREF rows: for a
-    fixed pivot set the rows vary independently, and deleting the last
-    column slices each row's choices (the row leading there has one
-    choice and vanishes), so the images of a cell are the product of
-    the sliced choices, each coded once per cell.  The census for
-    m < n-1 is the census for m+1 punctured once more, so the
-    Grassmannian is walked only once per (q, n, t).  On codes that
-    puncture is ``code % q**m`` per row, dropping the zeros: a row
-    leading at or after column m is zero in its first m entries, so its
-    code is a multiple of q**m, and every other row keeps its lead 1
-    there, so its residue is not 0.
+    The t-subspaces are counted pivot cell by pivot cell, never one by
+    one.  For a fixed pivot set the RREF rows vary independently in
+    their free columns (right of the pivot, no pivot).  Puncturing
+    deletes the columns from m on: a row leading there vanishes,
+    whatever its free entries (all in deleted columns), and a row
+    leading at p < m keeps its first m entries -- ``code % q**m``, as
+    codes are little-endian -- which are still the RREF row leading at
+    p of the image.  Such a cut row is ``q**p`` plus any code free in
+    the row's free columns left of m, and each cut is hit by q**f
+    choices of the row, f its free columns at or after m.  So the cell
+    maps onto its images q**collapsed-to-1, ``collapsed`` counting the
+    cell's free entries in the deleted columns: each image is coded
+    once per cell and counted with that weight.
     """
     census: Counter = Counter()
-    if m == n - 1:
-        for pivots in itertools.combinations(range(n), t):
-            cut = [[vector_code(r[:m], q) for r in rows]
-                   for p, rows in zip(pivots, _row_choices(q, n, pivots))
-                   if p < m]
-            census.update(itertools.product(*cut))
-    else:
-        big = q ** m
-        for codes, cnt in _puncture_census(q, n, t, m + 1).items():
-            census[tuple([c % big for c in codes if c % big])] += cnt
+    for pivots in itertools.combinations(range(n), t):
+        cut, collapsed = [], 0
+        for p in pivots:
+            free = [c for c in range(p + 1, n) if c not in pivots]
+            kept = [c for c in free if c < m]
+            collapsed += len(free) - len(kept)
+            if p < m:
+                cut.append([q ** p + code for code in _free_codes(q, kept)])
+        images = itertools.product(*cut)
+        if collapsed == 0:
+            census.update(images)
+        else:
+            w = q ** collapsed
+            get = census.get
+            for key in images:
+                census[key] = get(key, 0) + w
     return census
 
 

@@ -5,10 +5,11 @@ from collections import Counter
 import pytest
 from slow_oracles import slot_grassmannian_rows
 
-from qsteiner.counting import (_puncture_census, count_C, count_D, count_N,
-                               covering_coefficient, gaussian,
-                               necessary_conditions, oracle_C, oracle_D,
-                               oracle_N)
+from qsteiner import counting
+from qsteiner.counting import (ORACLE_GUARD, _puncture_census, count_C,
+                               count_D, count_N, covering_coefficient,
+                               gaussian, necessary_conditions, oracle_C,
+                               oracle_D, oracle_N)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
                                 first_subspace, puncture, subspaces_within,
@@ -123,10 +124,11 @@ def test_oracle_N_census_partitions_grassmannian():
 
 def test_puncture_census_matches_object_puncture():
     """The row-code-keyed census against puncture() applied to every
-    t-subspace of the one-slot-at-a-time reference enumeration."""
-    for q in (2, 3, 4):
+    t-subspace of the one-slot-at-a-time reference enumeration; at
+    q = 5 and 7 a cell's images carry weights up to q**t."""
+    for q, n_max in ((2, 5), (3, 5), (4, 5), (5, 4), (7, 4)):
         f = make_field(q)
-        for n in range(2, 6):
+        for n in range(2, n_max + 1):
             for t in range(n + 1):
                 subs = [Subspace(f, n, rows)
                         for rows in slot_grassmannian_rows(q, n, t)]
@@ -135,6 +137,32 @@ def test_puncture_census_matches_object_puncture():
                                          for r in puncture(x, n - m).rows)
                                    for x in subs)
                     assert _puncture_census(q, n, t, m) == want, (q, n, t, m)
+
+
+def test_puncture_census_sums_to_grassmannian():
+    """Every t-subspace of F_q^n punctures onto exactly one subspace of
+    F_q^m, so the census weights add up to |G_q(n,t)| for every m."""
+    for q, n_max in ((2, 9), (3, 7)):
+        for n in range(2, n_max + 1):
+            for t in range(n + 1):
+                size = gaussian(n, t, q)
+                if size > ORACLE_GUARD:
+                    continue
+                for m in range(1, n):
+                    assert sum(_puncture_census(q, n, t, m).values()) == size, \
+                        (q, n, t, m)
+
+
+def test_counting_caches_are_bounded():
+    """A process making many oracle calls holds a bounded number of
+    censuses; caches imported into ``counting``, such as
+    ``make_field``, belong to their own modules."""
+    caches = [obj for obj in vars(counting).values()
+              if hasattr(obj, "cache_parameters")
+              and obj.__module__ == counting.__name__]
+    assert caches
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache.__name__
 
 
 def test_oracle_N_rejects_witness_from_another_field():

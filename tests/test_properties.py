@@ -1,7 +1,8 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
-malformed block lines; for ``rref`` as the canonical form; and for the
-parallelisms of the orbit search."""
+malformed block lines; for ``rref`` as the canonical form; for the
+``N`` oracle at random witnesses; and for the parallelisms of the
+orbit search."""
 
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qsteiner.counting import count_N, oracle_N
 from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
                               build_parallelism, construct_s3485,
                               construct_uniform_design, puncture_design,
@@ -192,6 +194,29 @@ def test_rref_is_canonical(q, m, data):
             rows[i] = [add[a][mul[c][b]] for a, b in zip(rows[i], rows[j])]
     order = data.draw(st.permutations(range(x.dim)))
     assert rref(field, [tuple(rows[k]) for k in order]) == x
+
+
+@st.composite
+def extension_cases(draw):
+    """A legal ``count_N`` tuple (s, m, t, n, q) with q <= 4 and n <= 5,
+    with a random s-subspace of F_q^m: the row space of a random
+    matrix, s its rank."""
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, n - 1))
+    field = make_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    witness = rref(field, draw(st.lists(vector, min_size=1, max_size=m)))
+    s = witness.dim
+    t = draw(st.integers(s, s + n - m))
+    return (s, m, t, n, q), witness
+
+
+@SETTINGS
+@given(extension_cases())
+def test_oracle_N_does_not_depend_on_witness(case):
+    args, witness = case
+    assert oracle_N(*args, witness=witness) == count_N(*args)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
