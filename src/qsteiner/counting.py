@@ -15,7 +15,7 @@ Closed forms:
 Every closed form has an independent oracle that counts by exhaustive
 enumeration; the oracles never evaluate the formulas.  ``oracle_N``
 reads a census of the punctures of every t-subspace of F_q^n, keyed by
-the integer codes of the image's RREF rows rather than by ``Subspace``
+the image's key (``subspaces.rows_key``) rather than by ``Subspace``
 objects; each pivot cell of t-subspaces is enumerated by its punctured
 images, each weighted by the choices the puncture collapses.  All values
 are exact arbitrary-precision integers.
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _free_codes, _row_choices, contains,
+from .subspaces import (Subspace, _code_row, _free_codes, contains,
                         extension_raise_dim, first_subspace, puncture,
-                        subspaces_within, vector_code)
+                        rows_key, subspaces_within, vector_code)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -137,9 +137,8 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
 
 @lru_cache(maxsize=16)
 def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
-    """Map each subspace of F_q^m, keyed by the tuple of its RREF row
-    codes (``vector_code``), to the number of t-subspaces of F_q^n
-    puncturing onto it.
+    """Map each subspace of F_q^m, keyed by ``rows_key``, to the number
+    of t-subspaces of F_q^n puncturing onto it.
 
     The t-subspaces are counted pivot cell by pivot cell, never one by
     one.  For a fixed pivot set the RREF rows vary independently in
@@ -152,10 +151,12 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
     the row's free columns left of m, and each cut is hit by q**f
     choices of the row, f its free columns at or after m.  So the cell
     maps onto its images q**collapsed-to-1, ``collapsed`` counting the
-    cell's free entries in the deleted columns: each image is coded
-    once per cell and counted with that weight.
+    cell's free entries in the deleted columns: each image is keyed
+    once per cell, its cut row i placed at ``(q**m)**i``, and counted
+    with that weight.
     """
     census: Counter = Counter()
+    big = q ** m
     for pivots in itertools.combinations(range(n), t):
         cut, collapsed = [], 0
         for p in pivots:
@@ -163,8 +164,9 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
             kept = [c for c in free if c < m]
             collapsed += len(free) - len(kept)
             if p < m:
-                cut.append([q ** p + code for code in _free_codes(q, kept)])
-        images = itertools.product(*cut)
+                place = big ** len(cut)
+                cut.append([(q ** p + code) * place for code in _free_codes(q, kept)])
+        images = map(sum, itertools.product(*cut))
         if collapsed == 0:
             census.update(images)
         else:
@@ -196,8 +198,7 @@ def oracle_N(s: int, m: int, t: int, n: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    key = tuple(vector_code(r, q) for r in witness.rows)
-    return _puncture_census(q, n, t, m)[key]
+    return _puncture_census(q, n, t, m)[rows_key(q, witness.rows)]
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,
@@ -257,7 +258,9 @@ def oracle_D(s: int, r: int, m: int, q: int,
     # choice of the other rows, the residual of every witness row is
     # found once, then matched against c * y for each last-row choice y.
     for pivots in itertools.combinations(range(m), r):
-        choices = _row_choices(q, m, pivots)
+        choices = [[_code_row(q ** p + code, q, m) for code in _free_codes(
+                        q, [c for c in range(p + 1, m) if c not in pivots])]
+                   for p in pivots]
         last = max(range(r), key=lambda i: len(choices[i]))
         p_last = pivots[last]
         targets = [tuple(vector_code([mul[x[p_last]][a] for a in y], q)

@@ -28,10 +28,10 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
-from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
-                        _extension_keys, _within_columns, coverage,
-                        grassmannian_keys, puncture_key, row_codes, rows_key,
-                        rref, subspace_from_key, vector_from_code)
+from .subspaces import (Subspace, _cell_keys, _combine, _extension_keys,
+                        _order, _within_columns, coverage, grassmannian_keys,
+                        puncture_key, row_codes, rows_key, rref,
+                        subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -228,11 +228,11 @@ def verify(design: DesignMultiset) -> VerificationReport:
         acc = coverage([(d, w * coeff[d], keys)
                         for d, w, keys in batches if coeff[d]], field, m, s)
         # a Subspace only for a violation
-        for rows, got in acc:
+        for key, got in acc:
             residuals.append(got - expected)
             if got != expected:
-                violations.append(EquationViolation(s, Subspace(field, m, rows),
-                                                    got, expected))
+                violations.append(EquationViolation(
+                    s, subspace_from_key(field, m, key), got, expected))
     ok = not violations and not bad_dims
     return VerificationReport(ok, len(residuals), tuple(violations), bad_dims,
                               design.total_multiplicity(),
@@ -351,12 +351,6 @@ class SteinerSystem:
                 f"k={self.k}, n={self.n}, blocks={self.blocks!r})")
 
 
-def _row_order(q: int, m: int):
-    """The sort key putting keys of subspaces of F_q^m in the order of
-    their RREF rows, lexicographically."""
-    return lambda key: [_code_row(code, q, m) for code in row_codes(key, q, m)]
-
-
 def verify_steiner(system: SteinerSystem) -> bool:
     """Every t-subspace of the ambient space covered exactly once."""
     cov = coverage([(system.k, 1, system.keys)], system.field, system.n, system.t)
@@ -387,7 +381,7 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     tables = _punctured_tables(q, n, {k: dict.fromkeys(system.keys, 1)})
     design = DesignMultiset._from_tables(DesignParams(q, t, k, n, n - 1), tables)
 
-    lower = sorted(tables.get(k - 1, ()), key=_row_order(q, n - 1))
+    lower = sorted(tables.get(k - 1, ()), key=_order(q, n - 1))
     for key in lower:
         if tables[k - 1][key] != 1:
             raise ConstructionError(
@@ -399,12 +393,12 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     lower_cov = coverage([(k - 1, 1, sub_system.keys)], field, n - 1, t)
     upper = [b for b in _batches(q, n - 1, design.tables) if b[0] == k]
     upper_cov = coverage(upper, field, n - 1, t)
-    for (rows, low), (_, got) in zip(lower_cov, upper_cov):
+    for (key, low), (_, got) in zip(lower_cov, upper_cov):
         want = 0 if low else q ** t
         if got != want:
             raise ConstructionError(
-                f"t-subspace {Subspace(field, n - 1, rows)!r} appears {got} "
-                f"times, expected {want}")
+                f"t-subspace {subspace_from_key(field, n - 1, key)!r} appears "
+                f"{got} times, expected {want}")
     return design, sub_system
 
 
@@ -434,7 +428,7 @@ class Spread(SteinerSystem):
             points.update(column)
         shared = [key for key, c in points.items() if c > 1]
         if shared:
-            key = min(shared, key=_row_order(field.q, n))
+            key = min(shared, key=_order(field.q, n))
             raise ValueError(f"point {subspace_from_key(field, n, key)!r} "
                              f"lies on {points[key]} lines")
         if len(points) != gaussian(n, 1, field.q):
@@ -470,7 +464,7 @@ def build_spread(q: int, n: int) -> Spread:
         for c in xw:
             u.extend((c % q, c // q))
         lines.add(rows_key(q, rref(field, [v, tuple(u)]).rows))
-    return Spread._of_keys(field, 1, 2, n, sorted(lines, key=_row_order(q, n)))
+    return Spread._of_keys(field, 1, 2, n, sorted(lines, key=_order(q, n)))
 
 
 @dataclass(frozen=True)
@@ -499,7 +493,7 @@ class Parallelism:
 def _canonical_parallelism(field: GF, n: int, groups: Iterable) -> Parallelism:
     """The parallelism of these groups of line keys, in canonical file
     order."""
-    order = _row_order(field.q, n)
+    order = _order(field.q, n)
     spreads = [Spread._of_keys(field, 1, 2, n, sorted(g, key=order)) for g in groups]
     spreads.sort(key=lambda sp: list(map(order, sp.keys)))
     return Parallelism(field, n, tuple(spreads))
@@ -794,7 +788,7 @@ def apply_transform(target, column_ops: Iterable):
             out[key] = out.get(key, 0) + mult
     if isinstance(target, DesignMultiset):
         return DesignMultiset._from_tables(target.params, out_tables)
-    keys = sorted(out_tables.get(target.k, ()), key=_row_order(q, m))
+    keys = sorted(out_tables.get(target.k, ()), key=_order(q, m))
     if len(keys) != len(target.keys):
         raise ConstructionError("transform collapsed two blocks")
     return SteinerSystem._of_keys(target.field, target.t, target.k, m, keys)

@@ -24,7 +24,7 @@ from math import gcd
 from .counting import count_D, count_N, covering_coefficient, gaussian
 from .designs import DesignParams
 from .field import make_field
-from .subspaces import _within_columns, enumerate_subspaces, rows_key
+from .subspaces import _within_columns, grassmannian_keys, subspace_from_key
 
 # Largest number of equations a materialized full system may have.
 FULL_SYSTEM_GUARD = 10 ** 5
@@ -118,28 +118,25 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
         raise ValueError(f"full system would have {n_eq} equations "
                          f"(> {FULL_SYSTEM_GUARD}); use the streaming verifier")
     field = make_field(q)
-    by_dim = {r: list(enumerate_subspaces(field, m, r))
-              for r in params.r_range()}
-    variables = [y for ys in by_dim.values() for y in ys]
-    subjects = []
-    rhs = []
-    for s in params.s_range():
-        subjects += enumerate_subspaces(field, m, s)
-        rhs += [count_N(s, m, t, n, q)] * gaussian(m, s, q)
-    row_of = {rows_key(q, x.rows): i for i, x in enumerate(subjects)}
-    matrix = [[0] * len(variables) for _ in subjects]
+    s_rng, r_rng = params.s_range(), params.r_range()
+    # each Grassmannian listed and decoded once, for rows and columns
+    keys = {d: grassmannian_keys(q, m, d) for d in {*s_rng, *r_rng}}
+    decoded = {d: [subspace_from_key(field, m, key) for key in keys[d]] for d in keys}
+    row_of = {key: i for i, key in enumerate(key for s in s_rng for key in keys[s])}
+    matrix = [[0] * sum(len(keys[r]) for r in r_rng) for _ in row_of]
     offset = 0
-    for r, ys in by_dim.items():
-        keys = [rows_key(q, y.rows) for y in ys]
-        for s in params.s_range():
+    for r in r_rng:
+        for s in s_rng:
             c = covering_coefficient(s, t, r, k, q)
             if c:
-                for start, column in _within_columns(field, m, r, keys, s):
+                for start, column in _within_columns(field, m, r, keys[r], s):
                     for j, key in enumerate(column, offset + start):
                         matrix[row_of[key]][j] = c
-        offset += len(ys)
-    return FullSystem(params, tuple(subjects), tuple(variables),
-                      tuple(map(tuple, matrix)), tuple(rhs))
+        offset += len(keys[r])
+    return FullSystem(params, tuple(x for s in s_rng for x in decoded[s]),
+                      tuple(y for r in r_rng for y in decoded[r]),
+                      tuple(map(tuple, matrix)),
+                      tuple(count_N(s, m, t, n, q) for s in s_rng for _ in keys[s]))
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:

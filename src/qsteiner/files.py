@@ -42,8 +42,8 @@ from typing import Iterator
 from .designs import (DesignMultiset, DesignParams, Parallelism,
                       _canonical_parallelism)
 from .field import make_field
-from .subspaces import (Subspace, _row_entry, _rref_key, row_codes,
-                        vector_code, vector_from_code)
+from .subspaces import (Subspace, _order, _row_entry, _rref_key, row_codes,
+                        vector_from_code)
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -125,28 +125,20 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
     first, then the rows lexicographically, one dimension at a time.
 
     Each key is split once, into its top row and the key of the rows
-    below it (its suffix).  The blocks under one top row are sorted by
-    the order of their suffixes, which is worked out, with the suffix
-    text, once per distinct suffix."""
+    below it (its suffix).  The top rows, and the blocks under one top
+    row, are sorted by ``subspaces._order``; a suffix's order and text
+    are worked out once per distinct suffix."""
     p = design.params
     q, m = p.q, p.m
     big = q ** m
     yield f"{DESIGN_HEADER}\nq={q} t={p.t} k={p.k} n={p.n} m={m}\n"
-    # row code -> the code of the row read right to left, and -> its text;
-    # the reversed codes order rows lexicographically, and a block's rows
-    # read as one base-q^m number order blocks of one dimension so
-    reversed_code, text = {}, {}
+    order = _order(q, m)
+    text: dict = {}                        # row code -> its text
 
-    def row_codes(key: int) -> list:
-        codes = []
-        while key:
-            key, code = divmod(key, big)
-            if code not in text:
-                row = vector_from_code(code, q, m)
-                reversed_code[code] = vector_code(row[::-1], q)
-                text[code] = _format_row(row, q)
-            codes.append(code)
-        return codes
+    def row_text(code: int) -> str:
+        if code not in text:
+            text[code] = _format_row(vector_from_code(code, q, m), q)
+        return text[code]
 
     for d in sorted(design.tables):
         table = design.tables[d]
@@ -159,15 +151,11 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
             below[code].append(rest)
         suffix_order, suffix_text = {}, {}
         for rest in set().union(*below.values()):
-            codes, order = row_codes(rest), 0
-            for code in codes:
-                order = order * big + reversed_code[code]
-            suffix_order[rest] = order
-            suffix_text[rest] = "".join([";" + text[c] for c in codes]) + "\n"
-        for code in below:
-            row_codes(code)
-        for code in sorted(below, key=reversed_code.__getitem__):
-            top, rests = f" {d} {text[code]}", below.pop(code)
+            suffix_order[rest] = order(rest)
+            suffix_text[rest] = "".join([";" + row_text(c)
+                                         for c in row_codes(rest, q, m)]) + "\n"
+        for code in sorted(below, key=order):
+            top, rests = f" {d} {row_text(code)}", below.pop(code)
             rests.sort(key=suffix_order.__getitem__)
             yield "".join([f"block {table[code + big * rest]}{top}{suffix_text[rest]}"
                            for rest in rests])

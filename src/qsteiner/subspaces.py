@@ -13,8 +13,11 @@ Grassmannians are enumerated without elimination.  For a fixed set of
 pivot columns the rows of an RREF matrix vary independently: row i is 1
 at its pivot, zero before it and at the other pivots, and free in the
 remaining columns to its right.  The d-subspaces with those pivots are
-therefore the product of the per-row choice lists
-(``_grassmannian_rows``).
+therefore the product of the per-row choice lists, formed as keys
+(``_cell_keys``).  The canonical order, lexicographic on the RREF rows
+read row-major, is the one sort key ``_order``; ``grassmannian_keys``
+sorts the keys of a Grassmannian by it, and ``enumerate_subspaces``
+decodes them.
 
 Designs store their blocks as keys, not as ``Subspace`` objects.  The
 key of a subspace (``rows_key``) is one int: the code of its RREF
@@ -33,22 +36,22 @@ decodes these keys; the constructions of ``designs`` store them.
 
 ``coverage`` is the one coverage count every verifier reads.  It takes
 the blocks as batches of keys of one dimension and weight, and yields,
-for each s-subspace of F_q^m in canonical (``enumerate_subspaces``)
-order, its RREF rows and the summed weight of the blocks containing
-it, 0 included.  A batch may stand for every d-subspace of F_q^m: it
+for each s-subspace of F_q^m in canonical (``grassmannian_keys``)
+order, its key and the summed weight of the blocks containing it, 0
+included.  A batch may stand for every d-subspace of F_q^m: it
 adds the same closed-form count to every s-subspace and lists nothing.
 ``designs.verify`` gives each block dimension's majority multiplicity
 w that way, and lists only the blocks of another multiplicity, at
 their difference from w, and the d-subspaces absent from the design,
-at -w; ``_cell_keys`` forms the keys of those from the pivot cells,
-unsorted.  ``coverage`` and ``equations.build_full`` read one
-generator, ``_within_columns``: the spans of a chunk of blocks are
-listed as columns of vector codes, one per coefficient vector, and the
-keys of the blocks' s-subspaces are read off them one coefficient basis
-at a time.  For characteristic 2 (q in {2, 4, 8, 16}) an element code is
-the bit pattern of its polynomial coefficients, so each base-q digit
-of a vector code is a bit field and vector addition is ``^`` on codes,
-applied a whole column at a time.
+at -w; ``_cell_keys`` lists the keys of those, unsorted.  ``coverage``
+and ``equations.build_full`` read one generator, ``_within_columns``:
+the spans of a chunk of blocks are listed as columns of vector codes,
+one per coefficient vector, and the keys of the blocks' s-subspaces are
+read off them one coefficient basis at a time.  For characteristic 2
+(q in {2, 4, 8, 16}) an element code is the bit pattern of its
+polynomial coefficients, so each base-q digit of a vector code is a bit
+field and vector addition is ``^`` on codes, applied a whole column at
+a time.
 
 Puncturing always removes the last coordinate(s).  Deleting the last p
 columns of an RREF matrix leaves an RREF matrix once its zero rows are
@@ -70,7 +73,7 @@ from functools import lru_cache
 from operator import add, xor
 from typing import Iterable, Iterator
 
-from .field import GF, make_field
+from .field import GF
 
 
 class Subspace:
@@ -118,10 +121,6 @@ class Subspace:
     def __repr__(self) -> str:
         body = ";".join("".join(map(str, r)) for r in self.rows) or "-"
         return f"Subspace(q={self.field.q}, m={self.ambient}, [{body}])"
-
-    def sort_key(self) -> tuple:
-        """Canonical order: dimension, then row-major lexicographic."""
-        return (self.dim, self.rows)
 
     def vectors(self) -> Iterator[tuple]:
         """All q^d vectors of the subspace (zero vector included)."""
@@ -258,47 +257,16 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
     return Subspace(field, m, tuple(tuple(vecs[i]) for i in range(rank)))
 
 
-def _row_choices(q: int, m: int, pivots: tuple) -> list:
-    """For each pivot, every RREF row leading there: 1 at the pivot, 0
-    before it and at the other pivots, anything in the free columns
-    (the last free column varies fastest)."""
-    pivotset = set(pivots)
-    choices = []
-    for p in pivots:
-        free = [c for c in range(p + 1, m) if c not in pivotset]
-        rows = []
-        for vals in itertools.product(range(q), repeat=len(free)):
-            row = [0] * m
-            row[p] = 1
-            for c, v in zip(free, vals):
-                row[c] = v
-            rows.append(tuple(row))
-        choices.append(rows)
-    return choices
-
-
-def _grassmannian_rows(q: int, m: int, d: int) -> Iterator[tuple]:
-    """The RREF row tuples of all d-subspaces of F_q^m, one per subspace.
-
-    For fixed pivot columns the rows vary independently, so each pivot
-    set's cell is the product of its per-row choices.  Order: pivot
-    combinations, then the last free entry fastest.  No elimination.
-    """
-    for pivots in itertools.combinations(range(m), d):
-        yield from itertools.product(*_row_choices(q, m, pivots))
-
-
 def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
     """Yield each d-subspace of F_q^m exactly once, lexicographically.
 
     The order is lexicographic on the RREF matrix read row-major with
-    elements as integers; the full Grassmannian is materialized and
-    sorted to realize it.
+    elements as integers: ``grassmannian_keys``, decoded.
     """
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} out of range for ambient {m}")
-    return iter([Subspace(field, m, rows)
-                 for rows in sorted(_grassmannian_rows(field.q, m, d))])
+    return iter([subspace_from_key(field, m, key)
+                 for key in grassmannian_keys(field.q, m, d)])
 
 
 def first_subspace(field: GF, m: int, d: int) -> Subspace:
@@ -464,13 +432,6 @@ def expand(x: Subspace, k: int) -> VirtualExpansion:
     return VirtualExpansion(x.field, x.ambient, k, rows)
 
 
-@lru_cache(maxsize=None)
-def _coefficient_bases(q: int, d: int, s: int) -> tuple:
-    """Sorted RREF bases of the s-subspaces of F_q^d (coefficient space)."""
-    field = make_field(q)
-    return tuple(enumerate_subspaces(field, d, s))
-
-
 def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
     """All s-subspaces of the subspace y, each in canonical form.
 
@@ -488,10 +449,10 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
     if s == 0:
         yield null_subspace(f, m)
         return
-    yrows = y.rows
-    for c in _coefficient_bases(f.q, d, s):
-        yield Subspace(f, m, tuple(_combine(f, m, crow, yrows)
-                                   for crow in c.rows))
+    q, yrows = f.q, y.rows
+    for basis in _coefficient_codes(q, d, s):
+        yield Subspace(f, m, tuple(_combine(f, m, _code_row(code, q, d), yrows)
+                                   for code in basis))
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +489,38 @@ def _code_row(code: int, q: int, m: int) -> tuple:
 
 def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
     """The subspace of F_q^m whose key (``rows_key``) is ``key``."""
-    return Subspace(field, m, tuple(_code_row(code, field.q, m)
-                                    for code in row_codes(key, field.q, m)))
+    q = field.q
+    return Subspace(field, m, tuple([_code_row(code, q, m)
+                                     for code in row_codes(key, q, m)]))
+
+
+def _order(q: int, m: int):
+    """The sort key putting keys of subspaces of F_q^m, all of one
+    dimension, in canonical order: lexicographic on their RREF rows,
+    top row first.  A row's digits read in reverse (first coordinate
+    most significant) order rows lexicographically, so the key's rows,
+    each reversed, read as one base-q^m number with the top row most
+    significant order the subspaces.  Reversed row codes are worked out
+    as rows are met, once each."""
+    big = q ** m
+    reversed_codes: dict = {}
+
+    def order(key: int) -> int:
+        out = 0
+        while key:
+            key, code = divmod(key, big)
+            rev = reversed_codes.get(code)
+            if rev is None:
+                rev = reversed_codes[code] = vector_code(
+                    vector_from_code(code, q, m)[::-1], q)
+            out = out * big + rev
+        return out
+    return order
 
 
 def grassmannian_keys(q: int, m: int, d: int) -> list:
-    """The keys of all d-subspaces of F_q^m in ``enumerate_subspaces``
-    order."""
-    return [rows_key(q, rows) for rows in sorted(_grassmannian_rows(q, m, d))]
+    """The keys of all d-subspaces of F_q^m in canonical order."""
+    return sorted(_cell_keys(q, m, d), key=_order(q, m))
 
 
 def puncture_key(key: int, q: int, m: int) -> int:
@@ -560,10 +545,9 @@ def _multiple_codes(code: int, field: GF, m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _coefficient_codes(q: int, d: int, s: int) -> tuple:
-    """The row codes of each basis of ``_coefficient_bases(q, d, s)``,
-    one tuple per basis, in basis order."""
-    return tuple(tuple(vector_code(r, q) for r in rows)
-                 for rows in sorted(_grassmannian_rows(q, d, s)))
+    """The row codes of the RREF basis of each s-subspace of F_q^d (the
+    coefficient space), one tuple per basis, in canonical order."""
+    return tuple(tuple(row_codes(key, q, d)) for key in grassmannian_keys(q, d, s))
 
 
 # Span entries (blocks times q**d) the coverage kernel holds at once
@@ -639,9 +623,9 @@ def _within_columns(field: GF, m: int, d: int, keys: Iterable,
 
 def coverage(batches: Iterable[tuple], field: GF, m: int,
              s: int) -> Iterator[tuple]:
-    """Yield ``(rows, weight)`` for every s-subspace of F_q^m, as its
-    RREF rows, in ``enumerate_subspaces`` order: the summed weight of
-    the blocks containing it, 0 where none does.
+    """Yield ``(key, weight)`` for every s-subspace of F_q^m, as its
+    key, in ``grassmannian_keys`` order: the summed weight of the blocks
+    containing it, 0 where none does.
 
     ``batches`` holds ``(d, weight, keys)`` triples, ``keys`` a sized
     collection (not a mapping) of ``rows_key`` values of d-subspaces of
@@ -669,7 +653,5 @@ def coverage(batches: Iterable[tuple], field: GF, m: int,
             counts.update(column)
         for key, c in counts.items():
             cov[key] = get(key, 0) + c * w
-    grassmannian = sorted(_grassmannian_rows(field.q, m, s))
-    keys = map(rows_key, itertools.repeat(field.q), grassmannian)
-    return zip(grassmannian, map(every.__add__,
-                                 map(cov.get, keys, itertools.repeat(0))))
+    keys = grassmannian_keys(field.q, m, s)
+    return zip(keys, map(every.__add__, map(cov.get, keys, itertools.repeat(0))))

@@ -9,8 +9,7 @@ from qsteiner.counting import count_N, covering_coefficient
 from qsteiner.designs import EquationViolation, VerificationReport
 from qsteiner.equations import SolveOutcome
 from qsteiner.field import make_field
-from qsteiner.subspaces import (Subspace, _coefficient_bases, _combine,
-                                _grassmannian_rows, rref, vector_code)
+from qsteiner.subspaces import Subspace, _combine, rref, vector_code
 
 
 def slot_grassmannian_rows(q: int, m: int, d: int):
@@ -99,7 +98,8 @@ def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
 
 
 # Object-keyed coverage: one Subspace per block, batched by (weight,
-# dimension), each block's span listed from its row tuples.
+# dimension), each block's span listed from its row tuples, every
+# Grassmannian enumerated and ordered by ``slot_grassmannian_rows``.
 # ``designs.verify`` must return a VerificationReport equal to
 # ``object_verify``'s.
 def _object_multiple_codes(row: tuple, field) -> tuple:
@@ -122,8 +122,7 @@ def _object_span_codes(y: Subspace) -> list:
         return span
     d = y.dim
     span = [0] * q ** d
-    for point in _coefficient_bases(q, d, 1):
-        coeffs = point.rows[0]
+    for (coeffs,) in slot_grassmannian_rows(q, d, 1):
         span[vector_code(coeffs, q)] = vector_code(
             _combine(f, y.ambient, coeffs, y.rows), q)
     return span
@@ -139,8 +138,8 @@ def _object_block_keys(y: Subspace, columns: tuple, big: int):
 
 
 def object_coverage(weighted_blocks, field, m: int, s: int):
-    """``(rows, weight)`` for every s-subspace of F_q^m in
-    ``enumerate_subspaces`` order, from ``(Subspace, weight)`` pairs."""
+    """``(rows, weight)`` for every s-subspace of F_q^m, its row tuples
+    sorted, from ``(Subspace, weight)`` pairs."""
     q = field.q
     batches = defaultdict(list)
     for y, w in weighted_blocks:
@@ -153,13 +152,13 @@ def object_coverage(weighted_blocks, field, m: int, s: int):
         elif s == 0:
             counts = {0: len(ys)}
         else:
-            columns = tuple(zip(*(tuple(vector_code(r, q) for r in c.rows)
-                                  for c in _coefficient_bases(q, d, s))))
+            columns = tuple(zip(*(tuple(vector_code(r, q) for r in rows)
+                                  for rows in sorted(slot_grassmannian_rows(q, d, s)))))
             counts = Counter(itertools.chain.from_iterable(
                 _object_block_keys(y, columns, q ** m) for y in ys))
         for key, c in counts.items():
             cov[key] = cov.get(key, 0) + c * w
-    for rows in sorted(_grassmannian_rows(q, m, s)):
+    for rows in sorted(slot_grassmannian_rows(q, m, s)):
         yield rows, cov.get(_object_key(rows, q), 0)
 
 

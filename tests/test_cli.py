@@ -109,6 +109,25 @@ def test_verify_corrupted_file(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: bad parameter line 'q=+2 ")
 
 
+@pytest.mark.parametrize("q, got, expected, count", [(2, 65, 64, 7),
+                                                      (3, 730, 729, 13)])
+def test_verify_reports_first_violation(tmp_path, capsys, monkeypatch,
+                                        q, got, expected, count):
+    """One block of fano-m4 raised by 1 breaks the equations of its
+    2-subspaces; the report names the first of them in canonical order."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "fano-m4", "--q", str(q))
+    text = Path(f"fano-m4-q{q}.design").read_text()
+    mult, rows = q ** 4 * (q - 1), "1001;0101;0011"
+    line = f"block {mult} 3 {rows}\n"
+    assert line in text
+    Path("raised.design").write_text(text.replace(line, f"block {mult + 1} 3 {rows}\n"))
+    code, out, _ = run(capsys, "verify", "raised.design")
+    assert code == 1
+    assert out == (f"FAIL: equation for the 2-subspace [0101;0011] gives {got}, "
+                   f"expected {expected} ({count} violated equations)\n")
+
+
 def test_verify_non_decimal_multiplicity(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "fano-m4", "--q", "2")

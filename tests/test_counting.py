@@ -12,8 +12,8 @@ from qsteiner.counting import (ORACLE_GUARD, _puncture_census, count_C,
                                oracle_D, oracle_N)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
-                                first_subspace, puncture, subspaces_within,
-                                vector_code)
+                                first_subspace, puncture, rows_key,
+                                subspaces_within)
 
 
 def test_gaussian_values():
@@ -123,7 +123,7 @@ def test_oracle_N_census_partitions_grassmannian():
 
 
 def test_puncture_census_matches_object_puncture():
-    """The row-code-keyed census against puncture() applied to every
+    """The key-keyed census against puncture() applied to every
     t-subspace of the one-slot-at-a-time reference enumeration; at
     q = 5 and 7 a cell's images carry weights up to q**t."""
     for q, n_max in ((2, 5), (3, 5), (4, 5), (5, 4), (7, 4)):
@@ -133,8 +133,7 @@ def test_puncture_census_matches_object_puncture():
                 subs = [Subspace(f, n, rows)
                         for rows in slot_grassmannian_rows(q, n, t)]
                 for m in range(1, n):
-                    want = Counter(tuple(vector_code(r, q)
-                                         for r in puncture(x, n - m).rows)
+                    want = Counter(rows_key(q, puncture(x, n - m).rows)
                                    for x in subs)
                     assert _puncture_census(q, n, t, m) == want, (q, n, t, m)
 

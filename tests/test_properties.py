@@ -1,8 +1,8 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
-malformed block lines; for ``rref`` as the canonical form; for the
-``N`` oracle at random witnesses; and for the parallelisms of the
-orbit search."""
+malformed block lines; for ``rref`` as the canonical form and
+``_order`` as the canonical order; for the ``N`` oracle at random
+witnesses; and for the parallelisms of the orbit search."""
 
 from functools import lru_cache
 
@@ -15,11 +15,11 @@ from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
                               build_parallelism, construct_s3485,
                               construct_uniform_design, puncture_design,
                               verify)
-from qsteiner.field import make_field
+from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import null_subspace, puncture, rref
+from qsteiner.subspaces import _order, null_subspace, puncture, rows_key, rref
 
 # deterministic, and no example database written to the working tree
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -81,7 +81,8 @@ def test_serialize_parse_round_trip(design):
     again = parse_design(text)
     assert again == design
     assert serialize_design(again) == text
-    canonical = sorted(design.blocks.items(), key=lambda item: item[0].sort_key())
+    canonical = sorted(design.blocks.items(),
+                       key=lambda item: (item[0].dim, item[0].rows))
     assert text.splitlines()[2:] == [f"block {mult} {b.dim} {format_block_rows(b)}"
                                      for b, mult in canonical]
 
@@ -194,6 +195,32 @@ def test_rref_is_canonical(q, m, data):
             rows[i] = [add[a][mul[c][b]] for a, b in zip(rows[i], rows[j])]
     order = data.draw(st.permutations(range(x.dim)))
     assert rref(field, [tuple(rows[k]) for k in order]) == x
+
+
+@pytest.mark.parametrize("q, m", [(q, m) for q in SUPPORTED_ORDERS for m in (3, 6)])
+@settings(SETTINGS, max_examples=10)
+@given(data=st.data())
+def test_order_sorts_keys_as_rows(q, m, data):
+    """``_order`` sorts keys of one dimension as their RREF row tuples
+    sort; at F_16^6 row codes run to 16**6, so the order builds no table
+    over the vectors of F_q^m."""
+    d = data.draw(st.integers(1, m))
+    subspaces = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        pivots = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=d,
+                                           max_size=d, unique=True)))
+        rows = []
+        for p in pivots:
+            row = [0] * m
+            row[p] = 1
+            for c in range(p + 1, m):
+                if c not in pivots:
+                    row[c] = data.draw(st.integers(0, q - 1))
+            rows.append(tuple(row))
+        subspaces.append(tuple(rows))
+    rows_of = {rows_key(q, rows): rows for rows in subspaces}
+    assert [rows_of[key] for key in sorted(rows_of, key=_order(q, m))] \
+        == sorted(set(subspaces))
 
 
 @st.composite

@@ -8,15 +8,15 @@ from slow_oracles import slot_grassmannian_rows
 
 from qsteiner.counting import count_N, gaussian
 from qsteiner.field import make_field
-from qsteiner.subspaces import (Subspace, VirtualExpansion, _grassmannian_rows,
+from qsteiner.subspaces import (Subspace, VirtualExpansion, _cell_keys,
                                 _row_entry, _rref_key,
                                 contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
-                                null_subspace, puncture, rows_key, rref,
-                                subspaces_within, vector_code,
-                                vector_from_code)
+                                grassmannian_keys, null_subspace, puncture,
+                                row_codes, rows_key, rref, subspaces_within,
+                                vector_code, vector_from_code)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -124,17 +124,21 @@ def test_enumeration_counts():
             assert sum(1 for _ in enumerate_subspaces(f, m, d)) == gaussian(m, d, q)
 
 
-def test_grassmannian_rows_match_slot_enumeration():
-    """The row-product enumeration yields gaussian(m, d, q) distinct
-    matrices, each one the parser accepts as RREF, in the order of the
-    one-slot-at-a-time reference."""
+def test_grassmannian_keys_match_slot_enumeration():
+    """The pivot-cell keys are the keys of the gaussian(m, d, q) matrices
+    of the one-slot-at-a-time reference, and ``grassmannian_keys``,
+    decoded, lists those matrices in sorted order, each one the parser
+    accepts as RREF."""
     for q in (2, 3, 4):
-        f = make_field(q)
         for m in range(6):
             for d in range(m + 1):
-                got = list(_grassmannian_rows(q, m, d))
-                assert len(set(got)) == len(got) == gaussian(m, d, q)
-                assert got == list(slot_grassmannian_rows(q, m, d)), (q, m, d)
+                want = sorted(slot_grassmannian_rows(q, m, d))
+                assert len(want) == gaussian(m, d, q)
+                got = [tuple(vector_from_code(code, q, m)
+                             for code in row_codes(key, q, m))
+                       for key in grassmannian_keys(q, m, d)]
+                assert got == want, (q, m, d)
+                assert set(_cell_keys(q, m, d)) == {rows_key(q, rows) for rows in want}
                 for rows in got:
                     _rref_key([_row_entry(r, q) for r in rows], q ** m)
 
@@ -464,7 +468,7 @@ def test_subspaces_within_counts_and_canonical():
 
 
 def test_coverage_matches_object_oracle():
-    """The in-order coverage stream against two object-based counts:
+    """The in-order coverage stream of keys against two object-based counts:
     one over subspaces_within, one over contains() on the whole
     Grassmannian, both read in enumerate_subspaces order."""
     rng = random.Random(3)
@@ -493,8 +497,9 @@ def test_coverage_matches_object_oracle():
                 for x in subspaces_within(y, s):
                     within[x] = within.get(x, 0) + w
             xs = list(enumerate_subspaces(f, m, s))
-            by_within = [(x.rows, within.get(x, 0)) for x in xs]
-            by_contains = [(x.rows, sum(w for y, w in blocks if contains(y, x)))
+            by_within = [(rows_key(q, x.rows), within.get(x, 0)) for x in xs]
+            by_contains = [(rows_key(q, x.rows),
+                            sum(w for y, w in blocks if contains(y, x)))
                            for x in xs]
             got = list(coverage([(y.dim, w, [rows_key(q, y.rows)])
                                  for y, w in blocks], f, m, s))
