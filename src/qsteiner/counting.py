@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import make_field
-from .subspaces import (Subspace, _code_row, _free_codes, contains,
+from .subspaces import (Subspace, _code_row, _free_codes, _places, contains,
                         extension_raise_dim, first_subspace, puncture,
                         rows_key, subspaces_within, vector_code)
 
@@ -145,27 +145,27 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
     their free columns (right of the pivot, no pivot).  Puncturing
     deletes the columns from m on: a row leading there vanishes,
     whatever its free entries (all in deleted columns), and a row
-    leading at p < m keeps its first m entries -- ``code % q**m``, as
-    codes are little-endian -- which are still the RREF row leading at
-    p of the image.  Such a cut row is ``q**p`` plus any code free in
-    the row's free columns left of m, and each cut is hit by q**f
-    choices of the row, f its free columns at or after m.  So the cell
-    maps onto its images q**collapsed-to-1, ``collapsed`` counting the
-    cell's free entries in the deleted columns: each image is keyed
-    once per cell, its cut row i placed at ``(q**m)**i``, and counted
-    with that weight.
+    leading at p < m keeps its first m entries, which are still the
+    RREF row leading at p of the image.  Such a cut row is
+    ``q**(m-1-p)`` plus any row code of F_q^m free in the row's free
+    columns left of m, and each cut is hit by q**f choices of the row,
+    f its free columns at or after m.  So the cell maps onto its images
+    q**collapsed-to-1, ``collapsed`` counting the cell's free entries in
+    the deleted columns: each image is keyed once per cell, its cut row
+    i of d placed at ``(q**m)**(d-1-i)``, and counted with that weight.
     """
     census: Counter = Counter()
     big = q ** m
     for pivots in itertools.combinations(range(n), t):
+        places = _places(big, sum(p < m for p in pivots))
         cut, collapsed = [], 0
         for p in pivots:
             free = [c for c in range(p + 1, n) if c not in pivots]
             kept = [c for c in free if c < m]
             collapsed += len(free) - len(kept)
             if p < m:
-                place = big ** len(cut)
-                cut.append([(q ** p + code) * place for code in _free_codes(q, kept)])
+                cut.append([(q ** (m - 1 - p) + code) * places[len(cut)]
+                            for code in _free_codes(q, m, kept)])
         images = map(sum, itertools.product(*cut))
         if collapsed == 0:
             census.update(images)
@@ -258,8 +258,8 @@ def oracle_D(s: int, r: int, m: int, q: int,
     # choice of the other rows, the residual of every witness row is
     # found once, then matched against c * y for each last-row choice y.
     for pivots in itertools.combinations(range(m), r):
-        choices = [[_code_row(q ** p + code, q, m) for code in _free_codes(
-                        q, [c for c in range(p + 1, m) if c not in pivots])]
+        choices = [[_code_row(q ** (m - 1 - p) + code, q, m) for code in _free_codes(
+                        q, m, [c for c in range(p + 1, m) if c not in pivots])]
                    for p in pivots]
         last = max(range(r), key=lambda i: len(choices[i]))
         p_last = pivots[last]

@@ -28,10 +28,10 @@ from typing import Iterable
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
-from .subspaces import (Subspace, _cell_keys, _combine, _extension_keys,
-                        _order, _within_columns, coverage, grassmannian_keys,
-                        puncture_key, row_codes, rows_key, rref,
-                        subspace_from_key, vector_from_code)
+from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
+                        _extension_keys, _within_columns, coverage,
+                        grassmannian_keys, puncture_key, row_codes, rows_key,
+                        rref, subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -193,7 +193,6 @@ class VerificationReport:
     violations: tuple
     block_dim_violations: tuple
     total_multiplicity: int
-    residuals: tuple | None = None
 
     def first_violation(self):
         return self.violations[0] if self.violations else None
@@ -221,7 +220,7 @@ def verify(design: DesignMultiset) -> VerificationReport:
                      for key in table)
     batches = _batches(q, m, design.tables)
     violations = []
-    residuals = []
+    checked = 0
     for s in pr.s_range():
         expected = count_N(s, m, t, n, q)
         coeff = {d: covering_coefficient(s, t, d, k, q) for d in design.tables}
@@ -229,14 +228,13 @@ def verify(design: DesignMultiset) -> VerificationReport:
                         for d, w, keys in batches if coeff[d]], field, m, s)
         # a Subspace only for a violation
         for key, got in acc:
-            residuals.append(got - expected)
+            checked += 1
             if got != expected:
                 violations.append(EquationViolation(
                     s, subspace_from_key(field, m, key), got, expected))
     ok = not violations and not bad_dims
-    return VerificationReport(ok, len(residuals), tuple(violations), bad_dims,
-                              design.total_multiplicity(),
-                              residuals=tuple(residuals))
+    return VerificationReport(ok, checked, tuple(violations), bad_dims,
+                              design.total_multiplicity())
 
 
 def _batches(q: int, m: int, tables: dict) -> list:
@@ -381,7 +379,7 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
     tables = _punctured_tables(q, n, {k: dict.fromkeys(system.keys, 1)})
     design = DesignMultiset._from_tables(DesignParams(q, t, k, n, n - 1), tables)
 
-    lower = sorted(tables.get(k - 1, ()), key=_order(q, n - 1))
+    lower = sorted(tables.get(k - 1, ()))
     for key in lower:
         if tables[k - 1][key] != 1:
             raise ConstructionError(
@@ -428,7 +426,7 @@ class Spread(SteinerSystem):
             points.update(column)
         shared = [key for key, c in points.items() if c > 1]
         if shared:
-            key = min(shared, key=_order(field.q, n))
+            key = min(shared)
             raise ValueError(f"point {subspace_from_key(field, n, key)!r} "
                              f"lies on {points[key]} lines")
         if len(points) != gaussian(n, 1, field.q):
@@ -464,7 +462,7 @@ def build_spread(q: int, n: int) -> Spread:
         for c in xw:
             u.extend((c % q, c // q))
         lines.add(rows_key(q, rref(field, [v, tuple(u)]).rows))
-    return Spread._of_keys(field, 1, 2, n, sorted(lines, key=_order(q, n)))
+    return Spread._of_keys(field, 1, 2, n, sorted(lines))
 
 
 @dataclass(frozen=True)
@@ -493,9 +491,8 @@ class Parallelism:
 def _canonical_parallelism(field: GF, n: int, groups: Iterable) -> Parallelism:
     """The parallelism of these groups of line keys, in canonical file
     order."""
-    order = _order(field.q, n)
-    spreads = [Spread._of_keys(field, 1, 2, n, sorted(g, key=order)) for g in groups]
-    spreads.sort(key=lambda sp: list(map(order, sp.keys)))
+    spreads = [Spread._of_keys(field, 1, 2, n, sorted(g)) for g in groups]
+    spreads.sort(key=lambda sp: sp.keys)
     return Parallelism(field, n, tuple(spreads))
 
 
@@ -503,10 +500,12 @@ def _line_key(u: int, v: int, n: int) -> int:
     """The key of the line of F_2^n through the vectors with codes u and
     v.  A code's lowest set bit is the vector's lead column; the second
     RREF row is the one of u, v, u ^ v whose lead lies furthest right,
-    and the first is the one of the other two that is 0 there."""
+    and the first is the one of the other two that is 0 there.  A key
+    reads a row first coordinate first, so each row's n bits reverse."""
     bottom = max(u, v, u ^ v, key=lambda x: x & -x)
     top = v if u == bottom else u
-    return (top ^ bottom if top & bottom & -bottom else top) | bottom << n
+    top = top ^ bottom if top & bottom & -bottom else top
+    return int(f"{bottom:0{n}b}{top:0{n}b}"[::-1], 2)
 
 
 # For each n the orbit search supports, a primitive polynomial of degree n-1
@@ -724,10 +723,11 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
               for b, mult in table.items()]
     parts.append((2, chain(*keys[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
     # the set tagged with v, the j-th after the zero set, has bottom
-    # <v>, whose key is the code of v: j
+    # <v>, v the vector whose ``vector_code`` is j
     for j in range(1, 2 ** r):
         group = keys[size - 1 + (j - 1) * size:size - 1 + j * size]
-        parts.append((3, chain(*group), j, 2 ** (k - 1 - 2 * (r - 1))))
+        bottom = rows_key(2, (vector_from_code(j, 2, r),))
+        parts.append((3, chain(*group), bottom, 2 ** (k - 1 - 2 * (r - 1))))
     return DesignMultiset._from_tables(params, _extension_tables(2, m1, n, parts))
 
 
@@ -781,14 +781,14 @@ def apply_transform(target, column_ops: Iterable):
                 image = images.get(code)
                 if image is None:
                     image = images[code] = _combine(
-                        field, m, vector_from_code(code, q, m), mat)
+                        field, m, _code_row(code, q, m), mat)
                 rows.append(image)
             out = out_tables.setdefault(len(rows), {})
             key = rows_key(q, rref(field, rows).rows) if rows else 0
             out[key] = out.get(key, 0) + mult
     if isinstance(target, DesignMultiset):
         return DesignMultiset._from_tables(target.params, out_tables)
-    keys = sorted(out_tables.get(target.k, ()), key=_order(q, m))
+    keys = sorted(out_tables.get(target.k, ()))
     if len(keys) != len(target.keys):
         raise ConstructionError("transform collapsed two blocks")
     return SteinerSystem._of_keys(target.field, target.t, target.k, m, keys)

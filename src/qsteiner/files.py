@@ -13,11 +13,12 @@ basis rows joined by ";".  A row is written as m field-element digits,
 contiguous for q <= 9 and space-separated for larger q.  The dimension-0
 block is written with "-" in place of rows.  Blocks are sorted in
 canonical subspace order (dimension, then row-major lexicographic), so
-serialization is deterministic and diffable.  Reading and writing go
-between row text and the key tables of ``DesignMultiset`` directly.
-A design file is read in chunks, never whole.  Each block line is keyed
-from its top row and the text of the rows below it (its suffix): a
-table of the suffixes seen so far holds each one's key and what the RREF
+serialization is deterministic and diffable; that order is the numeric
+order of the blocks' keys.  Reading and writing go between row text and
+the key tables of ``DesignMultiset`` directly.  A design file is read in
+chunks, never whole.  Each block line is keyed from its top row and the
+text of the rows below it (its suffix): a table of the suffixes seen so
+far holds each one's key, its place below the top row and what the RREF
 check needs of it, so a block over a known suffix costs one row check.
 Memory is bounded by the distinct suffixes, not by the blocks.
 
@@ -42,14 +43,15 @@ from typing import Iterator
 from .designs import (DesignMultiset, DesignParams, Parallelism,
                       _canonical_parallelism)
 from .field import make_field
-from .subspaces import (Subspace, _order, _row_entry, _rref_key, row_codes,
-                        vector_from_code)
+from .subspaces import Subspace, _code_row, _row_entry, _rref_key, row_codes
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
 
 # characters read from a design file at a time
 _CHUNK = 1 << 20
+# block lines written to a design file at a time
+_LINES = 1 << 12
 
 
 def _format_row(row: tuple, q: int) -> str:
@@ -124,20 +126,18 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
     """The lines of the design file: blocks in canonical order, dimension
     first, then the rows lexicographically, one dimension at a time.
 
-    Each key is split once, into its top row and the key of the rows
-    below it (its suffix).  The top rows, and the blocks under one top
-    row, are sorted by ``subspaces._order``; a suffix's order and text
-    are worked out once per distinct suffix."""
+    A dimension's keys are sorted, which is the canonical order, and
+    each is split once into its top row and the key of the rows below it
+    (its suffix).  A row's text and a suffix's text are worked out once
+    each."""
     p = design.params
     q, m = p.q, p.m
-    big = q ** m
     yield f"{DESIGN_HEADER}\nq={q} t={p.t} k={p.k} n={p.n} m={m}\n"
-    order = _order(q, m)
     text: dict = {}                        # row code -> its text
 
     def row_text(code: int) -> str:
         if code not in text:
-            text[code] = _format_row(vector_from_code(code, q, m), q)
+            text[code] = _format_row(_code_row(code, q, m), q)
         return text[code]
 
     for d in sorted(design.tables):
@@ -145,20 +145,19 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
         if d == 0:
             yield f"block {table[0]} 0 -\n"
             continue
-        below = defaultdict(list)          # top row code -> suffix keys
-        for key in table:
-            rest, code = divmod(key, big)
-            below[code].append(rest)
-        suffix_order, suffix_text = {}, {}
-        for rest in set().union(*below.values()):
-            suffix_order[rest] = order(rest)
-            suffix_text[rest] = "".join([";" + row_text(c)
-                                         for c in row_codes(rest, q, m)]) + "\n"
-        for code in sorted(below, key=order):
-            top, rests = f" {d} {row_text(code)}", below.pop(code)
-            rests.sort(key=suffix_order.__getitem__)
-            yield "".join([f"block {table[code + big * rest]}{top}{suffix_text[rest]}"
-                           for rest in rests])
+        place = q ** (m * (d - 1))
+        suffix_text: dict = {}             # suffix key -> its text
+        keys = sorted(table)
+        for start in range(0, len(keys), _LINES):
+            lines = []
+            for key in keys[start:start + _LINES]:
+                code, rest = divmod(key, place)
+                suffix = suffix_text.get(rest)
+                if suffix is None:
+                    suffix = suffix_text[rest] = "".join(
+                        [";" + row_text(c) for c in row_codes(rest, q, m)]) + "\n"
+                lines.append(f"block {table[key]} {d} {row_text(code)}{suffix}")
+            yield "".join(lines)
 
 
 def serialize_design(design: DesignMultiset) -> str:
@@ -187,10 +186,12 @@ def _pieces(source) -> Iterator[str]:
 
 def _suffix_entry(text: str, seen: dict, big: int) -> tuple:
     """The key, top-row lead, pivot mask and dimension of the block rows
-    ``text``, whose rows are all in ``seen`` and already checked."""
+    ``text``, whose rows are all in ``seen`` and already checked, and
+    the place of a row above them in a key."""
     entries = [seen[part] for part in text.split(";")]
     pivots = sum(1 << entry[1] for entry in entries)
-    return _rref_key(entries, big), entries[0][1], pivots, len(entries)
+    return (_rref_key(entries, big), entries[0][1], pivots, len(entries),
+            big ** len(entries))
 
 
 def parse_design(source) -> DesignMultiset:
@@ -213,10 +214,11 @@ def parse_design(source) -> DesignMultiset:
     seen: dict = {}
     # block rows below the top row -> their ``_suffix_entry``; a block is
     # its top row, in ``seen``, over a known suffix, so checking it is
-    # checking the top row against the suffix, and its key is one step
+    # checking the top row against the suffix, and its key is the top
+    # row's code at the suffix's place plus the suffix's key, one step
     # of ``_rref_key``; a one-row block stands over the empty suffix
     suffixes: dict = {}
-    empty = (0, big, 0, 0)
+    empty = (0, big, 0, 0, 1)
     # multiplicity and dimension tokens, each checked and parsed once
     numbers: dict = {}
     for ln in lines:
@@ -241,7 +243,7 @@ def parse_design(source) -> DesignMultiset:
         below = suffixes.get(rest) if sep else empty
         if (row is not None and below is not None and dim == below[3] + 1
                 and -1 < row[1] < below[1] and not row[2] & below[2]):
-            key = row[0] + big * below[0]
+            key = row[0] * below[4] + below[0]
         else:
             # the full check, with its message; a "row;" block fails it
             key = _parse_block(text, q, m, dim, seen)
@@ -280,7 +282,7 @@ def serialize_parallelism(para: Parallelism) -> str:
     q, n = para.field.q, para.n
     # each vector's text, formatted once: a parallelism of F_q^n has
     # about q^(2n-4) lines, F_q^n q^n vectors
-    text = [_format_row(vector_from_code(code, q, n), q) for code in range(q ** n)]
+    text = [_format_row(_code_row(code, q, n), q) for code in range(q ** n)]
     lines = [PARALLELISM_HEADER, f"q={q} n={n}"]
     for sp in para.spreads:
         lines.append("spread")

@@ -9,30 +9,30 @@ field-element codes; the integer encoding of a vector v is
 ``sum(v[j] * q**j)`` (leftmost coordinate is the least significant
 digit).
 
+Designs store their blocks as keys, not as ``Subspace`` objects.  The
+key of a subspace (``rows_key``) is one int: its RREF matrix read
+row-major as one base-q number, first entry most significant.  So a row
+code in a key reads the row first coordinate first (``_code_row``), row
+i of d sits at ``(q**m)**(d-1-i)`` (``row_codes``), and keys of one
+dimension sort as their rows do, in canonical order.  Puncturing
+(``puncture_key``) and coverage work on keys; ``subspace_from_key``
+builds a ``Subspace`` only at the edges, where one is reported.
+
 Grassmannians are enumerated without elimination.  For a fixed set of
 pivot columns the rows of an RREF matrix vary independently: row i is 1
 at its pivot, zero before it and at the other pivots, and free in the
 remaining columns to its right.  The d-subspaces with those pivots are
 therefore the product of the per-row choice lists, formed as keys
-(``_cell_keys``).  The canonical order, lexicographic on the RREF rows
-read row-major, is the one sort key ``_order``; ``grassmannian_keys``
-sorts the keys of a Grassmannian by it, and ``enumerate_subspaces``
-decodes them.
-
-Designs store their blocks as keys, not as ``Subspace`` objects.  The
-key of a subspace (``rows_key``) is one int: the code of its RREF
-matrix read row-major, i.e. ``vector_code`` of the concatenated rows,
-so row i of the key of a subspace of F_q^m is ``key // (q**m)**i %
-q**m`` (``row_codes``).  Puncturing (``puncture_key``) and coverage
-work on keys; ``subspace_from_key`` builds a ``Subspace`` only at the
-edges, where one is reported or asked for.
+(``_cell_keys``); ``grassmannian_keys`` sorts them, and
+``enumerate_subspaces`` decodes them.
 
 Appending columns works on keys too: ``_extension_keys`` yields the
 keys of the subspaces of F_q^n with RREF [[G1 B], [0 G2]], G1 and G2
 given by keys of F_q^m and F_q^(n-m), B free outside G2's pivot
-columns.  A top row with suffix code b has the code ``code + b *
-q**m``, a row of G2 the code ``code * q**m``.  ``enumerate_extensions``
-decodes these keys; the constructions of ``designs`` store them.
+columns.  A top row with suffix code b has the code ``code *
+q**(n-m) + b``; a row of G2 keeps its own code.
+``enumerate_extensions`` decodes these keys; the constructions of
+``designs`` store them.
 
 ``coverage`` is the one coverage count every verifier reads.  It takes
 the blocks as batches of keys of one dimension and weight, and yields,
@@ -45,11 +45,11 @@ w that way, and lists only the blocks of another multiplicity, at
 their difference from w, and the d-subspaces absent from the design,
 at -w; ``_cell_keys`` lists the keys of those, unsorted.  ``coverage``
 and ``equations.build_full`` read one generator, ``_within_columns``:
-the spans of a chunk of blocks are listed as columns of vector codes,
+the spans of a chunk of blocks are listed as columns of row codes,
 one per coefficient vector, and the keys of the blocks' s-subspaces are
 read off them one coefficient basis at a time.  For characteristic 2
 (q in {2, 4, 8, 16}) an element code is the bit pattern of its
-polynomial coefficients, so each base-q digit of a vector code is a bit
+polynomial coefficients, so each base-q digit of a row code is a bit
 field and vector addition is ``^`` on codes, applied a whole column at
 a time.
 
@@ -60,7 +60,7 @@ lead, so it slices to zero, and since leads strictly increase those are
 the last rows.  Every other row keeps its lead 1 and the zeros above
 it.  Puncturing is therefore slicing each row to its first m - p
 entries and dropping the rows that lead in a deleted column, no
-elimination needed.  On row codes the slice is ``code % q**(m - p)``,
+elimination needed.  On row codes the slice is ``code // q**p``,
 which is 0 exactly for the dropped rows.
 """
 
@@ -152,6 +152,15 @@ def vector_from_code(code: int, q: int, m: int) -> tuple:
     return tuple(out)
 
 
+def _row_code(row, q: int) -> int:
+    """The code of a row inside a key: its entries read as one base-q
+    number, the first entry the most significant digit."""
+    c = 0
+    for x in row:
+        c = c * q + x
+    return c
+
+
 def _lead(row: tuple) -> int:
     """The column of the row's leading 1; -1 if the row is zero or its
     first nonzero entry is not 1."""
@@ -168,7 +177,7 @@ def _row_entry(row: tuple, q: int) -> tuple:
     bit mask of its nonzero columns, and the row; cached, as the
     subspaces built one after another share rows."""
     nonzero = sum(1 << j for j, x in enumerate(row) if x)
-    return vector_code(row, q), _lead(row), nonzero, row
+    return _row_code(row, q), _lead(row), nonzero, row
 
 
 def _rref_key(entries: list, big: int) -> int:
@@ -183,14 +192,15 @@ def _rref_key(entries: list, big: int) -> int:
     columns of all rows below it (the rows below a pivot lead further
     right, so they are zero there).
     """
-    key, below, last = 0, 0, big
+    key, place, below, last = 0, 1, 0, big
     for code, lead, nonzero, _ in reversed(entries):
         if not -1 < lead < last or nonzero & below:
             rows = tuple(entry[3] for entry in entries)
             raise ValueError(f"rows {rows} are not in reduced row echelon form")
         below |= 1 << lead
         last = lead
-        key = key * big + code
+        key += code * place
+        place *= big
     return key
 
 
@@ -360,40 +370,44 @@ def _extension_keys(q: int, m: int, keys: Iterable, n: int,
     """The keys of the [[G1 B], [0 G2]] subspaces of F_q^n (module
     docstring), G1 given by each key of ``keys`` in turn and G2 by
     ``bottom``; per key the top row's suffix varies slowest."""
-    small, big = q ** m, q ** n
+    shift, big = q ** (n - m), q ** n
     g2 = row_codes(bottom, q, n - m)
     pivots = {_code_row(code, q, n - m).index(1) for code in g2}
-    suffixes = _free_codes(q, [c for c in range(n - m) if c not in pivots])
+    suffixes = _free_codes(q, n - m, [c for c in range(n - m) if c not in pivots])
+    base = sum(code * big ** i for i, code in enumerate(reversed(g2)))
     for key in keys:
         top = row_codes(key, q, m)
-        base = sum(code * small * big ** (len(top) + i) for i, code in enumerate(g2))
-        choices = [[(code + b * small) * big ** i for b in suffixes]
-                   for i, code in enumerate(top)]
+        choices = [[(code * shift + b) * place for b in suffixes]
+                   for code, place in zip(top, _places(big, len(top) + len(g2)))]
         yield from map(base.__add__, map(sum, itertools.product(*choices)))
 
 
-def _free_codes(q: int, columns: list) -> list:
-    """The codes of all vectors that are zero outside these columns,
-    the last column's digit varying fastest."""
+def _free_codes(q: int, m: int, columns: list) -> list:
+    """The row codes, in increasing order, of all vectors of F_q^m that
+    are zero outside these columns (listed left to right)."""
     codes = [0]
     for c in columns:
-        codes = [code + v * q ** c for code in codes for v in range(q)]
+        codes = [code + v * q ** (m - 1 - c) for code in codes for v in range(q)]
     return codes
+
+
+def _places(big: int, d: int) -> list:
+    """The place of each row of a d-row key, top row first."""
+    return [big ** i for i in reversed(range(d))]
 
 
 def _cell_keys(q: int, m: int, d: int) -> Iterator[int]:
     """The keys of all d-subspaces of F_q^m, pivot cell by pivot cell
     and unsorted, by key arithmetic: row i leading at column p is
-    ``q**p`` plus any code free in the columns right of p that are no
-    pivot, placed at ``(q**m)**i``."""
-    big = q ** m
+    ``q**(m-1-p)`` plus any code free in the columns right of p that are
+    no pivot, placed at ``(q**m)**(d-1-i)``."""
+    places = _places(q ** m, d)
     for pivots in itertools.combinations(range(m), d):
         choices = []
-        for i, p in enumerate(pivots):
+        for p, place in zip(pivots, places):
             free = [c for c in range(p + 1, m) if c not in pivots]
-            place = big ** i
-            choices.append([(q ** p + code) * place
-                            for code in _free_codes(q, free)])
+            choices.append([(q ** (m - 1 - p) + code) * place
+                            for code in _free_codes(q, m, free)])
         yield from map(sum, itertools.product(*choices))
 
 
@@ -460,13 +474,12 @@ def subspaces_within(y: Subspace, s: int) -> Iterator[Subspace]:
 # ---------------------------------------------------------------------------
 
 def rows_key(q: int, rows: tuple) -> int:
-    """The key of the subspace with these RREF rows: the code of its
-    RREF matrix read row-major, i.e. ``vector_code`` of the
-    concatenated rows, ``sum(code(row_i) * (q**m)**i)`` (0 for the null
-    space).  Within one ambient space the key determines the subspace;
-    its dimension is its number of base ``q**m`` digits, as every row
-    code is nonzero."""
-    return vector_code([x for row in rows for x in row], q)
+    """The key of the subspace with these RREF rows (module docstring),
+    ``sum(code(row_i) * (q**m)**(d-1-i))``, 0 for the null space.
+    Within one ambient space the key determines the subspace; its
+    dimension is its number of base ``q**m`` digits, as every row code
+    is nonzero."""
+    return _row_code([x for row in rows for x in row], q)
 
 
 def row_codes(key: int, q: int, m: int) -> list:
@@ -477,14 +490,14 @@ def row_codes(key: int, q: int, m: int) -> list:
     while key:
         key, code = divmod(key, big)
         codes.append(code)
-    return codes
+    return codes[::-1]
 
 
 @lru_cache(maxsize=4096)
 def _code_row(code: int, q: int, m: int) -> tuple:
-    """``vector_from_code``, cached: the blocks of a design share rows,
-    and subspaces decoded from keys share the row tuples."""
-    return vector_from_code(code, q, m)
+    """The row of F_q^m with this ``_row_code``, cached: the blocks of a
+    design share rows, and decoded subspaces share the row tuples."""
+    return vector_from_code(code, q, m)[::-1]
 
 
 def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
@@ -494,33 +507,9 @@ def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
                                      for code in row_codes(key, q, m)]))
 
 
-def _order(q: int, m: int):
-    """The sort key putting keys of subspaces of F_q^m, all of one
-    dimension, in canonical order: lexicographic on their RREF rows,
-    top row first.  A row's digits read in reverse (first coordinate
-    most significant) order rows lexicographically, so the key's rows,
-    each reversed, read as one base-q^m number with the top row most
-    significant order the subspaces.  Reversed row codes are worked out
-    as rows are met, once each."""
-    big = q ** m
-    reversed_codes: dict = {}
-
-    def order(key: int) -> int:
-        out = 0
-        while key:
-            key, code = divmod(key, big)
-            rev = reversed_codes.get(code)
-            if rev is None:
-                rev = reversed_codes[code] = vector_code(
-                    vector_from_code(code, q, m)[::-1], q)
-            out = out * big + rev
-        return out
-    return order
-
-
 def grassmannian_keys(q: int, m: int, d: int) -> list:
     """The keys of all d-subspaces of F_q^m in canonical order."""
-    return sorted(_cell_keys(q, m, d), key=_order(q, m))
+    return sorted(_cell_keys(q, m, d))
 
 
 def puncture_key(key: int, q: int, m: int) -> int:
@@ -529,8 +518,9 @@ def puncture_key(key: int, q: int, m: int) -> int:
     goes (see the module docstring)."""
     small = q ** (m - 1)
     out = 0
-    for code in reversed(row_codes(key, q, m)):
-        out = out * small + code % small
+    for code in row_codes(key, q, m):
+        if code >= q:
+            out = out * small + code // q
     return out
 
 
@@ -539,7 +529,7 @@ def _multiple_codes(code: int, field: GF, m: int) -> tuple:
     """Codes of a*row for a = 1..q-1, the row given by its code."""
     mul = field.mul_table
     row = _code_row(code, field.q, m)
-    return tuple(vector_code([mul[a][x] for x in row], field.q)
+    return tuple(_row_code([mul[a][x] for x in row], field.q)
                  for a in range(1, field.q))
 
 
@@ -556,7 +546,7 @@ _CHUNK = 1 << 14
 
 def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
     """The spans of the d-dimensional blocks with these keys, as
-    columns: entry b of column sum(c_i q^i) is the code of
+    columns: entry b of column ``_row_code(c)`` is the row code of
     sum(c_i * row_i) over the rows of block b.
 
     Characteristic 2 fills all q^d columns, adding codes with ``^`` a
@@ -567,10 +557,8 @@ def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
     """
     q = field.q
     big = q ** m
-    rows = []
-    for i in range(d):
-        place = big ** i
-        rows.append([key // place % big for key in keys])
+    # bottom row first: a column's top digit is the top row's coefficient
+    rows = [[key // big ** i % big for key in keys] for i in range(d)]
     if field.p == 2:
         span = [[0] * len(keys)]
         for col in rows:
@@ -584,10 +572,10 @@ def _span_columns(field: GF, m: int, d: int, keys: list) -> list:
     points = [(_code_row(code, q, d), code) for code, in _coefficient_codes(q, d, 1)]
     spans = []
     for codes in zip(*rows):
-        block = [_code_row(code, q, m) for code in codes]
+        block = [_code_row(code, q, m) for code in reversed(codes)]
         span = [0] * q ** d
         for coeffs, code in points:
-            span[code] = vector_code(_combine(field, m, coeffs, block), q)
+            span[code] = _row_code(_combine(field, m, coeffs, block), q)
         spans.append(span)
     return list(zip(*spans))
 
@@ -598,7 +586,8 @@ def _within_columns(field: GF, m: int, d: int, keys: Iterable,
     with these keys, a sized collection) and coefficient basis C: entry
     j of ``column`` is the key of C*Y, Y = ``keys[start + j]``.  C*Y is
     RREF (see ``subspaces_within``): its row i is the span entry at the
-    code of C's row i, placed at ``big**i`` (``big`` = q**m)."""
+    code of C's row i, and its key is built top row first, each row
+    shifting the rows above it up by ``big`` = q**m."""
     if s > d:
         return
     if s == d:
@@ -614,10 +603,8 @@ def _within_columns(field: GF, m: int, d: int, keys: Iterable,
         span = _span_columns(field, m, d, list(itertools.islice(blocks, step)))
         for basis in _coefficient_codes(q, d, s):
             column = span[basis[0]]
-            place = 1
             for code in basis[1:]:
-                place *= big
-                column = map(add, column, map(place.__mul__, span[code]))
+                column = map(add, map(big.__mul__, column), span[code])
             yield start, column
 
 

@@ -100,20 +100,29 @@ def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
 # Object-keyed coverage: one Subspace per block, batched by (weight,
 # dimension), each block's span listed from its row tuples, every
 # Grassmannian enumerated and ordered by ``slot_grassmannian_rows``.
-# ``designs.verify`` must return a VerificationReport equal to
-# ``object_verify``'s.
+# Keys are the RREF matrix read row-major as one base-q number, first
+# entry most significant.  ``designs.verify`` must return a
+# VerificationReport equal to ``object_verify``'s.
+def _object_code(digits, q: int) -> int:
+    """The digits read as one base-q number, the first most significant."""
+    code = 0
+    for x in digits:
+        code = code * q + x
+    return code
+
+
 def _object_multiple_codes(row: tuple, field) -> tuple:
     """Codes of a*row for a = 1..q-1."""
     q, mul = field.q, field.mul_table
-    return tuple(vector_code([mul[a][x] for x in row], q) for a in range(1, q))
+    return tuple(_object_code([mul[a][x] for x in row], q) for a in range(1, q))
 
 
 def _object_key(rows: tuple, q: int) -> int:
-    return vector_code(sum(rows, ()), q)
+    return _object_code(sum(rows, ()), q)
 
 
 def _object_span_codes(y: Subspace) -> list:
-    """Codes of the vectors of y, indexed by coefficient code."""
+    """Codes of the vectors of y, indexed by coefficient ``vector_code``."""
     f, q = y.field, y.field.q
     if f.p == 2:
         span = [0]
@@ -123,17 +132,19 @@ def _object_span_codes(y: Subspace) -> list:
     d = y.dim
     span = [0] * q ** d
     for (coeffs,) in slot_grassmannian_rows(q, d, 1):
-        span[vector_code(coeffs, q)] = vector_code(
+        span[vector_code(coeffs, q)] = _object_code(
             _combine(f, y.ambient, coeffs, y.rows), q)
     return span
 
 
 def _object_block_keys(y: Subspace, columns: tuple, big: int):
+    """The keys of the s-subspaces of y, one per coefficient basis:
+    ``columns[i]`` holds the coefficient codes of each basis's row i,
+    and the rows go in top row first."""
     span = _object_span_codes(y)
     keys = map(span.__getitem__, columns[0])
     for col in columns[1:]:
-        span = list(map(big.__mul__, span))
-        keys = map(add, keys, map(span.__getitem__, col))
+        keys = map(add, map(big.__mul__, keys), map(span.__getitem__, col))
     return keys
 
 
@@ -170,19 +181,18 @@ def object_verify(design) -> VerificationReport:
     blocks = dict(design.blocks.items())
     bad_dims = tuple((b, b.dim) for b in blocks if b.dim not in pr.r_range())
     violations = []
-    residuals = []
+    checked = 0
     for s in pr.s_range():
         expected = count_N(s, m, t, n, q)
         weighted = [(y, mult * covering_coefficient(s, t, y.dim, k, q))
                     for y, mult in blocks.items()]
         for rows, got in object_coverage(weighted, field, m, s):
-            residuals.append(got - expected)
+            checked += 1
             if got != expected:
                 violations.append(EquationViolation(
                     s, Subspace(field, m, rows), got, expected))
-    return VerificationReport(not violations and not bad_dims, len(residuals),
-                              tuple(violations), bad_dims,
-                              sum(blocks.values()), residuals=tuple(residuals))
+    return VerificationReport(not violations and not bad_dims, checked,
+                              tuple(violations), bad_dims, sum(blocks.values()))
 
 
 # Object-level column transform: each column operation applied to every

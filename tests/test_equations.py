@@ -204,12 +204,13 @@ def test_evaluate_empty_design_residuals():
     empty = DesignMultiset(fs.params, {})
     rep = verify(empty)
     assert not rep.ok
-    assert list(rep.residuals) == [-b for b in fs.rhs]
+    assert [v.got - v.expected for v in rep.violations] == [-b for b in fs.rhs]
 
 
 def test_streaming_verifier_agrees_with_materialized_system():
-    """The streaming verifier and the materialized full system compute
-    identical residual vectors (equations share one canonical order)."""
+    """The streaming verifier reports, in the materialized full system's
+    equation order, the subject and residual of each nonzero residual
+    (equations share one canonical order)."""
     good = construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
     block = next(b for b in good.blocks if b.dim == 2)
     bad = good.with_block_multiplicity(block, 7)
@@ -217,7 +218,9 @@ def test_streaming_verifier_agrees_with_materialized_system():
     for design in (good, bad):
         streamed = verify(design)
         materialized = residuals(fs, design)
-        assert list(streamed.residuals) == materialized
+        assert [(v.subject, v.got - v.expected) for v in streamed.violations] \
+            == [(x, r) for x, r in zip(fs.subjects, materialized) if r]
+        assert streamed.equations_checked == len(fs.rhs)
         assert streamed.ok == (not any(materialized))
 
 

@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
-malformed block lines; for ``rref`` as the canonical form and
-``_order`` as the canonical order; for the ``N`` oracle at random
+malformed block lines; for ``rref`` as the canonical form and the
+keys' numeric order as the canonical order; for the ``N`` oracle at random
 witnesses; and for the parallelisms of the orbit search."""
 
 from functools import lru_cache
@@ -19,7 +19,7 @@ from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import _order, null_subspace, puncture, rows_key, rref
+from qsteiner.subspaces import null_subspace, puncture, rows_key, rref
 
 # deterministic, and no example database written to the working tree
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -112,13 +112,16 @@ def test_puncture_design_matches_subspace_puncture(design):
 @given(st.data())
 def test_transform_preserves_verification(data):
     """A column transform permutes the subspaces of F_q^m and keeps
-    containment, so the verdict and the residual multiset stay."""
+    containment, so the verdict, the number of equations and the
+    multiset of nonzero residuals stay."""
     design = data.draw(st.one_of(st.sampled_from(VERIFIED).map(verified),
                                  designs()))
     ops = data.draw(column_ops(design.params.q, design.params.m))
     before, after = verify(design), verify(apply_transform(design, ops))
     assert after.ok == before.ok
-    assert sorted(after.residuals) == sorted(before.residuals)
+    assert after.equations_checked == before.equations_checked
+    assert sorted(v.got - v.expected for v in after.violations) \
+        == sorted(v.got - v.expected for v in before.violations)
     assert len(after.block_dim_violations) == len(before.block_dim_violations)
     assert after.total_multiplicity == before.total_multiplicity
 
@@ -201,9 +204,9 @@ def test_rref_is_canonical(q, m, data):
 @settings(SETTINGS, max_examples=10)
 @given(data=st.data())
 def test_order_sorts_keys_as_rows(q, m, data):
-    """``_order`` sorts keys of one dimension as their RREF row tuples
-    sort; at F_16^6 row codes run to 16**6, so the order builds no table
-    over the vectors of F_q^m."""
+    """The canonical order is the keys' numeric order: keys of one
+    dimension sort as plain ints as their RREF row tuples sort, up to
+    F_16^6, whose row codes run to 16**6."""
     d = data.draw(st.integers(1, m))
     subspaces = []
     for _ in range(data.draw(st.integers(1, 12))):
@@ -219,7 +222,7 @@ def test_order_sorts_keys_as_rows(q, m, data):
             rows.append(tuple(row))
         subspaces.append(tuple(rows))
     rows_of = {rows_key(q, rows): rows for rows in subspaces}
-    assert [rows_of[key] for key in sorted(rows_of, key=_order(q, m))] \
+    assert [rows_of[key] for key in sorted(rows_of)] \
         == sorted(set(subspaces))
 
 

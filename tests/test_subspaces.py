@@ -9,7 +9,7 @@ from slow_oracles import slot_grassmannian_rows
 from qsteiner.counting import count_N, gaussian
 from qsteiner.field import make_field
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _cell_keys,
-                                _row_entry, _rref_key,
+                                _code_row, _row_entry, _rref_key,
                                 contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
@@ -134,7 +134,7 @@ def test_grassmannian_keys_match_slot_enumeration():
             for d in range(m + 1):
                 want = sorted(slot_grassmannian_rows(q, m, d))
                 assert len(want) == gaussian(m, d, q)
-                got = [tuple(vector_from_code(code, q, m)
+                got = [tuple(_code_row(code, q, m)
                              for code in row_codes(key, q, m))
                        for key in grassmannian_keys(q, m, d)]
                 assert got == want, (q, m, d)
@@ -507,13 +507,17 @@ def test_coverage_matches_object_oracle():
 
 
 def test_packed_is_row_major_matrix_code():
-    """A coverage key is the code of the RREF matrix read row-major, and
-    no two subspaces of one Grassmannian share it."""
+    """A coverage key is the RREF matrix read row-major as one base-q
+    number, its first entry the most significant digit; no two subspaces
+    of one Grassmannian share it, and the Grassmannian's keys in
+    canonical order are its pivot-cell keys sorted as ints."""
     for q in (2, 3, 4, 9):
         f = make_field(q)
         for m in range(5):
             for s in range(m + 1):
                 xs = list(enumerate_subspaces(f, m, s))
                 keys = [rows_key(q, x.rows) for x in xs]
-                assert keys == [vector_code(sum(x.rows, ()), q) for x in xs]
+                assert keys == [int("0" + "".join(map(str, sum(x.rows, ()))), q)
+                                for x in xs]
                 assert len(set(keys)) == len(xs) == gaussian(m, s, q), (q, m, s)
+                assert grassmannian_keys(q, m, s) == sorted(_cell_keys(q, m, s))
