@@ -13,25 +13,34 @@ Closed forms:
   s-subspace: gaussian(m-s, r-s).
 
 Every closed form has an independent oracle that counts by exhaustive
-enumeration; the oracles never evaluate the formulas.  ``oracle_N``
-reads a census of the punctures of every t-subspace of F_q^n, keyed by
-the image's key (``subspaces.rows_key``) rather than by ``Subspace``
-objects; each pivot cell of t-subspaces is enumerated by its punctured
-images, each weighted by the choices the puncture collapses.  All values
-are exact arbitrary-precision integers.
+enumeration; the oracles never evaluate the formulas.  Each enumerates
+by pivot cell or on keys (``subspaces.rows_key``), never one
+``Subspace`` per subspace:
+
+* ``oracle_N`` reads a census of the punctures of every t-subspace of
+  F_q^n, keyed by the image's key.  The cells sharing the pivots left
+  of the deleted columns are weighted together, and their images are
+  listed once.
+* ``oracle_C`` lists the t-subspaces of the raised k-subspace as keys
+  and punctures each on its key.
+* ``oracle_D`` counts each pivot cell column by column: the free
+  entries of one column of an RREF matrix decide on their own whether
+  it holds the witness, so a cell's count is a product over its
+  columns.
+
+All values are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import make_field
-from .subspaces import (Subspace, _code_row, _free_codes, _places, contains,
-                        extension_raise_dim, first_subspace, puncture,
-                        rows_key, subspaces_within, vector_code)
+from .field import GF, make_field
+from .subspaces import (Subspace, _free_codes, _places, _within_columns,
+                        contains, extension_raise_dim, first_subspace,
+                        row_codes, rows_key, subspaces_within)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -136,9 +145,10 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
 
 
 @lru_cache(maxsize=16)
-def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
+def _puncture_census(q: int, n: int, t: int, m: int) -> dict:
     """Map each subspace of F_q^m, keyed by ``rows_key``, to the number
-    of t-subspaces of F_q^n puncturing onto it.
+    of t-subspaces of F_q^n puncturing onto it; a subspace onto which
+    none punctures is absent.
 
     The t-subspaces are counted pivot cell by pivot cell, never one by
     one.  For a fixed pivot set the RREF rows vary independently in
@@ -147,33 +157,33 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> Counter:
     whatever its free entries (all in deleted columns), and a row
     leading at p < m keeps its first m entries, which are still the
     RREF row leading at p of the image.  Such a cut row is
-    ``q**(m-1-p)`` plus any row code of F_q^m free in the row's free
-    columns left of m, and each cut is hit by q**f choices of the row,
-    f its free columns at or after m.  So the cell maps onto its images
-    q**collapsed-to-1, ``collapsed`` counting the cell's free entries in
-    the deleted columns: each image is keyed once per cell, its cut row
-    i of d placed at ``(q**m)**(d-1-i)``, and counted with that weight.
+    ``q**(m-1-p)`` plus any row code of F_q^m free in the columns left
+    of m that are no pivot, and each cut is hit by q**f choices of the
+    row, f its free columns at or after m.  So a cell maps onto its
+    images q**collapsed-to-1, ``collapsed`` counting the cell's free
+    entries in the deleted columns.  The images depend only on the
+    pivots left of m: they are the d-subspaces of F_q^m with those
+    pivots, cut row i of d placed at ``(q**m)**(d-1-i)``.  So the
+    weights q**collapsed of the cells sharing those pivots are summed
+    first, and each such pivot set's images are listed once, with that
+    sum.  Different pivot sets have different images, so no key is
+    listed twice.
     """
-    census: Counter = Counter()
-    big = q ** m
+    weights: dict = {}
     for pivots in itertools.combinations(range(n), t):
-        places = _places(big, sum(p < m for p in pivots))
-        cut, collapsed = [], 0
-        for p in pivots:
-            free = [c for c in range(p + 1, n) if c not in pivots]
-            kept = [c for c in free if c < m]
-            collapsed += len(free) - len(kept)
-            if p < m:
-                cut.append([(q ** (m - 1 - p) + code) * places[len(cut)]
-                            for code in _free_codes(q, m, kept)])
-        images = map(sum, itertools.product(*cut))
-        if collapsed == 0:
-            census.update(images)
-        else:
-            w = q ** collapsed
-            get = census.get
-            for key in images:
-                census[key] = get(key, 0) + w
+        left = tuple(p for p in pivots if p < m)
+        collapsed = sum(c not in pivots for p in pivots
+                        for c in range(max(p + 1, m), n))
+        weights[left] = weights.get(left, 0) + q ** collapsed
+    census: dict = {}
+    for left, w in weights.items():
+        cut = [[(q ** (m - 1 - p) + code) * place for code in _free_codes(
+                    q, m, [c for c in range(p + 1, m) if c not in left])]
+               for p, place in zip(left, _places(q ** m, len(left)))]
+        images = [0]
+        for row in cut:
+            images = [a + b for a in images for b in row]
+        census.update(dict.fromkeys(images, w))
     return census
 
 
@@ -198,7 +208,7 @@ def oracle_N(s: int, m: int, t: int, n: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return _puncture_census(q, n, t, m)[rows_key(q, witness.rows)]
+    return _puncture_census(q, n, t, m).get(rows_key(q, witness.rows), 0)
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,
@@ -207,9 +217,12 @@ def oracle_C(s: int, t: int, r: int, k: int, q: int,
     """Brute-force count_C.
 
     Picks an r-subspace Y containing an s-subspace X (by default Y is
-    the whole space F_q^r and X its first s-subspace), raises Y to a
+    the whole space F_q^r, and X is Y's first s-subspace), raises Y to a
     k-subspace W by repeated unique dimension-raising extension, and
-    counts the t-subspaces of W that puncture back onto X.
+    counts the t-subspaces of W that puncture back onto X.  The
+    t-subspaces are listed as keys (``_within_columns``) and punctured
+    on keys: each row code is cut by ``q**p``, p = k - r, and the rows
+    that cut to 0 are dropped.
     """
     if not 0 <= s <= t < k:
         raise ValueError(f"need 0 <= s <= t < k, got s={s}, t={t}, k={k}")
@@ -220,24 +233,62 @@ def oracle_C(s: int, t: int, r: int, k: int, q: int,
     if outer is None:
         outer = first_subspace(field, r, r)
     if inner is None:
-        inner = first_subspace(field, outer.ambient, s)
+        inner = next(subspaces_within(outer, s))
     if outer.dim != r or inner.dim != s or not contains(outer, inner):
         raise ValueError("witness pair is not an s-subspace inside an r-subspace")
     w = outer
     for _ in range(k - r):
         w = extension_raise_dim(w)
-    p = k - r
+    n = w.ambient
+    small, cut = q ** outer.ambient, q ** (k - r)
+    target = rows_key(q, inner.rows)
     total = 0
-    for tsub in subspaces_within(w, t):
-        if puncture(tsub, p) == inner:
-            total += 1
+    for _, column in _within_columns(field, n, k, [rows_key(q, w.rows)], t):
+        for key in column:
+            image = 0
+            for code in row_codes(key, q, n):
+                if code >= cut:
+                    image = image * small + code // cut
+            total += image == target
     return total
+
+
+def _column_choices(field: GF, rows: tuple, left: tuple, c: int) -> int:
+    """The number of choices of column c of an RREF matrix with pivots
+    ``left`` left of c (its entries in the rows leading there, the rest
+    of the column 0) for which every witness row x meets
+    ``x[c] = sum(x[p] * Y[p][c] for p in left)``.
+
+    Each row's sums over all q**len(left) choices are listed in one
+    order, and the rows' sums are joined into one base-q code per
+    choice."""
+    q, add, mul = field.q, field.add_table, field.mul_table
+    codes, target = [0] * q ** len(left), 0
+    for x in rows:
+        sums = [0]
+        for p in left:
+            mx = mul[x[p]]
+            sums = [add[a][b] for a in sums for b in mx]
+        codes = [code * q + a for code, a in zip(codes, sums)]
+        target = target * q + x[c]
+    return codes.count(target)
 
 
 def oracle_D(s: int, r: int, m: int, q: int,
              witness: Subspace | None = None) -> int:
-    """Brute-force count_D: enumerate the RREF rows of all r-subspaces
-    of F_q^m and count those containing the witness s-subspace."""
+    """Brute-force count_D: enumerate the r-subspaces of F_q^m pivot
+    cell by pivot cell, column by column, and count those containing
+    the witness s-subspace.
+
+    An RREF Y with pivots P holds x iff, at every column c not in P,
+    ``x[c] = sum(x[p] * Y[p][c] for p in P if p < c)``: a condition on
+    column c of Y alone.  The free entries of different columns vary
+    independently, so a cell's count is the product, over its non-pivot
+    columns, of the number of that column's choices meeting the
+    condition for every witness row (``_column_choices``, enumerated in
+    full once per column and pivots left of it); a cell stops at its
+    first zero factor.
+    """
     if not 0 <= s <= r <= m:
         raise ValueError(f"need 0 <= s <= r <= m, got s={s}, r={r}, m={m}")
     _check_guard(m, r, q)
@@ -248,34 +299,19 @@ def oracle_D(s: int, r: int, m: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    if r == 0:
-        return 1                        # the null space holds the null witness
-    sub, mul = field.sub_table, field.mul_table
-    inner = witness.rows
+    counts: dict = {}
     total = 0
-    # An RREF Y holds x iff x = sum of x[p] * (row of Y leading at p).
-    # Per pivot cell, the row with the most choices goes last: for each
-    # choice of the other rows, the residual of every witness row is
-    # found once, then matched against c * y for each last-row choice y.
     for pivots in itertools.combinations(range(m), r):
-        choices = [[_code_row(q ** (m - 1 - p) + code, q, m) for code in _free_codes(
-                        q, m, [c for c in range(p + 1, m) if c not in pivots])]
-                   for p in pivots]
-        last = max(range(r), key=lambda i: len(choices[i]))
-        p_last = pivots[last]
-        targets = [tuple(vector_code([mul[x[p_last]][a] for a in y], q)
-                         for x in inner)
-                   for y in choices.pop(last)]
-        others = pivots[:last] + pivots[last + 1:]
-        for prefix in itertools.product(*choices):
-            residual = []
-            for x in inner:
-                v = x
-                for p, y in zip(others, prefix):
-                    c = x[p]
-                    if c:
-                        mc = mul[c]
-                        v = [sub[a][mc[b]] for a, b in zip(v, y)]
-                residual.append(vector_code(v, q))
-            total += targets.count(tuple(residual))
+        cell = 1
+        for c in range(m):
+            if c in pivots:
+                continue
+            left = tuple(p for p in pivots if p < c)
+            f = counts.get((left, c))
+            if f is None:
+                f = counts[left, c] = _column_choices(field, witness.rows, left, c)
+            cell *= f
+            if not cell:
+                break
+        total += cell
     return total

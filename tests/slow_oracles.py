@@ -9,7 +9,9 @@ from qsteiner.counting import count_N, covering_coefficient
 from qsteiner.designs import EquationViolation, VerificationReport
 from qsteiner.equations import SolveOutcome
 from qsteiner.field import make_field
-from qsteiner.subspaces import Subspace, _combine, rref, vector_code
+from qsteiner.subspaces import (Subspace, _combine, extension_raise_dim,
+                                first_subspace, puncture, rref,
+                                subspaces_within, vector_code)
 
 
 def slot_grassmannian_rows(q: int, m: int, d: int):
@@ -23,6 +25,23 @@ def slot_grassmannian_rows(q: int, m: int, d: int):
             for (i, c), v in zip(slots, vals):
                 rows[i][c] = v
             yield tuple(tuple(r) for r in rows)
+
+
+def object_oracle_C(s: int, t: int, r: int, k: int, q: int,
+                    inner: Subspace | None = None,
+                    outer: Subspace | None = None) -> int:
+    """``counting.oracle_C`` on objects: one ``Subspace`` per
+    t-subspace of the raised W (``subspaces_within``), each punctured
+    by ``puncture`` and compared with the inner witness."""
+    field = make_field(q)
+    if outer is None:
+        outer = first_subspace(field, r, r)
+    if inner is None:
+        inner = next(subspaces_within(outer, s))
+    w = outer
+    for _ in range(k - r):
+        w = extension_raise_dim(w)
+    return sum(puncture(tsub, k - r) == inner for tsub in subspaces_within(w, t))
 
 
 # Dense Gauss-Jordan elimination over Fraction, one list per equation;

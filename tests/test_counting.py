@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from slow_oracles import slot_grassmannian_rows
+from slow_oracles import object_oracle_C, slot_grassmannian_rows
 
 from qsteiner import counting
 from qsteiner.counting import (ORACLE_GUARD, _puncture_census, count_C,
@@ -100,6 +100,14 @@ def test_oracle_anchors():
     assert oracle_N(1, 1, 2, 7, 2) == 2 ** 5 * 63
 
 
+def test_oracle_N_is_zero_where_nothing_punctures():
+    """A witness no t-subspace punctures onto is absent from the census
+    and counts 0: puncturing a 2-subspace of F_2^5 never gives a
+    3-subspace, and deleting one column loses at most one dimension,
+    so never gives the null space."""
+    assert oracle_N(3, 4, 2, 5, 2) == oracle_N(0, 4, 2, 5, 2) == 0
+
+
 def test_oracle_N_arbitrary_witness():
     f2 = make_field(2)
     for x in enumerate_subspaces(f2, 4, 2):
@@ -172,19 +180,18 @@ def test_oracle_N_rejects_witness_from_another_field():
         == count_N(1, 2, 2, 4, 3)
 
 
-def test_oracle_C_witness_independence():
-    """The copy count does not depend on which (Y, X) pair realizes
-    (r, s), nor on the ambient holding them."""
+def oracle_C_witness_pairs():
+    """``(args, inner, outer)`` for a few (Y, X) pairs realizing (r, s)
+    per case, in F_q^r and in F_q^(r+1)."""
     cases = [(1, 2, 1, 3, 2), (1, 2, 2, 3, 2), (0, 2, 1, 3, 3),
              (2, 3, 2, 4, 2), (1, 3, 2, 4, 3)]
     for s, t, r, k, q in cases:
         field = make_field(q)
-        want = count_C(s, t, r, k, q)
         seen = 0
         for m in (r, r + 1):
             for outer in enumerate_subspaces(field, m, r):
                 for inner in subspaces_within(outer, s):
-                    assert oracle_C(s, t, r, k, q, inner=inner, outer=outer) == want
+                    yield (s, t, r, k, q), inner, outer
                     seen += 1
                     if seen % 3 == 0:
                         break
@@ -193,6 +200,34 @@ def test_oracle_C_witness_independence():
             if seen >= 12:
                 break
         assert seen >= 3
+
+
+def test_oracle_C_witness_independence():
+    """The copy count does not depend on which (Y, X) pair realizes
+    (r, s), nor on the ambient holding them."""
+    for args, inner, outer in oracle_C_witness_pairs():
+        assert oracle_C(*args, inner=inner, outer=outer) == count_C(*args)
+
+
+def criterion_1_C_tuples(q):
+    """The ``count_C`` tuples acceptance criterion 1 checks at q."""
+    for k in range(1, 5):
+        for t in range(0, k):
+            for s in range(0, t + 1):
+                for r in range(s, k - t + s + 1):
+                    yield s, t, r, k, q
+
+
+def test_oracle_C_matches_object_oracle():
+    """The key-level C oracle against ``puncture`` of every t-subspace
+    object of W: on every criterion-1 tuple at q = 2, 3 and on the
+    witness pairs of the independence test."""
+    for q in (2, 3):
+        for args in criterion_1_C_tuples(q):
+            assert oracle_C(*args) == object_oracle_C(*args), args
+    for args, inner, outer in oracle_C_witness_pairs():
+        assert oracle_C(*args, inner=inner, outer=outer) \
+            == object_oracle_C(*args, inner=inner, outer=outer), args
 
 
 def test_oracle_D_arbitrary_witness():
@@ -212,9 +247,10 @@ def test_oracle_guard():
 
 
 def test_oracle_D_vs_direct_containment_scan():
-    """The rows-level oracle counts what ``contains`` counts over the
-    Grassmannian, for every witness and both dimensions."""
-    for q, m_max in ((2, 4), (3, 4), (4, 3)):
+    """The column-by-column oracle counts what ``contains`` counts over
+    the Grassmannian, for every witness and both dimensions, over prime
+    fields (q = 2, 3, 5, 7) and extension fields (q = 4, 8, 9)."""
+    for q, m_max in ((2, 4), (3, 4), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3)):
         f = make_field(q)
         for m in range(1, m_max + 1):
             for r in range(m + 1):

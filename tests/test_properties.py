@@ -1,8 +1,9 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
 malformed block lines; for ``rref`` as the canonical form and the
-keys' numeric order as the canonical order; for the ``N`` oracle at random
-witnesses; and for the parallelisms of the orbit search."""
+keys' numeric order as the canonical order; for the ``N`` and ``D``
+oracles at random witnesses; and for the parallelisms of the orbit
+search."""
 
 from functools import lru_cache
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qsteiner.counting import count_N, oracle_N
+from qsteiner.counting import (ORACLE_GUARD, count_D, count_N, gaussian,
+                               oracle_D, oracle_N)
 from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
                               build_parallelism, construct_s3485,
                               construct_uniform_design, puncture_design,
@@ -247,6 +249,29 @@ def extension_cases(draw):
 def test_oracle_N_does_not_depend_on_witness(case):
     args, witness = case
     assert oracle_N(*args, witness=witness) == count_N(*args)
+
+
+@st.composite
+def containment_cases(draw):
+    """A legal ``count_D`` tuple (s, r, m, q) with q any supported
+    order, m <= 5 and the r-subspaces of F_q^m under ``ORACLE_GUARD``,
+    with a random s-subspace of F_q^m, s <= r: the row space of a
+    random matrix of at most r rows, s its rank."""
+    q = draw(st.sampled_from(SUPPORTED_ORDERS))
+    m = draw(st.integers(1, 5))
+    r = draw(st.integers(0, m).filter(lambda r: gaussian(m, r, q) <= ORACLE_GUARD))
+    field = make_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    vectors = draw(st.lists(vector, max_size=r))
+    witness = rref(field, vectors) if vectors else null_subspace(field, m)
+    return (witness.dim, r, m, q), witness
+
+
+@SETTINGS
+@given(containment_cases())
+def test_oracle_D_does_not_depend_on_witness(case):
+    args, witness = case
+    assert oracle_D(*args, witness=witness) == count_D(*args)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
