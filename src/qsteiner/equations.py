@@ -10,21 +10,23 @@ by the verifier's coverage kernel; ``designs.verify`` checks a design
 against these equations without materializing them.  All
 arithmetic is exact: coefficients are integers, elimination is sparse
 and fraction-free over Python integers, ``fractions.Fraction`` values
-are formed only for the answer, and a solution is only ever reported
-when it satisfies every equation exactly.
+are formed only for the answer (the free basis on first read), and a
+solution is only ever reported when it satisfies every equation exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import compress
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
 from .designs import DesignParams
 from .field import make_field
-from .subspaces import _within_columns, grassmannian_keys, subspace_from_key
+from .subspaces import _decode_key, _within_columns, grassmannian_keys
 
 # Largest number of equations a materialized full system may have.
 FULL_SYSTEM_GUARD = 10 ** 5
@@ -77,14 +79,39 @@ class SolveOutcome:
 
     For underdetermined systems ``free_basis[key]`` is the homogeneous
     solution with that free variable set to 1, so the full solution set
-    is the assignment plus any rational combination of the basis.
+    is the assignment plus any rational combination of the basis.  Each
+    vector has an entry for every unpinned key; pinned keys are absent.
+    The basis is built from the reduced pivot rows the first time it is
+    read, then cached; it is None unless the system is underdetermined.
     """
 
     status: str
     assignment: dict
     free_keys: tuple
     nonneg_integer: bool
-    free_basis: dict | None = None
+    # free_basis is built from the unpinned keys in column order and the
+    # reduced pivot rows, (column, row), the right-hand side at len(_unpinned)
+    _unpinned: tuple = dataclasses.field(default=(), compare=False, repr=False)
+    _pivot_rows: tuple = dataclasses.field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def free_basis(self) -> dict | None:
+        if self.status != "underdetermined":
+            return None
+        # a reduced pivot row is nonzero only at its pivot, free columns
+        # and the right-hand side
+        unpinned, ncol = self._unpinned, len(self._unpinned)
+        template = dict.fromkeys(unpinned, Fraction(0))
+        basis = {}
+        for key in self.free_keys:
+            basis[key] = vec = template.copy()
+            vec[key] = Fraction(1)
+        for col, row in self._pivot_rows:
+            lead = row[col]
+            for c, v in row.items():
+                if c != col and c != ncol:
+                    basis[unpinned[c]][unpinned[col]] = Fraction(-v, lead)
+        return basis
 
 
 def build_uniform(q: int, t: int, k: int, n: int, m: int) -> UniformSystem:
@@ -121,7 +148,7 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
     s_rng, r_rng = params.s_range(), params.r_range()
     # each Grassmannian listed and decoded once, for rows and columns
     keys = {d: grassmannian_keys(q, m, d) for d in {*s_rng, *r_rng}}
-    decoded = {d: [subspace_from_key(field, m, key) for key in keys[d]] for d in keys}
+    decoded = {d: [_decode_key(field, m, key) for key in keys[d]] for d in keys}
     row_of = {key: i for i, key in enumerate(key for s in s_rng for key in keys[s])}
     matrix = [[0] * sum(len(keys[r]) for r in r_rng) for _ in row_of]
     offset = 0
@@ -173,12 +200,11 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     for coeffs, b in zip(system.rows(), system.rhs):
         rhs_val = Fraction(b)
         row = {}
-        for pos, c in enumerate(coeffs):
-            if c:
-                if pos in pinned:
-                    rhs_val -= c * pinned[pos]
-                else:
-                    row[column[pos]] = c
+        for pos in compress(range(len(coeffs)), coeffs):
+            if pos in pinned:
+                rhs_val -= coeffs[pos] * pinned[pos]
+            else:
+                row[column[pos]] = coeffs[pos]
         den = rhs_val.denominator
         if den != 1:
             row = {c: v * den for c, v in row.items()}
@@ -232,34 +258,19 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     if any(rows[i] for i in active):
         return SolveOutcome("inconsistent", {}, (), False)
 
-    zero = Fraction(0)
     # particular solution: free variables fixed to zero
-    values = [zero] * ncol
+    values = [Fraction(0)] * ncol
     for col, i in pivots:
         if ncol in rows[i]:
             values[col] = Fraction(rows[i][ncol], rows[i][col])
     assignment = {kk: Fraction(v) for kk, v in pins.items()}
     assignment.update(zip(unpinned, values))
     pivot_cols = {col for col, _ in pivots}
-    free_cols = [c for c in range(ncol) if c not in pivot_cols]
-    status = "unique" if not free_cols else "underdetermined"
-    free_keys = tuple(unpinned[c] for c in free_cols)
-    free_basis = None
-    if free_cols:
-        # a reduced pivot row is nonzero only at its pivot, free columns
-        # and the right-hand side
-        template = dict.fromkeys(unpinned, zero)
-        free_basis = {}
-        for fc in free_cols:
-            free_basis[unpinned[fc]] = vec = template.copy()
-            vec[unpinned[fc]] = Fraction(1)
-        for col, i in pivots:
-            lead = rows[i][col]
-            for c, v in rows[i].items():
-                if c != col and c != ncol:
-                    free_basis[unpinned[c]][unpinned[col]] = Fraction(-v, lead)
+    free_keys = tuple(kk for c, kk in enumerate(unpinned) if c not in pivot_cols)
+    status = "unique" if not free_keys else "underdetermined"
     nonneg = all(v.denominator == 1 and v >= 0 for v in assignment.values())
-    return SolveOutcome(status, assignment, free_keys, nonneg, free_basis)
+    return SolveOutcome(status, assignment, free_keys, nonneg, tuple(unpinned),
+                        tuple((col, rows[i]) for col, i in pivots))
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
     """
     if not 0 <= d <= m:
         raise ValueError(f"dimension {d} out of range for ambient {m}")
-    return iter([subspace_from_key(field, m, key)
+    return iter([_decode_key(field, m, key)
                  for key in grassmannian_keys(field.q, m, d)])
 
 
@@ -505,6 +505,17 @@ def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
     q = field.q
     return Subspace(field, m, tuple([_code_row(code, q, m)
                                      for code in row_codes(key, q, m)]))
+
+
+def _decode_key(field: GF, m: int, key: int) -> Subspace:
+    """``subspace_from_key`` for a key the program enumerated, unchecked;
+    the hash is the one ``Subspace.__init__`` gives."""
+    q = field.q
+    x = object.__new__(Subspace)
+    x.field, x.ambient = field, m
+    x.rows = rows = tuple([_code_row(code, q, m) for code in row_codes(key, q, m)])
+    x._hash = hash((q, m, rows))
+    return x
 
 
 def grassmannian_keys(q: int, m: int, d: int) -> list:

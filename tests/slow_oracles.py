@@ -45,13 +45,17 @@ def object_oracle_C(s: int, t: int, r: int, k: int, q: int,
 
 
 # Dense Gauss-Jordan elimination over Fraction, one list per equation;
-# ``equations.solve`` must return an equal SolveOutcome.
-def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
+# ``equations.solve`` must return an equal SolveOutcome whose
+# ``free_basis`` equals the basis returned beside it.
+def dense_fraction_solve(system, pins: dict | None = None) -> tuple:
     """Exact Gaussian elimination after substituting the pinned values.
 
-    Returns the full assignment (pins included).  When underdetermined,
-    the assignment is the particular solution with all free variables
-    set to zero and ``free_keys`` names them.
+    Returns ``(outcome, basis)``.  The outcome has the full assignment
+    (pins included).  When underdetermined, the assignment is the
+    particular solution with all free variables set to zero and
+    ``free_keys`` names them, and ``basis[key]`` is the homogeneous
+    solution with that free variable set to 1, over the unpinned keys;
+    otherwise ``basis`` is None.
     """
     pins = dict(pins or {})
     keys = list(system.variable_keys())
@@ -91,7 +95,7 @@ def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
 
     for i in range(rank, len(aug)):
         if aug[i][-1] != 0:
-            return SolveOutcome("inconsistent", {}, (), False)
+            return SolveOutcome("inconsistent", {}, (), False), None
 
     assignment = {kk: Fraction(v) for kk, v in pins.items()}
     free_cols = [c for c in range(ncol) if c not in pivot_cols]
@@ -113,7 +117,7 @@ def dense_fraction_solve(system, pins: dict | None = None) -> SolveOutcome:
                 vec[keys[free_positions[col]]] = -aug[i][fc]
             free_basis[keys[free_positions[fc]]] = vec
     nonneg = all(v.denominator == 1 and v >= 0 for v in assignment.values())
-    return SolveOutcome(status, assignment, free_keys, nonneg, free_basis)
+    return SolveOutcome(status, assignment, free_keys, nonneg), free_basis
 
 
 # Object-keyed coverage: one Subspace per block, batched by (weight,

@@ -12,7 +12,7 @@ from qsteiner import subspaces
 from qsteiner.counting import count_D, count_N, covering_coefficient, gaussian
 from qsteiner.designs import DesignMultiset, construct_uniform_design, verify
 from qsteiner.equations import (FULL_SYSTEM_GUARD, NonIntegralSolution,
-                                build_full, build_uniform,
+                                SolveOutcome, build_full, build_uniform,
                                 family_system_params, solve,
                                 uniform_family_solution)
 from qsteiner.subspaces import contains
@@ -100,6 +100,37 @@ def test_underdetermined_full_system():
         for row in fs.matrix:
             assert sum(Fraction(c) * vec[y]
                        for c, y in zip(row, fs.variables)) == 0
+
+
+def test_free_basis_built_on_first_read():
+    out = solve(build_full(2, 2, 3, 7, 4))
+    assert "free_basis" not in vars(out)
+    basis = out.free_basis
+    assert out.free_basis is basis
+    assert list(basis) == list(out.free_keys)
+    # the basis is no part of the outcome's equality or repr
+    assert out == SolveOutcome(out.status, out.assignment, out.free_keys,
+                               out.nonneg_integer)
+    assert "free_basis" not in repr(out) and "_pivot_rows" not in repr(out)
+
+
+def test_free_basis_none_unless_underdetermined():
+    unique = solve(build_uniform(2, 2, 3, 7, 4), {0: 1})
+    inconsistent = solve(build_uniform(2, 2, 3, 7, 4), {0: 1, 2: 5})
+    assert (unique.status, inconsistent.status) == ("unique", "inconsistent")
+    assert unique.free_basis is None and inconsistent.free_basis is None
+
+
+def test_free_basis_solves_homogeneous_system_at_odd_q():
+    fs = build_full(3, 2, 3, 7, 4)
+    out = solve(fs)
+    assert out.status == "underdetermined" and len(out.free_keys) == 40
+    assert set(out.free_basis) == set(out.free_keys)
+    sparse = [[(c, y) for c, y in zip(row, fs.variables) if c] for row in fs.matrix]
+    for key, vec in out.free_basis.items():
+        assert list(vec) == list(fs.variables) and vec[key] == 1
+        for row in sparse:
+            assert sum(c * vec[y] for c, y in row) == 0
 
 
 def test_solver_residuals_zero_on_uniform():
@@ -304,9 +335,10 @@ def test_fano_m6_uniform_system_has_no_integral_solution():
 
 def assert_same_outcome(system, pins=None):
     out = solve(system, pins)
-    ref = dense_fraction_solve(system, pins)
+    ref, basis = dense_fraction_solve(system, pins)
     assert out == ref
     assert list(out.assignment) == list(ref.assignment)
+    assert out.free_basis == basis
     return out
 
 

@@ -9,14 +9,14 @@ from slow_oracles import slot_grassmannian_rows
 from qsteiner.counting import count_N, gaussian
 from qsteiner.field import make_field
 from qsteiner.subspaces import (Subspace, VirtualExpansion, _cell_keys,
-                                _code_row, _row_entry, _rref_key,
+                                _code_row, _decode_key, _row_entry, _rref_key,
                                 contains, coverage,
                                 enumerate_extensions, enumerate_subspaces,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
                                 grassmannian_keys, null_subspace, puncture,
-                                row_codes, rows_key, rref, subspaces_within,
-                                vector_code, vector_from_code)
+                                row_codes, rows_key, rref, subspace_from_key,
+                                subspaces_within, vector_code, vector_from_code)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -141,6 +141,21 @@ def test_grassmannian_keys_match_slot_enumeration():
                 assert set(_cell_keys(q, m, d)) == {rows_key(q, rows) for rows in want}
                 for rows in got:
                     _rref_key([_row_entry(r, q) for r in rows], q ** m)
+
+
+def test_unchecked_decode_matches_checked():
+    """``_decode_key`` skips the RREF check but builds the same subspace,
+    with the same hash and row tuples, as ``subspace_from_key``."""
+    for q in (2, 3, 4, 5):
+        f = make_field(q)
+        for m in range(5):
+            for d in range(m + 1):
+                for key in grassmannian_keys(q, m, d):
+                    checked, fast = subspace_from_key(f, m, key), _decode_key(f, m, key)
+                    assert fast == checked and checked == fast
+                    assert hash(fast) == hash(checked)
+                    assert fast.rows == checked.rows and fast.ambient == m
+                    assert fast.field is f
 
 
 def test_enumeration_null_subspace():
