@@ -29,9 +29,9 @@ from typing import Iterable
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
 from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
-                        _extension_keys, _within_columns, coverage,
-                        grassmannian_keys, puncture_key, row_codes, rows_key,
-                        rref, subspace_from_key, vector_from_code)
+                        _decode_key, _extension_keys, _within_columns,
+                        coverage, grassmannian_keys, puncture_key, row_codes,
+                        rows_key, rref, subspace_from_key, vector_from_code)
 
 
 class ConstructionError(RuntimeError):
@@ -169,7 +169,7 @@ class _BlockView(Mapping):
         field, m = make_field(self._params.q), self._params.m
         for table in self._tables.values():
             for key in table:
-                yield subspace_from_key(field, m, key)
+                yield _decode_key(field, m, key)
 
     def __len__(self) -> int:
         return sum(map(len, self._tables.values()))
@@ -260,9 +260,10 @@ def _batches(q: int, m: int, tables: dict) -> list:
             out.append((d, next(iter(counts)), table.keys()))
             continue
         groups = defaultdict(list)
-        for key, mult in table.items():
-            if mult != w:
-                groups[mult - w].append(key)
+        if not w or counts[w] != len(table):   # else every block carries w
+            for key, mult in table.items():
+                if mult != w:
+                    groups[mult - w].append(key)
         if w:
             out.append((d, w, None))
             if counts[0]:
@@ -336,7 +337,7 @@ class SteinerSystem:
 
     @property
     def blocks(self) -> tuple:
-        return tuple(subspace_from_key(self.field, self.n, key) for key in self.keys)
+        return tuple([_decode_key(self.field, self.n, key) for key in self.keys])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SteinerSystem) and vars(self) == vars(other)

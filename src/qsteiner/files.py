@@ -20,7 +20,15 @@ chunks, never whole.  Each block line is keyed from its top row and the
 text of the rows below it (its suffix): a table of the suffixes seen so
 far holds each one's key, its place below the top row and what the RREF
 check needs of it, so a block over a known suffix costs one row check.
-Memory is bounded by the distinct suffixes, not by the blocks.
+A second table, of line prefixes (the text ``block M D top`` before the
+first ";"), holds what the check and the key need of the top row with
+the line's multiplicity and dimension; a line whose prefix and suffix
+are both known, and whose top row fits the suffix, costs one
+``str.partition`` and two lookups.  A prefix is entered only from a
+line that passed the full check written as the writer writes it; every
+other line, and every error, goes through the full check.  Memory is
+bounded by the distinct suffixes and the distinct (multiplicity,
+dimension, top row) of well-formed lines, not by the blocks.
 
 Parallelism file (``qsteiner-parallelism v1``)::
 
@@ -219,9 +227,23 @@ def parse_design(source) -> DesignMultiset:
     # of ``_rref_key``; a one-row block stands over the empty suffix
     suffixes: dict = {}
     empty = (0, big, 0, 0, 1)
+    # the text "block M D top" of a line before its first ";" -> D - 1,
+    # the top row's lead, nonzero mask and code, M and the table of D;
+    # entered from lines that passed the line loop in the writer's form
+    prefixes: dict = {}
     # multiplicity and dimension tokens, each checked and parsed once
     numbers: dict = {}
     for ln in lines:
+        prefix, sep, rest = ln.partition(";")
+        p = prefixes.get(prefix)
+        below = suffixes.get(rest) if sep else empty
+        if (p is not None and below is not None and p[0] == below[3]
+                and p[1] < below[1] and not p[2] & below[2]):
+            key = p[3] * below[4] + below[0]
+            if key not in p[5]:
+                p[5][key] = p[4]
+                continue
+        # the line loop: every other line, and every error
         parts = ln.split(maxsplit=3)
         if len(parts) != 4 or parts[0] != "block":
             raise ValueError(f"bad block line {ln!r}")
@@ -253,6 +275,9 @@ def parse_design(source) -> DesignMultiset:
         if key in table:
             raise ValueError(f"duplicate block line for {text!r}")
         table[key] = mult
+        if dim and prefix == f"block {mult} {dim} {top}":
+            row = seen[top]
+            prefixes[prefix] = (dim - 1, row[1], row[2], row[0], mult, table)
     return DesignMultiset._from_tables(params, tables)
 
 

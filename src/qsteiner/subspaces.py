@@ -508,8 +508,9 @@ def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
 
 
 def _decode_key(field: GF, m: int, key: int) -> Subspace:
-    """``subspace_from_key`` for a key the program enumerated, unchecked;
-    the hash is the one ``Subspace.__init__`` gives."""
+    """``subspace_from_key`` without the RREF check, for a key the
+    program holds: one it enumerated or built, or one a checked parse
+    read; the hash is the one ``Subspace.__init__`` gives."""
     q = field.q
     x = object.__new__(Subspace)
     x.field, x.ambient = field, m

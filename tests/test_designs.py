@@ -18,9 +18,9 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               puncture_design, puncture_steiner,
                               trivial_steiner, verify, verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
-from qsteiner.files import (packaged_parallelism_path, parse_parallelism,
-                            parse_parallelism_file, serialize_design,
-                            serialize_parallelism)
+from qsteiner.files import (packaged_parallelism_path, parse_design,
+                            parse_parallelism, parse_parallelism_file,
+                            serialize_design, serialize_parallelism)
 from qsteiner.subspaces import (contains, enumerate_subspaces, null_subspace,
                                 puncture, rref, subspaces_within)
 
@@ -187,6 +187,45 @@ def test_verify_matches_object_oracle(chunk, monkeypatch):
             _batches(2, 4, designs[-2].tables)] == [(4, 17)]
     for design in designs:
         assert verify(design) == object_verify(design), design
+
+
+def test_batches_list_only_what_differs_from_w():
+    """A complete table at one multiplicity w is counted in closed form
+    alone; with exactly one block at another multiplicity that block is
+    listed, at mult - w, and no absent subspace; at w = 0 every block is
+    listed, also when the table is as large as the absent part."""
+    uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
+    plane = next(b for b in uniform.blocks if b.dim == 3)
+    raised = uniform.with_block_multiplicity(plane, 9)
+    key = subspaces.rows_key(3, plane.rows)
+    assert [(d, w, keys) for d, w, keys in _batches(3, 4, uniform.tables)] \
+        == [(0, 2, None), (2, 5, None), (3, 7, None)]
+    assert [(d, w, keys if keys is None else list(keys)) for d, w, keys
+            in _batches(3, 4, raised.tables)] \
+        == [(0, 2, None), (2, 5, None), (3, 7, None), (3, 2, [key])]
+    # 20 of the 40 points of F_3^4, 11 at 1 and 9 at 2: w = 0, and 20
+    # points are absent
+    points = list(enumerate_subspaces(F3, 4, 1))[:20]
+    half = DesignMultiset(DesignParams(3, 2, 3, 7, 4),
+                          {x: 1 + (i >= 11) for i, x in enumerate(points)})
+    assert sorted((w, len(keys)) for _, w, keys
+                  in _batches(3, 4, half.tables)) == [(1, 11), (2, 9)]
+    for design in (raised, half):
+        assert verify(design) == object_verify(design)
+
+
+def test_blocks_decode_as_checked():
+    """The blocks of a parsed design and of a spread, decoded from keys
+    without the RREF check, equal and hash as ``subspace_from_key``'s."""
+    design = parse_design(serialize_design(construct_s3485(2)))
+    spread = build_spread(2, 4)
+    for blocks, m, keys in (
+            (list(design.blocks), 5,
+             [key for table in design.tables.values() for key in table]),
+            (spread.blocks, 4, spread.keys), (spread.lines, 4, spread.keys)):
+        checked = [subspaces.subspace_from_key(F2, m, key) for key in keys]
+        assert list(blocks) == checked
+        assert list(map(hash, blocks)) == list(map(hash, checked))
 
 
 def test_section6_low_dimension_block_count():

@@ -230,3 +230,36 @@ def test_parallelism_parse_messages():
         with pytest.raises(ValueError) as exc:
             parse_parallelism("\n".join(edited) + "\n")
         assert str(exc.value) == message
+
+
+def test_rejections_with_prefix_and_suffix_known():
+    """A line whose prefix ("block M D top") and rows below the top are
+    both already known from accepted lines is still rejected unless it
+    is a new RREF block, with the full check's message, which is the
+    message the line gets when nothing is known yet."""
+    header = "qsteiner-design v1\nq=2 t=2 k=3 n=7 m=4\n"
+    known = ("block 4 2 1000;0100\n"        # prefix 'block 4 2 1000', suffix '0100'
+             "block 4 3 1000;0100;0010\n"   # suffix '0100;0010', 2 rows
+             "block 4 2 1010;0001\n"        # prefix 'block 4 2 1010'
+             "block 4 2 1000;0010\n"        # suffix '0010'
+             "block 4 2 0010;0001\n"        # prefix 'block 4 2 0010'
+             "block 5 2 1000;0001\n")       # prefix 'block 5 2 1000'
+    assert len(parse_design(header + known).tables[2]) == 5
+    for line, message in (
+            ("block 4 2 1000;0100;0010",          # dimension mismatch
+             "block says dimension 2 but has 3 rows"),
+            ("block 4 2 1010;0010",               # nonzero at a pivot below
+             "rows ((1, 0, 1, 0), (0, 0, 1, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 4 2 0010;0100",               # leads right of the row below
+             "rows ((0, 0, 1, 0), (0, 1, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 4 2 1000;0100",               # repeated line
+             "duplicate block line for '1000;0100'"),
+            ("block 5 2 1000;0100",               # repeated at another multiplicity
+             "duplicate block line for '1000;0100'")):
+        cold = header + ("block 4 2 1000;0100\n" if "duplicate" in message else "")
+        for text in (header + known + line + "\n", cold + line + "\n"):
+            with pytest.raises(ValueError) as exc:
+                parse_design(text)
+            assert str(exc.value) == message

@@ -21,7 +21,8 @@ from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import null_subspace, puncture, rows_key, rref
+from qsteiner.subspaces import (enumerate_subspaces, null_subspace, puncture,
+                                rows_key, rref)
 
 # deterministic, and no example database written to the working tree
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -126,6 +127,45 @@ def test_transform_preserves_verification(data):
         == sorted(v.got - v.expected for v in before.violations)
     assert len(after.block_dim_violations) == len(before.block_dim_violations)
     assert after.total_multiplicity == before.total_multiplicity
+
+
+@st.composite
+def mixed_designs(draw):
+    """A design of ``designs`` joined with every subspace of one
+    dimension d, 1 < d < m, each at multiplicity 1, 2 or 3, so that one
+    top row stands in block lines of several multiplicities and over
+    several rows below it."""
+    design = draw(designs(shapes=((2, 4), (3, 3), (4, 3), (16, 3))))
+    q, m = design.params.q, design.params.m
+    blocks = dict(design.blocks)
+    for x in enumerate_subspaces(make_field(q), m, draw(st.integers(2, m - 1))):
+        blocks[x] = draw(st.integers(1, 3))
+    return DesignMultiset(design.params, blocks)
+
+
+# a block line as the writer does not write it, which the parser reads
+# through its full per-line check
+OFF_FORM = (lambda ln: "block  " + ln[6:], lambda ln: "\t" + ln,
+            lambda ln: "{} {} {}  {}".format(*ln.split(" ", 3)))
+
+
+@SETTINGS
+@given(mixed_designs(), st.data())
+def test_known_prefix_path_matches_line_path(design, data):
+    """Reading lines whose prefix ("block M D top") and rows below the
+    top row are already known gives the tables, in the same order, that
+    the full check of every line gives, and so does reading the lines
+    in any order."""
+    lines = serialize_design(design).splitlines(keepends=True)
+    head, body = lines[:2], lines[2:]
+    off_form = [data.draw(st.sampled_from(OFF_FORM))(ln) for ln in body]
+    parsed = parse_design("".join(lines))
+    by_line = parse_design("".join(head + off_form))
+    assert parsed == by_line == design
+    assert [(d, list(t.items())) for d, t in parsed.tables.items()] \
+        == [(d, list(t.items())) for d, t in by_line.tables.items()]
+    shuffled = data.draw(st.permutations(body))
+    assert parse_design("".join(head + shuffled)) == design
 
 
 # The malformed block lines of tests/test_files.py, each with the exact
