@@ -6,13 +6,14 @@ brute-force verification of every claim reachable at desk scale.
 
 from .counting import (count_C, count_D, count_N, gaussian,
                        necessary_conditions, oracle_C, oracle_D, oracle_N)
-from .designs import (DesignMultiset, DesignParams, Parallelism, Spread,
-                      SteinerSystem, VerificationReport, apply_transform,
-                      build_parallelism, build_spread, construct_fano_m5,
-                      construct_recursive, construct_s3485,
+from .designs import (DesignMultiset, DesignParams, ExtensionFamilies,
+                      Parallelism, Spread, SteinerSystem, VerificationReport,
+                      apply_transform, build_parallelism, build_spread,
+                      construct_fano_m5, construct_recursive, construct_s3485,
                       construct_uniform_design, distinctness_check,
-                      puncture_design, puncture_steiner, trivial_steiner,
-                      verify, verify_steiner)
+                      fano_m5_families, puncture_design, puncture_steiner,
+                      recursive_families, s3485_families, trivial_steiner,
+                      verify, verify_families, verify_steiner)
 from .equations import (FullSystem, NonIntegralSolution, SolveOutcome,
                         UniformSystem, build_full, build_uniform, solve,
                         uniform_family_solution)

@@ -145,7 +145,8 @@ def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
 
 
 def cmd_build(args) -> int:
-    q = args.q
+    # the extension-family targets set fam, verified by class sums
+    q, fam = args.q, None
     if args.name == "fano-m4":
         assignment = equations.uniform_family_solution("S(2,3,7;4)", q)
         design = designs.construct_uniform_design(q, 2, 3, 7, 4, assignment)
@@ -153,10 +154,10 @@ def cmd_build(args) -> int:
         assignment = equations.uniform_family_solution("S(3,4,8;4)", q)
         design = designs.construct_uniform_design(q, 3, 4, 8, 4, assignment)
     elif args.name == "s3485":
-        design = designs.construct_s3485(q)
+        fam = designs.s3485_families(q)
     elif args.name == "fano-m5":
         para = _resolve_parallelism(q, 4, args.parallelism)
-        design = designs.construct_fano_m5(q, para)
+        fam = designs.fano_m5_families(q, para)
     elif args.name == "recursive":
         k = args.k
         if k is None:
@@ -168,13 +169,16 @@ def cmd_build(args) -> int:
         else:
             raise ValueError(f"build recursive with k={k} needs --base FILE")
         para = _resolve_parallelism(q, k + 1, args.parallelism)
-        design = designs.construct_recursive(q, k, para, base)
+        fam = designs.recursive_families(q, k, para, base)
     else:
         raise ValueError(f"unknown build target {args.name!r}")
+    if fam:
+        design = fam.design()
     out = args.output or f"{args.name}-q{q}.design"
     files.write_design(design, out)
     print(f"wrote {out} ({len(design.blocks)} distinct blocks)")
-    return _report_verdict(designs.verify(design))
+    return _report_verdict(designs.verify_families(fam) if fam
+                           else designs.verify(design))
 
 
 def cmd_puncture(args) -> int:

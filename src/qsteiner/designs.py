@@ -16,6 +16,20 @@ work on the keys; ``DesignMultiset.blocks`` reads the tables as a
 violation.  Steiner systems, spreads and parallelisms are stored as keys
 as well: ``SteinerSystem.keys`` (a ``Spread`` is the checked S_q(1,2,n))
 holds each block's key, and ``blocks`` and ``lines`` decode them.
+
+The constructions ``s3485``, ``fano-m5`` and ``recursive`` are
+``ExtensionFamilies``: with F_q^m = F_q^{m1} + F_q^r, each part is the
+family of all [[G1 B], [0 G2]] with G1 in a list of keys of F_q^{m1}
+(or every one of a dimension), G2 one key of F_q^r and B free, and
+``design()`` expands them.  Such a design is invariant under the maps
+(u, v) -> (u, v + u Phi), so ``verify_families`` checks one equation
+per orbit of s-subspaces X, the class (U, K) with U the projection of
+X to F_q^{m1} and K = X meet F_q^r: q^{u(r-kappa)} subspaces, u = dim U
+and kappa = dim K.  Of a family, q^{(d1-u)(r-d2)} members contain X if
+U <= G1 and K <= G2, and none otherwise (the Kramer-Mesner reduction
+by this group).  Where a class is violated, a part's dimension or
+multiplicity is illegal or two parts share a block, it reports
+``verify(fam.design())`` instead, so both reports are always equal.
 """
 
 from __future__ import annotations
@@ -24,7 +38,8 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from operator import add
+from typing import Iterable, Iterator
 
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
@@ -285,14 +300,34 @@ def puncture_design(design: DesignMultiset) -> DesignMultiset:
 
 def _punctured_tables(q: int, m: int, tables: dict) -> dict:
     """The key tables of the images of the blocks of F_q^m in these key
-    tables under one puncture; multiplicities of colliding images add up."""
+    tables under one puncture; multiplicities of colliding images add up.
+
+    A block of d >= 2 rows splits into its top row and the key of the
+    rows below it, its suffix.  The top row leads left of the next row,
+    so never in the deleted column, and its image is ``top // q``; the
+    suffix's image (``puncture_key``), the place of the top row above
+    it and the output table are looked up once per suffix."""
     out_tables: dict = {}
+    small = q ** (m - 1)
     for d, table in tables.items():
-        # an image keeps dimension d iff it keeps d base-q^(m-1) digits
-        full = q ** ((m - 1) * (d - 1)) if d else 0
+        if d < 2:       # a lone row may lead in the deleted column
+            for key, mult in table.items():
+                img = puncture_key(key, q, m)
+                out = out_tables.setdefault(d if img else 0, {})
+                out[img] = out.get(img, 0) + mult
+            continue
+        below, suffixes = q ** (m * (d - 1)), {}
         for key, mult in table.items():
-            img = puncture_key(key, q, m)
-            out = out_tables.setdefault(d if img >= full else d - 1, {})
+            top, rest = divmod(key, below)
+            entry = suffixes.get(rest)
+            if entry is None:
+                img = puncture_key(rest, q, m)
+                # the suffix's image keeps d - 1 rows, or loses its last
+                e = d - 1 if img >= small ** (d - 2) else d - 2
+                entry = suffixes[rest] = (img, small ** e,
+                                          out_tables.setdefault(e + 1, {}))
+            img, place, out = entry
+            img += top // q * place
             out[img] = out.get(img, 0) + mult
     return out_tables
 
@@ -599,21 +634,143 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 
 
 # ---------------------------------------------------------------------------
-# Constructions (they return the design unchecked; ``verify`` checks it)
+# Constructions: the design unchecked, or its extension families
+# (``verify`` and ``verify_families`` check them)
 # ---------------------------------------------------------------------------
+
+def _key_dim(field: GF, m: int, key) -> int:
+    """The dimension of the subspace of F_q^m with this key; ValueError
+    unless it is the key of one."""
+    if not isinstance(key, int) or isinstance(key, bool) or key < 0:
+        raise ValueError(f"{key!r} is not a subspace key")
+    return subspace_from_key(field, m, key).dim
+
+
+@dataclass(frozen=True)
+class ExtensionFamilies:
+    """A design of F_q^m, m = m1 + r, as families of extensions (module
+    docstring): part ``(d, keys, bottom, mult)`` holds each d-subspace
+    [[G1 B], [0 G2]] (``subspaces._extension_keys``) at multiplicity
+    mult, G2 the subspace of F_q^r with key ``bottom`` and G1 each key
+    of ``keys``, or each (d - dim G2)-subspace of F_q^{m1} if ``keys``
+    is None.  Keys are checked; a multiplicity may be any int."""
+
+    params: DesignParams
+    m1: int
+    parts: tuple
+
+    def __post_init__(self) -> None:
+        q, m, m1 = self.params.q, self.params.m, self.m1
+        if not 0 <= m1 <= m:
+            raise ValueError(f"need 0 <= m1 <= {m}, got m1={m1}")
+        field = make_field(q)
+        parts = []
+        for d, keys, bottom, mult in self.parts:
+            if not isinstance(mult, int) or isinstance(mult, bool):
+                raise ValueError(f"multiplicity {mult!r} is not an integer")
+            d1 = d - _key_dim(field, m - m1, bottom)
+            if keys is not None:
+                keys = tuple(keys)
+                if any(_key_dim(field, m1, key) != d1 for key in keys):
+                    raise ValueError(f"a top key of part {d, bottom} is not "
+                                     f"a {d1}-subspace of F_{q}^{m1}")
+            elif not 0 <= d1 <= m1:
+                raise ValueError(f"no {d1}-subspaces of F_{q}^{m1}")
+            parts.append((d, keys, bottom, mult))
+        object.__setattr__(self, "parts", tuple(parts))
+
+    def design(self) -> DesignMultiset:
+        """The multiset of the families; a part of multiplicity 0 adds
+        nothing, and a block two parts share takes the later one's."""
+        pr = self.params
+        return DesignMultiset._from_tables(pr, _extension_tables(
+            pr.q, self.m1, pr.m, [part for part in self.parts if part[3]]))
+
 
 def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
     """The key tables of the blocks of F_q^n listed by ``parts``: part
     ``(d, keys, bottom, mult)`` is the d-subspaces ``_extension_keys(q,
-    m, keys, n, bottom)``, each at multiplicity mult.  A construction's
-    parts differ in dimension or in which rows lead in the new columns,
-    so none repeats another's block."""
+    m, keys, n, bottom)``, each at multiplicity mult, keys None standing
+    for every (d - dim bottom)-subspace of F_q^m."""
     tables: dict = {}
     for d, keys, bottom, mult in parts:
+        if keys is None:
+            keys = grassmannian_keys(q, m, d - len(row_codes(bottom, q, n - m)))
         table = tables.setdefault(d, {})
         for key in _extension_keys(q, m, keys, n, bottom):
             table[key] = mult
     return tables
+
+
+def verify_families(fam: ExtensionFamilies) -> VerificationReport:
+    """``verify(fam.design())``, checked by class sums (module
+    docstring): per s and class (U, K), the sum over the parts of mult *
+    C(s,t,d,k,q) * q^{(d1-u)(r-d2)} * #{G1 >= U} * [K <= G2] must be
+    N(s,m,t,n,q); ``equations_checked`` counts each class's subspaces.
+
+    It returns ``verify(fam.design())`` itself if a class is violated,
+    a part's dimension is outside ``r_range`` or its multiplicity
+    negative, or parts overlap (``_overlapping``), where the expansion
+    keeps one multiplicity of a block the sums would add twice."""
+    pr = fam.params
+    if (any(d not in pr.r_range() or mult < 0 for d, _, _, mult in fam.parts)
+            or _overlapping(fam.parts)):
+        return verify(fam.design())
+    checked = 0
+    for s in pr.s_range():
+        expected = count_N(s, pr.m, pr.t, pr.n, pr.q)
+        for _, _, size, got in _class_sums(fam, s):
+            if got != expected:
+                return verify(fam.design())
+            checked += size
+    q, r = pr.q, pr.m - fam.m1
+    total = 0
+    for d, keys, bottom, mult in fam.parts:
+        d2 = len(row_codes(bottom, q, r))
+        tops = gaussian(fam.m1, d - d2, q) if keys is None else len(keys)
+        total += mult * tops * q ** ((d - d2) * (r - d2))
+    return VerificationReport(True, checked, (), (), total)
+
+
+def _overlapping(parts: tuple) -> bool:
+    """True iff two parts, or one part twice, list one block: parts with
+    the same (d, bottom) share a top key or one of them lists every
+    top, or a part repeats a key."""
+    groups = defaultdict(list)
+    for d, keys, bottom, _ in parts:
+        groups[d, bottom].append(keys)
+    return any(len(group) > 1 if None in group
+               else len(set(chain(*group))) < sum(map(len, group))
+               for group in groups.values())
+
+
+def _class_sums(fam: ExtensionFamilies, s: int) -> Iterator[tuple]:
+    """Yield ``(U, K, size, got)`` for each class of s-subspaces X of
+    F_q^m: U the key of X's projection to F_q^{m1}, K the key of X meet
+    F_q^r in F_q^r, size the number q^{u(r-kappa)} of X in the class,
+    and got the sum of mult * C(s,t,d,k,q) over the blocks containing
+    any one X.  Per part, ``coverage`` counts the tops containing each U
+    and whether G2 contains each K."""
+    pr, m1 = fam.params, fam.m1
+    q, r = pr.q, pr.m - m1
+    field = make_field(q)
+    for u in range(max(0, s - r), min(s, m1) + 1):
+        kappa = s - u
+        rows = []
+        for d, keys, bottom, mult in fam.parts:
+            d2 = len(row_codes(bottom, q, r))
+            w = mult * covering_coefficient(s, pr.t, d, pr.k, q)
+            if w and d - d2 >= u and d2 >= kappa:
+                rows.append((w * q ** ((d - d2 - u) * (r - d2)),
+                             [c for _, c in coverage([(d - d2, 1, keys)], field, m1, u)],
+                             [c for _, c in coverage([(d2, 1, (bottom,))], field, r, kappa)]))
+        tops, size = grassmannian_keys(q, m1, u), q ** (u * (r - kappa))
+        for j, below in enumerate(grassmannian_keys(q, r, kappa)):
+            sums = [0] * len(tops)
+            for w, counts, inside in rows:
+                if inside[j]:
+                    sums = list(map(add, sums, map(w.__mul__, counts)))
+            yield from ((top, below, size, got) for top, got in zip(tops, sums))
 
 
 def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
@@ -637,7 +794,7 @@ def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
     return DesignMultiset._from_tables(params, tables)
 
 
-def construct_s3485(q: int) -> DesignMultiset:
+def s3485_families(q: int) -> ExtensionFamilies:
     """The explicit six-part 3-punctured system S_q(3,4,8;5).
 
     Parts, by (dimension, dimension after one more puncture):
@@ -647,18 +804,21 @@ def construct_s3485(q: int) -> DesignMultiset:
     dropping to dimension 3, q^7(q-1) each; 4-subspaces staying
     4-dimensional, q^8-q^7+q^3 each.
     """
-    params = DesignParams(q, 3, 4, 8, 5)
     # (dimension d, bottom, multiplicity) per part: a block keeping d when
     # punctured extends a d-subspace of F_q^4 by a free last column (bottom
     # 0), one dropping to d - 1 a (d-1)-subspace by the unit vector (1)
     parts = ((1, 1, 1), (2, 0, 1), (3, 0, q * (q ** 3 - 1)), (3, 1, q ** 4),
              (4, 0, q ** 8 - q ** 7 + q ** 3), (4, 1, q ** 7 * (q - 1)))
-    return DesignMultiset._from_tables(params, _extension_tables(q, 4, 5, [
-        (d, grassmannian_keys(q, 4, d - bottom), bottom, mult)
-        for d, bottom, mult in parts]))
+    return ExtensionFamilies(DesignParams(q, 3, 4, 8, 5), 4, tuple(
+        (d, None, bottom, mult) for d, bottom, mult in parts))
 
 
-def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
+def construct_s3485(q: int) -> DesignMultiset:
+    """``s3485_families(q)``, expanded."""
+    return s3485_families(q).design()
+
+
+def fano_m5_families(q: int, parallelism: Parallelism) -> ExtensionFamilies:
     """The four-type 2-punctured system S_q(2,3,7;5) built from a
     parallelism of F_q^4.
 
@@ -673,19 +833,23 @@ def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
         raise ValueError("need a parallelism of F_q^4 for the same q")
     if len(parallelism.spreads) != q * q + q + 1:
         raise ValueError("parallelism of F_q^4 must have q^2+q+1 spreads")
-    params = DesignParams(q, 2, 3, 7, 5)
     keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
     # extensions of keys of F_q^4 by a free last column (bottom 0) or by
     # the last unit vector (bottom 1), type by type
-    return DesignMultiset._from_tables(params, _extension_tables(q, 4, 5, [
-        (1, [0], 1, 1),
-        (3, grassmannian_keys(q, 4, 3), 0, q * (q - 1)),
+    return ExtensionFamilies(DesignParams(q, 2, 3, 7, 5), 4, (
+        (1, (0,), 1, 1),
+        (3, None, 0, q * (q - 1)),
         (3, chain(*keys[:q * q]), 1, q * q),
-        (2, chain(*keys[q * q:]), 0, 1)]))
+        (2, chain(*keys[q * q:]), 0, 1)))
 
 
-def construct_recursive(q: int, k: int, parallelism: Parallelism,
-                        base: DesignMultiset) -> DesignMultiset:
+def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
+    """``fano_m5_families(q, parallelism)``, expanded."""
+    return fano_m5_families(q, parallelism).design()
+
+
+def recursive_families(q: int, k: int, parallelism: Parallelism,
+                       base: DesignMultiset) -> ExtensionFamilies:
     """Recursive construction of S_2(2,3,2k+1;k+1+r), r = floor((k+1)/3).
 
     Starts from the uniform S_2(2,3,2k+1;k+1) and appends r columns:
@@ -714,13 +878,10 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
     if not verify(base).ok:
         raise ValueError("base design fails verification")
 
-    m1 = k + 1
-    n = m1 + r
-    params = DesignParams(2, 2, 3, 2 * k + 1, n)
     keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
     size = 2 ** (k - r)
-    parts = [(3, grassmannian_keys(2, m1, 3), 0, 2 ** (k + 1 - 3 * r))]
-    parts += [(d, [0], b, mult) for d, table in base.tables.items()
+    parts = [(3, None, 0, 2 ** (k + 1 - 3 * r))]
+    parts += [(d, (0,), b, mult) for d, table in base.tables.items()
               for b, mult in table.items()]
     parts.append((2, chain(*keys[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
     # the set tagged with v, the j-th after the zero set, has bottom
@@ -729,7 +890,14 @@ def construct_recursive(q: int, k: int, parallelism: Parallelism,
         group = keys[size - 1 + (j - 1) * size:size - 1 + j * size]
         bottom = rows_key(2, (vector_from_code(j, 2, r),))
         parts.append((3, chain(*group), bottom, 2 ** (k - 1 - 2 * (r - 1))))
-    return DesignMultiset._from_tables(params, _extension_tables(2, m1, n, parts))
+    return ExtensionFamilies(DesignParams(2, 2, 3, 2 * k + 1, k + 1 + r), k + 1,
+                             tuple(parts))
+
+
+def construct_recursive(q: int, k: int, parallelism: Parallelism,
+                        base: DesignMultiset) -> DesignMultiset:
+    """``recursive_families(q, k, parallelism, base)``, expanded."""
+    return recursive_families(q, k, parallelism, base).design()
 
 
 # ---------------------------------------------------------------------------

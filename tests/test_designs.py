@@ -3,26 +3,30 @@
 import hashlib
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from slow_oracles import object_transform, object_verify
 
-from qsteiner import subspaces
+from qsteiner import designs, subspaces
 from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
-                              Parallelism, Spread, apply_transform,
-                              build_parallelism, build_spread,
+                              ExtensionFamilies, Parallelism, Spread,
+                              apply_transform, build_parallelism, build_spread,
                               construct_fano_m5, construct_recursive,
                               construct_s3485, construct_uniform_design,
                               _batches, _line_key, distinctness_check,
-                              puncture_design, puncture_steiner,
-                              trivial_steiner, verify, verify_steiner)
+                              fano_m5_families, puncture_design,
+                              puncture_steiner, recursive_families,
+                              s3485_families, trivial_steiner, verify,
+                              verify_families, verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_design,
                             parse_parallelism, parse_parallelism_file,
                             serialize_design, serialize_parallelism)
-from qsteiner.subspaces import (contains, enumerate_subspaces, null_subspace,
-                                puncture, rref, subspaces_within)
+from qsteiner.subspaces import (contains, enumerate_subspaces,
+                                grassmannian_keys, null_subspace, puncture,
+                                row_codes, rref, subspaces_within)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -601,6 +605,94 @@ def test_construct_recursive_validation():
     with pytest.raises(ValueError):
         construct_recursive(2, 3, para,
                             construct_uniform_design(2, 2, 3, 7, 1, {0: 45, 1: 336}))
+
+
+# ---------------------------------------------------------------------------
+# extension families and their class sums
+# ---------------------------------------------------------------------------
+
+def uniform_families(design, m1):
+    """A uniform design as extension families over F_q^{m1} + F_q^r: for
+    each block dimension d and bottom G2, every top at d's multiplicity."""
+    pr = design.params
+    r = pr.m - m1
+    fam = ExtensionFamilies(pr, m1, tuple(
+        (d, None, bottom, mult) for d, table in design.tables.items()
+        for mult in set(table.values())
+        for d2 in range(max(0, d - m1), min(d, r) + 1)
+        for bottom in grassmannian_keys(pr.q, r, d2)))
+    assert fam.design() == design
+    return fam
+
+
+def construction_families():
+    para2 = build_parallelism(2, 4)
+    para3 = parse_parallelism_file(packaged_parallelism_path(3, 4))
+    base = construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
+    return [s3485_families(2), s3485_families(3), s3485_families(4),
+            fano_m5_families(2, para2), fano_m5_families(3, para3),
+            recursive_families(2, 3, para2, base),
+            uniform_families(fano_m4(2), 2), uniform_families(fano_m4(3), 1)]
+
+
+def family_mutants(fam):
+    """The family with one defect each: the last part's multiplicity
+    raised, its first top key dropped, its multiplicity negated, a
+    block of dimension m (outside the constructions' r_range), and the
+    last part of multiplicity above 1 split into two parts at 1 and at
+    the rest, of which the expansion keeps the later."""
+    pr = fam.params
+    q, r = pr.q, pr.m - fam.m1
+    parts = list(fam.parts)
+    d, keys, bottom, mult = parts[-1]
+    if keys is None:
+        keys = grassmannian_keys(q, fam.m1, d - len(row_codes(bottom, q, r)))
+    i = max(i for i, part in enumerate(parts) if part[3] > 1)
+    split = (*parts[i][:3], 1), (*parts[i][:3], parts[i][3] - 1)
+    assert pr.m not in pr.r_range()
+    return [replace(fam, parts=(*parts[:-1], part)) for part in (
+        (d, keys, bottom, mult + 1), (d, keys[1:], bottom, mult),
+        (d, keys, bottom, -mult))] + [
+        replace(fam, parts=(*parts, (pr.m, None, grassmannian_keys(q, r, r)[0], 1))),
+        replace(fam, parts=(*parts[:i], *split, *parts[i + 1:]))]
+
+
+@pytest.mark.parametrize("fam", construction_families(), ids=(
+    "s3485-q2", "s3485-q3", "s3485-q4", "fano-m5-q2", "fano-m5-q3",
+    "recursive-k3", "fano-m4-q2", "fano-m4-q3"))
+def test_verify_families_matches_verify(fam, monkeypatch):
+    """The class sums pass every construction without expanding it, and
+    on each mutant report exactly what ``verify`` of the expansion does,
+    violations included: where a class is violated, a part is illegal
+    or parts overlap, by falling back to it."""
+    expected = verify(fam.design())
+    assert expected.ok
+    with monkeypatch.context() as patch:
+        patch.setattr(designs, "verify", None)      # the sums alone
+        assert verify_families(fam) == expected
+    for mutant in family_mutants(fam):
+        report = verify_families(mutant)
+        assert not report.ok
+        assert report == verify(mutant.design())
+
+
+def test_extension_families_validation():
+    params = DesignParams(2, 2, 3, 7, 5)
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 6, ())                    # m1 > m
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 4, ((2, (140,), 0, 1),))  # top key not RREF
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 4, ((2, (1,), 0, 1),))    # a 1-subspace
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 4, ((1, None, 2, 1),))    # bottom not a key
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 4, ((5, None, 0, 1),))    # no 5-subspace of F_2^4
+    with pytest.raises(ValueError):
+        ExtensionFamilies(params, 4, ((1, None, 0, 1.0),))
+    # a part of multiplicity 0 expands to nothing
+    fam = ExtensionFamilies(params, 4, ((1, None, 0, 0), (1, (0,), 1, 2)))
+    assert fam.design().tables == {1: {1: 2}}
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,33 @@
 """Property tests (hypothesis) for the key-table design form: file
 round trips, puncturing and column transforms, and the rejection of
-malformed block lines; for ``rref`` as the canonical form and the
-keys' numeric order as the canonical order; for the ``N`` and ``D``
-oracles at random witnesses; and for the parallelisms of the orbit
-search."""
+malformed block lines; for the class sums of extension families; for
+``rref`` as the canonical form and the keys' numeric order as the
+canonical order; for the ``N`` and ``D`` oracles at random witnesses;
+and for the parallelisms of the orbit search."""
 
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from slow_oracles import object_coverage
 
-from qsteiner.counting import (ORACLE_GUARD, count_D, count_N, gaussian,
-                               oracle_D, oracle_N)
-from qsteiner.designs import (DesignMultiset, DesignParams, apply_transform,
-                              build_parallelism, construct_s3485,
-                              construct_uniform_design, puncture_design,
-                              verify)
+from qsteiner.counting import (ORACLE_GUARD, count_D, count_N,
+                               covering_coefficient, gaussian, oracle_D,
+                               oracle_N)
+from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
+                              _class_sums, _overlapping, _punctured_tables,
+                              apply_transform, build_parallelism,
+                              construct_s3485, construct_uniform_design,
+                              puncture_design, verify, verify_families)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import (enumerate_subspaces, null_subspace, puncture,
-                                rows_key, rref)
+from qsteiner.subspaces import (enumerate_subspaces, grassmannian_keys,
+                                null_subspace, puncture, puncture_key,
+                                row_codes, rows_key, rref)
 
 # deterministic, and no example database written to the working tree
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -109,6 +114,107 @@ def test_puncture_design_matches_subspace_puncture(design):
         image = puncture(b, 1)
         expected[image] = expected.get(image, 0) + mult
     assert puncture_design(design).blocks == expected
+
+
+@st.composite
+def key_tables(draw):
+    """Key tables of F_q^m, q <= 5 and m <= 5, in a random dimension
+    order: random subspaces of every dimension at random multiplicities,
+    and the one-row block leading in the last column (key 1)."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    m = draw(st.integers(1, 5))
+    field = make_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    tables: dict = {}
+    for vectors, mult in draw(st.lists(st.tuples(st.lists(vector, max_size=m),
+                                                 st.integers(1, 3)), max_size=12)):
+        y = rref(field, vectors) if vectors else null_subspace(field, m)
+        tables.setdefault(y.dim, {})[rows_key(q, y.rows)] = mult
+    tables.setdefault(1, {})[1] = draw(st.integers(1, 3))
+    return q, m, tables
+
+
+@SETTINGS
+@given(key_tables())
+def test_punctured_tables_match_puncture_key(case):
+    """Puncturing by top row and cached suffix gives the tables, in their
+    dimension order and key order, of ``puncture_key`` on each key."""
+    q, m, tables = case
+    expected: dict = {}
+    for table in tables.values():
+        for key, mult in table.items():
+            img = puncture_key(key, q, m)
+            out = expected.setdefault(len(row_codes(img, q, m - 1)), {})
+            out[img] = out.get(img, 0) + mult
+    got = _punctured_tables(q, m, tables)
+    assert [(d, list(t.items())) for d, t in got.items()] \
+        == [(d, list(t.items())) for d, t in expected.items()]
+
+
+# (q, m1, r) of the random families: m1 <= 4, r <= 2, at most q^m = 256
+FAMILY_SHAPES = tuple((q, m1, r) for q in (2, 3, 4) for m1 in range(5)
+                      for r in range(3) if 1 <= m1 + r and q ** (m1 + r) <= 256)
+
+
+@st.composite
+def families(draw):
+    """Extension families of F_q^m, m = m1 + r (``FAMILY_SHAPES``), t <=
+    2: one to four parts of random dimensions and bottoms, each with a
+    random set of at most four tops or all of them (None), at
+    multiplicities -1 to 3; parts may overlap."""
+    q, m1, r = draw(st.sampled_from(FAMILY_SHAPES))
+    m = m1 + r
+    t = draw(st.integers(1, 2))
+    k = draw(st.integers(t + 1, t + 2))
+    n = max(k, m + 1) + draw(st.integers(0, 2))
+    bottoms = [key for e in range(r + 1) for key in grassmannian_keys(q, r, e)]
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        bottom = draw(st.sampled_from(bottoms))
+        d1 = draw(st.integers(0, m1))
+        keys = draw(st.none() | st.lists(st.sampled_from(grassmannian_keys(q, m1, d1)),
+                                         max_size=4, unique=True))
+        parts.append((d1 + len(row_codes(bottom, q, r)), keys, bottom,
+                      draw(st.integers(-1, 3))))
+    return ExtensionFamilies(DesignParams(q, t, k, n, m), m1, tuple(parts))
+
+
+@SETTINGS
+@given(families())
+def test_class_sums_match_each_subspace(fam):
+    """``verify_families`` reports exactly as ``verify`` of the expansion.
+    Without overlapping parts, each s-subspace X is covered
+    (``object_coverage`` of the expansion) as its class (U, K) says, U
+    the rows of X leading left of column m1 cut to m1 columns and K the
+    other rows cut to the last r, and each class holds size of them."""
+    design = fam.design()
+    assert verify_families(fam) == verify(design)
+    if _overlapping(fam.parts):
+        return
+    pr, m1 = fam.params, fam.m1
+    for s in pr.s_range():
+        sums = {(top, below): (size, got)
+                for top, below, size, got in _class_sums(fam, s)}
+        weighted = [(y, mult * covering_coefficient(s, pr.t, y.dim, pr.k, pr.q))
+                    for y, mult in design.blocks.items()]
+        sizes = Counter()
+        for rows, got in object_coverage(weighted, make_field(pr.q), pr.m, s):
+            cls = (rows_key(pr.q, tuple(row[:m1] for row in rows if row.index(1) < m1)),
+                   rows_key(pr.q, tuple(row[m1:] for row in rows if row.index(1) >= m1)))
+            assert sums[cls][1] == got
+            sizes[cls] += 1
+        assert sizes == {cls: size for cls, (size, _) in sums.items()}
+
+
+@SETTINGS
+@given(st.sampled_from(SUPPORTED_ORDERS), st.integers(0, 6), st.integers(0, 4),
+       st.data())
+def test_class_count_identity(q, m1, r, data):
+    """The classes (U, K) of s-subspaces, q^{u(r-kappa)} subspaces each,
+    count every s-subspace of F_q^{m1+r} once."""
+    s = data.draw(st.integers(0, m1 + r))
+    assert sum(gaussian(m1, u, q) * gaussian(r, s - u, q) * q ** (u * (r - s + u))
+               for u in range(max(0, s - r), min(s, m1) + 1)) == gaussian(m1 + r, s, q)
 
 
 @SETTINGS
