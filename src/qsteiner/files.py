@@ -16,19 +16,20 @@ canonical subspace order (dimension, then row-major lexicographic), so
 serialization is deterministic and diffable; that order is the numeric
 order of the blocks' keys.  Reading and writing go between row text and
 the key tables of ``DesignMultiset`` directly.  A design file is read in
-chunks, never whole.  Each block line is keyed from its top row and the
-text of the rows below it (its suffix): a table of the suffixes seen so
-far holds each one's key, its place below the top row and what the RREF
-check needs of it, so a block over a known suffix costs one row check.
-A second table, of line prefixes (the text ``block M D top`` before the
-first ";"), holds what the check and the key need of the top row with
-the line's multiplicity and dimension; a line whose prefix and suffix
-are both known, and whose top row fits the suffix, costs one
-``str.partition`` and two lookups.  A prefix is entered only from a
-line that passed the full check written as the writer writes it; every
-other line, and every error, goes through the full check.  Memory is
-bounded by the distinct suffixes and the distinct (multiplicity,
-dimension, top row) of well-formed lines, not by the blocks.
+chunks, never whole.  A block line is read one of two ways.  The fast
+path splits it at its first ";" into its prefix (the text ``block M D
+top``) and the text of the rows below the top row (its suffix), and
+looks both up in tables of those already seen: a suffix's entry holds
+its key, its place below the top row and what the RREF check needs of
+it, a prefix's entry what the check and the key need of the top row
+with the line's multiplicity and dimension.  When both are known and
+the top row fits the suffix, the line costs one ``str.partition`` and
+two lookups.  Every other line, and every error, goes through the full
+check, which parses each distinct row once, raises every message and
+enters the line's suffix, and its prefix when the line is written as
+the writer writes it.  Memory is bounded by the distinct suffixes and
+the distinct (multiplicity, dimension, top row) of well-formed lines,
+not by the blocks.
 
 Parallelism file (``qsteiner-parallelism v1``)::
 
@@ -76,12 +77,14 @@ def _is_decimal(token: str) -> bool:
 
 def _parse_params(line: str, names: str) -> tuple:
     """The ``name=value`` numbers of a parameter line, in ``names``
-    order; raises ValueError on a repeated name or a non-decimal value,
-    KeyError on a missing name."""
+    order; raises ValueError on a repeated or unknown name or a
+    non-decimal value, KeyError on a missing name."""
     pairs = [tok.split("=") for tok in line.split()]
     fields = dict(pairs)
     if len(fields) != len(pairs):
         raise ValueError(f"parameter line {line!r} repeats a name")
+    if not fields.keys() <= set(names):
+        raise ValueError(f"parameter line {line!r} has a name outside {names!r}")
     values = [fields[name] for name in names]
     if not all(map(_is_decimal, values)):
         raise ValueError(f"parameters {values} are not ASCII decimal numbers")
@@ -116,15 +119,11 @@ def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
         if dim != 0:
             raise ValueError("'-' rows are only valid for dimension 0")
         return 0
-    parts = text.split(";")
-    try:
-        entries = [seen[part] for part in parts]
-    except KeyError:
-        entries = []
-        for part in parts:
-            if part not in seen:
-                seen[part] = _row_entry(_parse_row(part, q, m), q)
-            entries.append(seen[part])
+    entries = []
+    for part in text.split(";"):
+        if part not in seen:
+            seen[part] = _row_entry(_parse_row(part, q, m), q)
+        entries.append(seen[part])
     if len(entries) != dim:
         raise ValueError(f"block says dimension {dim} but has {len(entries)} rows")
     return _rref_key(entries, q ** m)
@@ -220,20 +219,19 @@ def parse_design(source) -> DesignMultiset:
     big = q ** m
     tables: dict = defaultdict(dict)
     seen: dict = {}
-    # block rows below the top row -> their ``_suffix_entry``; a block is
-    # its top row, in ``seen``, over a known suffix, so checking it is
-    # checking the top row against the suffix, and its key is the top
-    # row's code at the suffix's place plus the suffix's key, one step
-    # of ``_rref_key``; a one-row block stands over the empty suffix
+    # block rows below the top row -> their ``_suffix_entry``; a one-row
+    # block stands over the empty suffix
     suffixes: dict = {}
     empty = (0, big, 0, 0, 1)
     # the text "block M D top" of a line before its first ";" -> D - 1,
     # the top row's lead, nonzero mask and code, M and the table of D;
-    # entered from lines that passed the line loop in the writer's form
+    # entered from lines that passed the full check in the writer's form
     prefixes: dict = {}
-    # multiplicity and dimension tokens, each checked and parsed once
-    numbers: dict = {}
     for ln in lines:
+        # the fast path: a block is its top row over a known suffix, so
+        # checking it is checking the top row against the suffix, and its
+        # key is the top row's code at the suffix's place plus the
+        # suffix's key, one step of ``_rref_key``
         prefix, sep, rest = ln.partition(";")
         p = prefixes.get(prefix)
         below = suffixes.get(rest) if sep else empty
@@ -243,34 +241,22 @@ def parse_design(source) -> DesignMultiset:
             if key not in p[5]:
                 p[5][key] = p[4]
                 continue
-        # the line loop: every other line, and every error
+        # the full check: every other line, and every error
         parts = ln.split(maxsplit=3)
         if len(parts) != 4 or parts[0] != "block":
             raise ValueError(f"bad block line {ln!r}")
-        try:
-            mult, dim = numbers[parts[1]], numbers[parts[2]]
-        except KeyError:
-            for token in parts[1:3]:
-                if not _is_decimal(token):
-                    raise ValueError(
-                        f"multiplicity and dimension must be ASCII decimal "
-                        f"numbers in {ln!r}") from None
-                numbers[token] = int(token)
-            mult, dim = numbers[parts[1]], numbers[parts[2]]
+        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+            raise ValueError(f"multiplicity and dimension must be ASCII "
+                             f"decimal numbers in {ln!r}")
+        mult, dim = int(parts[1]), int(parts[2])
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
         text = parts[3]
+        # a "row;" block fails here, before its empty suffix is entered
+        key = _parse_block(text, q, m, dim, seen)
         top, sep, rest = text.partition(";")
-        row = seen.get(top)
-        below = suffixes.get(rest) if sep else empty
-        if (row is not None and below is not None and dim == below[3] + 1
-                and -1 < row[1] < below[1] and not row[2] & below[2]):
-            key = row[0] * below[4] + below[0]
-        else:
-            # the full check, with its message; a "row;" block fails it
-            key = _parse_block(text, q, m, dim, seen)
-            if sep:
-                suffixes[rest] = _suffix_entry(rest, seen, big)
+        if sep and rest not in suffixes:
+            suffixes[rest] = _suffix_entry(rest, seen, big)
         table = tables[dim]
         if key in table:
             raise ValueError(f"duplicate block line for {text!r}")

@@ -296,18 +296,13 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     """True iff every vector of ``inner`` lies in ``outer``."""
     if outer.field.q != inner.field.q or outer.ambient != inner.ambient:
         raise ValueError("ambient space mismatch")
-    return _contains_rows(outer.field, outer.rows, inner.rows)
-
-
-def _contains_rows(field: GF, outer_rows: tuple, inner_rows: tuple) -> bool:
-    """``contains`` on RREF row tuples of one ambient space: reduce each
-    inner row by the outer rows and check that nothing is left."""
-    if len(inner_rows) > len(outer_rows):
+    # reduce each inner row by the outer rows and check that nothing is left
+    if len(inner.rows) > len(outer.rows):
         return False
-    sub, mul = field.sub_table, field.mul_table
-    for x in inner_rows:
+    sub, mul = outer.field.sub_table, outer.field.mul_table
+    for x in inner.rows:
         x = list(x)
-        for orow in outer_rows:
+        for orow in outer.rows:
             pc = orow.index(1)
             c = x[pc]
             if c:

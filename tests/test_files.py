@@ -110,7 +110,8 @@ def test_design_parse_rejections():
     header = "q=2 t=2 k=3 n=7 m=4"
     assert parse_design(text.replace(header, "m=4 q=2 t=2 k=3 n=7")) == design
     for bad in ("q=+2 t=2 k=3 n=7 m=4", "q=2 t=2 k=3 n=7 m=\u0664",
-                "q=2 t=2 k=3 n=7_ m=4", "q=2 t=2 k=3 n=7 m=5 m=4"):
+                "q=2 t=2 k=3 n=7_ m=4", "q=2 t=2 k=3 n=7 m=5 m=4",
+                "q=2 t=2 k=3 n=7 m=4 x=9"):
         with pytest.raises(ValueError, match="bad parameter line"):
             parse_design(text.replace(header, bad))
 
@@ -153,7 +154,8 @@ def test_parallelism_parse_rejections():
     assert str(exc.value) == "'-' rows are only valid for dimension 0"
     # the parameter line takes only ASCII decimal numbers
     assert parse_parallelism(text.replace("q=2 n=4", "n=4 q=2")) == para
-    for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_", "q=2 n=5 n=4"):
+    for bad in ("q=+2 n=4", "q=2 n=\u0664", "q=2 n=4_", "q=2 n=5 n=4",
+                "q=2 n=2 junk=1"):
         with pytest.raises(ValueError, match="bad parameter line"):
             parse_parallelism(text.replace("q=2 n=4", bad))
 
@@ -263,3 +265,47 @@ def test_rejections_with_prefix_and_suffix_known():
             with pytest.raises(ValueError) as exc:
                 parse_design(text)
             assert str(exc.value) == message
+
+
+def test_new_prefix_over_known_suffix():
+    """A line whose prefix ("block M D top") is new but whose top row and
+    rows below the top are already known reads as it does when nothing
+    is known yet: a valid block gets the key of a cold parse, and every
+    other line the cold parse's message."""
+    header = "qsteiner-design v1\nq=2 t=2 k=3 n=7 m=4\n"
+    known = ("block 4 2 1000;0100\n"        # suffix '0100'
+             "block 4 2 1000;0010\n"        # suffix '0010'
+             "block 4 2 1010;0001\n")       # rows '1010' and '0001' seen
+    base = parse_design(header + known).tables
+    line = "block 3 2 1010;0100\n"
+    warm = parse_design(header + known + line).tables
+    cold = parse_design(header + line).tables
+    assert warm == {2: {**base[2], **cold[2]}}
+    assert cold == {2: {rows_key(2, ((1, 0, 1, 0), (0, 1, 0, 0))): 3}}
+    for line, message in (
+            ("block 3 2 1000;0100",               # repeated line
+             "duplicate block line for '1000;0100'"),
+            ("block 3 2 0100;0100",               # leads at the row below
+             "rows ((0, 1, 0, 0), (0, 1, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 2 0010;0100",               # leads right of the row below
+             "rows ((0, 0, 1, 0), (0, 1, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 2 1010;0010",               # nonzero at a pivot below
+             "rows ((1, 0, 1, 0), (0, 0, 1, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 3 1000;0100",               # dimension mismatch
+             "block says dimension 3 but has 2 rows")):
+        cold = header + ("block 4 2 1000;0100\n" if "duplicate" in message else "")
+        for text in (header + known + line + "\n", cold + line + "\n"):
+            with pytest.raises(ValueError) as exc:
+                parse_design(text)
+            assert str(exc.value) == message
+    # a multiplicity written "01" is never the writer's form, so its
+    # prefix is never entered and each such line takes the full check
+    ones = ("block 01 2 1000;0100\nblock 01 2 1000;0010\n"
+            "block 01 2 1000;0001\n")
+    assert (parse_design(header + ones).tables
+            == parse_design(header + ones.replace("01 2", "1 2")).tables
+            == {2: {rows_key(2, ((1, 0, 0, 0), row)): 1
+                    for row in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}})
