@@ -638,14 +638,6 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 # (``verify`` and ``verify_families`` check them)
 # ---------------------------------------------------------------------------
 
-def _key_dim(field: GF, m: int, key) -> int:
-    """The dimension of the subspace of F_q^m with this key; ValueError
-    unless it is the key of one."""
-    if not isinstance(key, int) or isinstance(key, bool) or key < 0:
-        raise ValueError(f"{key!r} is not a subspace key")
-    return subspace_from_key(field, m, key).dim
-
-
 @dataclass(frozen=True)
 class ExtensionFamilies:
     """A design of F_q^m, m = m1 + r, as families of extensions (module
@@ -668,10 +660,11 @@ class ExtensionFamilies:
         for d, keys, bottom, mult in self.parts:
             if not isinstance(mult, int) or isinstance(mult, bool):
                 raise ValueError(f"multiplicity {mult!r} is not an integer")
-            d1 = d - _key_dim(field, m - m1, bottom)
+            d1 = d - subspace_from_key(field, m - m1, bottom).dim
             if keys is not None:
                 keys = tuple(keys)
-                if any(_key_dim(field, m1, key) != d1 for key in keys):
+                if any(subspace_from_key(field, m1, key).dim != d1
+                       for key in keys):
                     raise ValueError(f"a top key of part {d, bottom} is not "
                                      f"a {d1}-subspace of F_{q}^{m1}")
             elif not 0 <= d1 <= m1:

@@ -496,7 +496,10 @@ def _code_row(code: int, q: int, m: int) -> tuple:
 
 
 def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
-    """The subspace of F_q^m whose key (``rows_key``) is ``key``."""
+    """The subspace of F_q^m whose key (``rows_key``) is ``key``;
+    ValueError unless ``key`` is the key of one (a bool is no key)."""
+    if not isinstance(key, int) or isinstance(key, bool) or key < 0:
+        raise ValueError(f"{key!r} is not a subspace key")
     q = field.q
     return Subspace(field, m, tuple([_code_row(code, q, m)
                                      for code in row_codes(key, q, m)]))

@@ -1,5 +1,6 @@
 """Closed-form counts against their enumeration oracles."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -12,8 +13,8 @@ from qsteiner.counting import (ORACLE_GUARD, _puncture_census, count_C,
                                oracle_D, oracle_N)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
-                                first_subspace, puncture, rows_key,
-                                subspaces_within)
+                                first_subspace, grassmannian_keys, puncture,
+                                rows_key, rref, subspaces_within)
 
 
 def test_gaussian_values():
@@ -158,6 +159,60 @@ def test_puncture_census_sums_to_grassmannian():
                 for m in range(1, n):
                     assert sum(_puncture_census(q, n, t, m).values()) == size, \
                         (q, n, t, m)
+
+
+def test_puncture_census_lookup_matches_listing():
+    """Membership, ``get`` and ``len`` of the census, which look keys up
+    by pivot set, agree with the listed census for every key of every
+    dimension of F_q^m.  Objects that are no key of F_q^m are absent: a
+    non-RREF int (two equal rows), a negative int, a bool (which a dict
+    would read as 1), an int of t+1 rows whose lower rows are zero, and
+    a string."""
+    for q in (2, 3, 4, 5):
+        for n in range(2, 6):
+            for t in range(n + 1):
+                for m in range(1, n):
+                    census = _puncture_census(q, n, t, m)
+                    listed = dict(census)
+                    assert len(census) == len(listed), (q, n, t, m)
+                    keys = [key for d in range(m + 1)
+                            for key in grassmannian_keys(q, m, d)]
+                    assert listed.keys() <= set(keys)
+                    for key in keys:
+                        assert (key in census) == (key in listed), (key, q, n, t, m)
+                        assert census.get(key, 0) == listed.get(key, 0), \
+                            (key, q, n, t, m)
+                    for key in (q ** m + 1, -1, True, q ** (m * (t + 1)), "0"):
+                        assert key not in census and census.get(key, 0) == 0, \
+                            (key, q, n, t, m)
+                        with pytest.raises(KeyError):
+                            census[key]
+
+
+def test_oracle_N_every_pivot_set_over_F2_10():
+    """Every weight of the census of the 6,347,715 3-subspaces of F_2^10
+    punctured onto F_2^9, read by one witness per pivot set of each
+    dimension s (free entries all 1 before ``rref``): witnesses of
+    different pivot sets read different weights.  For s = 1 no
+    3-subspace punctures onto the witness, and the closed form refuses
+    it.  The weights summed over every image are |G_2(10,3)|, checked
+    apart from any witness."""
+    q, m, t, n = 2, 9, 3, 10
+    field = make_field(q)
+    for s in (1, 2, 3):
+        if t - s > n - m:
+            with pytest.raises(ValueError, match="cannot raise dimension"):
+                count_N(s, m, t, n, q)
+            want = 0
+        else:
+            want = count_N(s, m, t, n, q)
+        for pivots in itertools.combinations(range(m), s):
+            witness = rref(field, [(0,) * p + (1,) * (m - p) for p in pivots])
+            assert witness.pivots == pivots
+            assert oracle_N(s, m, t, n, q, witness=witness) == want, pivots
+    census = _puncture_census(q, n, t, m)
+    assert sum(census.values()) == gaussian(n, t, q)
+    assert len(census) == gaussian(m, 2, q) + gaussian(m, 3, q)
 
 
 def test_counting_caches_are_bounded():
