@@ -14,14 +14,14 @@ for q, n in ((2, 4), (2, 6), (3, 4)):
     sp = build_spread(q, n)
     print(f"  F_{q}^{n}: {len(sp.lines)} lines "
           f"(= (q^n-1)/(q^2-1)), Steiner check: "
-          f"{verify_steiner(sp.to_steiner())}")
+          f"{verify_steiner(sp)}")
 
 print()
 print("== Puncturing a Steiner system once ==")
 print("The blocks through the last unit vector drop a dimension and form")
 print("the derived system; every other t-subspace is covered q^t times:")
 for q, n in ((2, 4), (2, 6), (3, 4)):
-    design, derived = puncture_steiner(build_spread(q, n).to_steiner())
+    design, derived = puncture_steiner(build_spread(q, n))
     print(f"  spread of F_{q}^{n}: {len(derived.blocks)} lowered image, "
           f"{sum(m for b, m in design.blocks.items() if b.dim == 2)} "
           f"full-dimension images, all distinct: {distinctness_check(design)}")
@@ -39,7 +39,7 @@ print(f"  F_3^4 from the packaged file: {len(big.spreads)} spreads x "
 
 print()
 print("== Column transforms preserve everything ==")
-st = build_spread(2, 4).to_steiner()
+st = build_spread(2, 4)
 swapped = apply_transform(st, [(0, (1, 1, 0, 0))] * 3)
 print(f"  spread after three column-0 <- column-0 + column-1 ops: "
       f"Steiner check {verify_steiner(swapped)}")

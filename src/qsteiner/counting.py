@@ -17,12 +17,9 @@ enumeration; the oracles never evaluate the formulas.  Each enumerates
 by pivot cell or on keys (``subspaces.rows_key``), never one
 ``Subspace`` per subspace:
 
-* ``oracle_N`` looks the witness up in a census of the punctures of
-  every t-subspace of F_q^n, keyed by the image's key.  The census
-  holds one weight per set of pivots left of the deleted columns, the
-  cells sharing it weighted together; a lookup reads the weight of the
-  key's pivots, and the images are listed only when the census is
-  iterated.
+* ``oracle_N`` reads the weight of the witness's pivots in a census of
+  the punctures of every t-subspace of F_q^n: one weight per set of
+  pivots left of the deleted columns, the cells sharing it summed.
 * ``oracle_C`` lists the t-subspaces of the raised k-subspace as keys
   and punctures each on its key.
 * ``oracle_D`` counts each pivot cell column by column: the free
@@ -36,15 +33,13 @@ All values are exact arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import GF, make_field
-from .subspaces import (Subspace, _free_codes, _places, _within_columns,
-                        contains, extension_raise_dim, first_subspace,
-                        row_codes, rows_key, subspace_from_key,
-                        subspaces_within)
+from .subspaces import (Subspace, _within_columns, contains,
+                        extension_raise_dim, first_subspace, row_codes,
+                        rows_key, subspaces_within)
 
 # Largest Grassmannian an oracle is allowed to enumerate.
 ORACLE_GUARD = 10 ** 7
@@ -148,72 +143,11 @@ def necessary_conditions(t: int, k: int, n: int, q: int) -> DivisibilityReport:
                               all(e.divides for e in entries))
 
 
-class _PunctureCensus(Mapping):
-    """What ``_puncture_census`` returns: image key -> count, read off
-    the summed weight of each set of pivots left of m.  Anything but the
-    key of a subspace of F_q^m is a KeyError (``subspace_from_key``);
-    items and values are listed from the weights, never key by key."""
-
-    def __init__(self, q: int, m: int, weights: dict) -> None:
-        self._q, self._m, self._weights = q, m, weights
-
-    def __getitem__(self, key) -> int:
-        try:
-            pivots = subspace_from_key(make_field(self._q), self._m, key).pivots
-        except ValueError:
-            raise KeyError(key) from None
-        return self._weights[pivots]
-
-    def _images(self, left: tuple) -> list:
-        """The keys of the subspaces of F_q^m with pivots ``left``."""
-        q, m = self._q, self._m
-        cut = [[(q ** (m - 1 - p) + code) * place for code in _free_codes(
-                    q, m, [c for c in range(p + 1, m) if c not in left])]
-               for p, place in zip(left, _places(q ** m, len(left)))]
-        images = [0]
-        for row in cut:
-            images = [a + b for a in images for b in row]
-        return images
-
-    def _size(self, left: tuple) -> int:
-        """``len(self._images(left))``: row i of d is free in the
-        m-1-p-(d-1-i) columns right of its pivot p that are no pivot."""
-        d = len(left)
-        return self._q ** sum(self._m - d + i - p for i, p in enumerate(left))
-
-    def __iter__(self):
-        for left in self._weights:
-            yield from self._images(left)
-
-    def __len__(self) -> int:
-        return sum(map(self._size, self._weights))
-
-    def items(self) -> ItemsView:
-        return _CensusItems(self)
-
-    def values(self) -> ValuesView:
-        return _CensusValues(self)
-
-
-class _CensusItems(ItemsView):
-    def __iter__(self):
-        census = self._mapping
-        for left, w in census._weights.items():
-            yield from zip(census._images(left), itertools.repeat(w))
-
-
-class _CensusValues(ValuesView):
-    def __iter__(self):
-        census = self._mapping
-        for left, w in census._weights.items():
-            yield from itertools.repeat(w, census._size(left))
-
-
 @lru_cache(maxsize=16)
-def _puncture_census(q: int, n: int, t: int, m: int) -> _PunctureCensus:
-    """Map each subspace of F_q^m, keyed by ``rows_key``, to the number
-    of t-subspaces of F_q^n puncturing onto it; a subspace onto which
-    none punctures is absent.
+def _puncture_census(q: int, n: int, t: int, m: int) -> dict:
+    """Map each set of pivots left of m to the number of t-subspaces of
+    F_q^n puncturing onto any one subspace of F_q^m with those pivots;
+    a pivot set onto which none punctures is absent.
 
     The t-subspaces are counted pivot cell by pivot cell, never one by
     one.  For a fixed pivot set the RREF rows vary independently in
@@ -230,10 +164,7 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> _PunctureCensus:
     pivots left of m: they are exactly the d-subspaces of F_q^m with
     those pivots, cut row i of d placed at ``(q**m)**(d-1-i)``.  So the
     weights q**collapsed of the cells sharing those pivots are summed,
-    and that sum is the count of each of their images.  Different pivot
-    sets have different images, so the census is a lookup by pivot set:
-    it holds the sums alone, a key's count is the sum of its pivots,
-    and the images are listed only when the census is iterated.
+    and that sum is the count of each of their images.
     """
     weights: dict = {}
     for pivots in itertools.combinations(range(n), t):
@@ -241,7 +172,7 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> _PunctureCensus:
         collapsed = sum(c not in pivots for p in pivots
                         for c in range(max(p + 1, m), n))
         weights[left] = weights.get(left, 0) + q ** collapsed
-    return _PunctureCensus(q, m, weights)
+    return weights
 
 
 def _check_guard(n: int, t: int, q: int) -> None:
@@ -265,7 +196,7 @@ def oracle_N(s: int, m: int, t: int, n: int, q: int,
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return _puncture_census(q, n, t, m).get(rows_key(q, witness.rows), 0)
+    return _puncture_census(q, n, t, m).get(witness.pivots, 0)
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,

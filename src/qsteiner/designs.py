@@ -470,9 +470,6 @@ class Spread(SteinerSystem):
 
     lines = SteinerSystem.blocks
 
-    def to_steiner(self) -> SteinerSystem:
-        return self
-
 
 def build_spread(q: int, n: int) -> Spread:
     """The field-extension spread: F_q^n read as an (n/2)-dimensional

@@ -479,7 +479,9 @@ def rows_key(q: int, rows: tuple) -> int:
 
 def row_codes(key: int, q: int, m: int) -> list:
     """The codes of the RREF rows of the subspace of F_q^m with this
-    key, top row first."""
+    key, top row first; ValueError for a negative key."""
+    if key < 0:
+        raise ValueError(f"{key!r} is not a subspace key")
     big = q ** m
     codes = []
     while key:
@@ -498,7 +500,7 @@ def _code_row(code: int, q: int, m: int) -> tuple:
 def subspace_from_key(field: GF, m: int, key: int) -> Subspace:
     """The subspace of F_q^m whose key (``rows_key``) is ``key``;
     ValueError unless ``key`` is the key of one (a bool is no key)."""
-    if not isinstance(key, int) or isinstance(key, bool) or key < 0:
+    if not isinstance(key, int) or isinstance(key, bool):
         raise ValueError(f"{key!r} is not a subspace key")
     q = field.q
     return Subspace(field, m, tuple([_code_row(code, q, m)

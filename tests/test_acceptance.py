@@ -179,7 +179,7 @@ def test_criterion_6_derived_spread_puncture():
     t0 = time.perf_counter()
     for q, n in ((2, 4), (2, 6), (3, 4)):
         field = make_field(q)
-        design, sub = puncture_steiner(build_spread(q, n).to_steiner())
+        design, sub = puncture_steiner(build_spread(q, n))
         assert len(sub.blocks) == 1, (q, n)
         special = sub.blocks[0]
         cover = {}

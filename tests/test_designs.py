@@ -280,7 +280,7 @@ def test_spread_invariants():
     for q, n, count in ((2, 4, 5), (2, 6, 21), (3, 4, 10)):
         sp = build_spread(q, n)
         assert len(sp.lines) == count == (q ** n - 1) // (q * q - 1)
-        assert verify_steiner(sp.to_steiner())
+        assert verify_steiner(sp)
 
 
 def test_spread_rejects_odd_dimension():
@@ -310,7 +310,7 @@ def test_puncture_steiner_spreads():
     system, every other 1-subspace covered exactly q times."""
     for q, n in ((2, 4), (2, 6), (3, 4)):
         f = make_field(q)
-        design, sub = puncture_steiner(build_spread(q, n).to_steiner())
+        design, sub = puncture_steiner(build_spread(q, n))
         assert design.params == DesignParams(q, 1, 2, n, n - 1)
         assert len(sub.blocks) == 1 and sub.t == 0 and sub.k == 1
         special = sub.blocks[0]
@@ -346,13 +346,13 @@ def test_puncture_steiner_rejects_non_steiner():
 
 
 def test_punctured_spread_verifies_as_design():
-    design, _ = puncture_steiner(build_spread(2, 6).to_steiner())
+    design, _ = puncture_steiner(build_spread(2, 6))
     assert verify(design).ok
 
 
 def test_distinctness_check():
     assert not distinctness_check(fano_m4())
-    design, _ = puncture_steiner(build_spread(2, 4).to_steiner())
+    design, _ = puncture_steiner(build_spread(2, 4))
     assert distinctness_check(design)
 
 
@@ -716,7 +716,7 @@ def test_transform_preserves_design_verification():
 
 
 def test_transform_preserves_spread():
-    st = build_spread(2, 4).to_steiner()
+    st = build_spread(2, 4)
     op = (0, (1, 1, 0, 0))
     assert verify_steiner(apply_transform(st, [op, op, op]))
 
@@ -754,7 +754,7 @@ def test_transform_matches_object_oracle():
     mixed multiplicities at q = 2, 3 and 4."""
     rng = random.Random(16)
     for q, n in ((2, 4), (2, 6), (3, 4)):
-        st = build_spread(q, n).to_steiner()
+        st = build_spread(q, n)
         for _ in range(5):
             ops = _random_ops(rng, q, n, rng.randrange(1, 4))
             out = apply_transform(st, ops)

@@ -15,8 +15,9 @@ from qsteiner.subspaces import (Subspace, VirtualExpansion, _cell_keys,
                                 expand, extension_raise_dim,
                                 extensions_same_dim, first_subspace,
                                 grassmannian_keys, null_subspace, puncture,
-                                row_codes, rows_key, rref, subspace_from_key,
-                                subspaces_within, vector_code, vector_from_code)
+                                puncture_key, row_codes, rows_key, rref,
+                                subspace_from_key, subspaces_within,
+                                vector_code, vector_from_code)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -156,6 +157,17 @@ def test_unchecked_decode_matches_checked():
                     assert hash(fast) == hash(checked)
                     assert fast.rows == checked.rows and fast.ambient == m
                     assert fast.field is f
+
+
+def test_negative_keys_are_refused():
+    """A negative key is no subspace key: ``divmod`` floors toward -1,
+    so reading one digit by digit would never end."""
+    with pytest.raises(ValueError, match="^-1 is not a subspace key$"):
+        row_codes(-1, 2, 3)
+    with pytest.raises(ValueError, match="^-5 is not a subspace key$"):
+        puncture_key(-5, 2, 3)
+    with pytest.raises(ValueError, match="^-1 is not a subspace key$"):
+        subspace_from_key(F2, 3, -1)
 
 
 def test_enumeration_null_subspace():
