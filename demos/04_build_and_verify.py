@@ -3,9 +3,9 @@
 the uniform designs, the explicit S_q(3,4,8;5), the four-type
 S_q(2,3,7;5), the recursive construction, and the puncture chain."""
 
-from qsteiner import (build_parallelism, construct_fano_m5,
-                      construct_recursive, construct_s3485,
-                      construct_uniform_design, puncture_design, verify)
+from qsteiner import (build_parallelism, construct_uniform_design,
+                      fano_m5_families, puncture_design, recursive_families,
+                      s3485_families, verify)
 
 
 def status(label, design):
@@ -27,7 +27,7 @@ status("S_2(3,4,8;4)  (1,0,20,240,2176)",
 
 print()
 print("== The explicit six-part S_2(3,4,8;5) ==")
-d85 = status("S_2(3,4,8;5)", construct_s3485(2))
+d85 = status("S_2(3,4,8;5)", s3485_families(2).design())
 status("punctured to m=4", puncture_design(d85))
 
 print()
@@ -35,12 +35,12 @@ print("== The four-type S_2(2,3,7;5) from a parallelism of F_2^4 ==")
 para = build_parallelism(2, 4)
 print(f"  parallelism found by search: {len(para.spreads)} spreads of "
       f"{len(para.spreads[0].lines)} lines")
-m5 = status("S_2(2,3,7;5)", construct_fano_m5(2, para))
+m5 = status("S_2(2,3,7;5)", fano_m5_families(2, para).design())
 
 print()
 print("== The recursive construction at k = 3 gives the same parameters ==")
 base = construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
-rec = status("recursive S_2(2,3,7;5)", construct_recursive(2, 3, para, base))
+rec = status("recursive S_2(2,3,7;5)", recursive_families(2, 3, para, base).design())
 print("  both m=5 designs puncture to the SAME uniform m=4 design:",
       puncture_design(m5) == puncture_design(rec) == m4)
 print("  as multisets they differ (the spread-set split is arbitrary):",
@@ -60,7 +60,7 @@ print("== The verifier is a real gate ==")
 block = next(b for b in m4.blocks if b.dim == 3)
 broken = m4.with_block_multiplicity(block, m4.blocks[block] - 1)
 rep = verify(broken)
-v = rep.first_violation()
+v = rep.violations[0]
 print(f"  lowering one multiplicity 16 -> 15: verify "
       f"{'PASS' if rep.ok else 'FAIL'} "
       f"({len(rep.violations)} equations off, first: s={v.s}, "

@@ -9,7 +9,6 @@ from .counting import (count_C, count_D, count_N, gaussian,
 from .designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                       Parallelism, Spread, SteinerSystem, VerificationReport,
                       apply_transform, build_parallelism, build_spread,
-                      construct_fano_m5, construct_recursive, construct_s3485,
                       construct_uniform_design, distinctness_check,
                       fano_m5_families, puncture_design, puncture_steiner,
                       recursive_families, s3485_families, trivial_steiner,

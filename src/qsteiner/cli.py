@@ -111,7 +111,7 @@ def _report_verdict(report) -> int:
         print(f"FAIL: block {files.format_block_rows(b)} has dimension {dim} "
               f"outside the legal range")
     if report.violations:
-        v = report.first_violation()
+        v = report.violations[0]
         print(f"FAIL: equation for the {v.s}-subspace "
               f"[{files.format_block_rows(v.subject)}] "
               f"gives {v.got}, expected {v.expected} "
@@ -165,7 +165,7 @@ def cmd_build(args) -> int:
         if args.base:
             base = files.parse_design_file(args.base)
         elif k == 3:
-            base = designs.construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
+            base = designs.construct_uniform_design(q, 2, 3, 3, 1, {1: 1})
         else:
             raise ValueError(f"build recursive with k={k} needs --base FILE")
         para = _resolve_parallelism(q, k + 1, args.parallelism)

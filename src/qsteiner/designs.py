@@ -17,19 +17,20 @@ violation.  Steiner systems, spreads and parallelisms are stored as keys
 as well: ``SteinerSystem.keys`` (a ``Spread`` is the checked S_q(1,2,n))
 holds each block's key, and ``blocks`` and ``lines`` decode them.
 
-The constructions ``s3485``, ``fano-m5`` and ``recursive`` are
-``ExtensionFamilies``: with F_q^m = F_q^{m1} + F_q^r, each part is the
-family of all [[G1 B], [0 G2]] with G1 in a list of keys of F_q^{m1}
-(or every one of a dimension), G2 one key of F_q^r and B free, and
-``design()`` expands them.  Such a design is invariant under the maps
-(u, v) -> (u, v + u Phi), so ``verify_families`` checks one equation
-per orbit of s-subspaces X, the class (U, K) with U the projection of
-X to F_q^{m1} and K = X meet F_q^r: q^{u(r-kappa)} subspaces, u = dim U
-and kappa = dim K.  Of a family, q^{(d1-u)(r-d2)} members contain X if
-U <= G1 and K <= G2, and none otherwise (the Kramer-Mesner reduction
-by this group).  Where a class is violated, a part's dimension or
-multiplicity is illegal or two parts share a block, it reports
-``verify(fam.design())`` instead, so both reports are always equal.
+The constructions ``s3485`` and ``recursive`` (of which ``fano-m5`` is
+the case k = 3) are ``ExtensionFamilies``: with F_q^m = F_q^{m1} +
+F_q^r, each part is the family of all [[G1 B], [0 G2]] with G1 in a
+list of keys of F_q^{m1} (or every one of a dimension), G2 one key of
+F_q^r and B free, and ``design()`` expands them.  Such a design is
+invariant under the maps (u, v) -> (u, v + u Phi), so
+``verify_families`` checks one equation per orbit of s-subspaces X,
+the class (U, K) with U the projection of X to F_q^{m1} and K = X meet
+F_q^r: q^{u(r-kappa)} subspaces, u = dim U and kappa = dim K.  Of a
+family, q^{(d1-u)(r-d2)} members contain X if U <= G1 and K <= G2, and
+none otherwise (the Kramer-Mesner reduction by this group).  Where a
+class is violated, a part's dimension or multiplicity is illegal or
+two parts share a block, it reports ``verify(fam.design())`` instead,
+so both reports are always equal.
 """
 
 from __future__ import annotations
@@ -208,9 +209,6 @@ class VerificationReport:
     violations: tuple
     block_dim_violations: tuple
     total_multiplicity: int
-
-    def first_violation(self):
-        return self.violations[0] if self.violations else None
 
 
 def verify(design: DesignMultiset) -> VerificationReport:
@@ -631,7 +629,7 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 
 
 # ---------------------------------------------------------------------------
-# Constructions: the design unchecked, or its extension families
+# Constructions, unchecked: the uniform design, or extension families
 # (``verify`` and ``verify_families`` check them)
 # ---------------------------------------------------------------------------
 
@@ -803,91 +801,65 @@ def s3485_families(q: int) -> ExtensionFamilies:
         (d, None, bottom, mult) for d, bottom, mult in parts))
 
 
-def construct_s3485(q: int) -> DesignMultiset:
-    """``s3485_families(q)``, expanded."""
-    return s3485_families(q).design()
-
-
 def fano_m5_families(q: int, parallelism: Parallelism) -> ExtensionFamilies:
     """The four-type 2-punctured system S_q(2,3,7;5) built from a
-    parallelism of F_q^4.
-
-    Type 1: the raised 0-subspace, once.  Type 2: every same-dimension
-    extension of every 3-subspace of F_q^4, q(q-1) times.  The
-    parallelism's q^2+q+1 spreads split into a set A (first q^2) and a
-    set B (last q+1): Type 3 raises each A-line uniquely, q^2 times;
-    Type 4 takes all q^2 same-dimension extensions of each B-line, once
-    each.
+    parallelism of F_q^4: ``recursive_families`` at k = 3 over the base
+    S_q(2,3,3;1) (the raised 0-subspace, once), with the parallelism's
+    last q+1 spreads as the zero set and its first q^2 as the set tagged
+    with <1>.  Its four types are the base, the 3-subspaces at q(q-1),
+    the zero set's lines extended at 1 and the tagged lines raised at
+    q^2.
     """
-    if parallelism.field.q != q or parallelism.n != 4:
-        raise ValueError("need a parallelism of F_q^4 for the same q")
-    if len(parallelism.spreads) != q * q + q + 1:
-        raise ValueError("parallelism of F_q^4 must have q^2+q+1 spreads")
-    keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
-    # extensions of keys of F_q^4 by a free last column (bottom 0) or by
-    # the last unit vector (bottom 1), type by type
-    return ExtensionFamilies(DesignParams(q, 2, 3, 7, 5), 4, (
-        (1, (0,), 1, 1),
-        (3, None, 0, q * (q - 1)),
-        (3, chain(*keys[:q * q]), 1, q * q),
-        (2, chain(*keys[q * q:]), 0, 1)))
-
-
-def construct_fano_m5(q: int, parallelism: Parallelism) -> DesignMultiset:
-    """``fano_m5_families(q, parallelism)``, expanded."""
-    return fano_m5_families(q, parallelism).design()
+    spreads = parallelism.spreads[-(q + 1):] + parallelism.spreads[:-(q + 1)]
+    return recursive_families(
+        q, 3, Parallelism(parallelism.field, parallelism.n, spreads),
+        construct_uniform_design(q, 2, 3, 3, 1, {1: 1}))
 
 
 def recursive_families(q: int, k: int, parallelism: Parallelism,
                        base: DesignMultiset) -> ExtensionFamilies:
-    """Recursive construction of S_2(2,3,2k+1;k+1+r), r = floor((k+1)/3).
+    """Recursive construction of S_q(2,3,2k+1;k+1+r), r = floor((k+1)/3).
 
-    Starts from the uniform S_2(2,3,2k+1;k+1) and appends r columns:
-    3-subspaces get every suffix combination at multiplicity 2^{k+1-3r};
-    the 0-subspace is replaced by the base design S_2(2,3,k;r) placed on
-    the new columns; the parallelism's 2^k-1 spreads split into one set
-    of 2^{k-r}-1 (extended to 2-subspaces, 2^{2r} suffix pairs at
-    multiplicity 2^{k-1-2r}) and 2^r-1 sets of 2^{k-r} tagged with the
-    nonzero vectors v of length r (extended to 3-subspaces whose last
-    row is v, 2^{2(r-1)} suffix pairs at multiplicity 2^{k-1-2(r-1)}).
+    Starts from the uniform S_q(2,3,2k+1;k+1) and appends r columns:
+    3-subspaces get every suffix combination at multiplicity
+    q^{k+1-3r}(q-1); the 0-subspace is replaced by the base design
+    S_q(2,3,k;r) placed on the new columns; the parallelism's [k,1]_q
+    spreads split into a zero set of [k-r,1]_q (extended to 2-subspaces,
+    q^{2r} suffix pairs at multiplicity q^{k-1-2r}) and one set of
+    q^{k-r} per 1-subspace <v> of F_q^r (extended to 3-subspaces whose
+    last row is v, q^{2(r-1)} suffix pairs at multiplicity q^{k+1-2r}).
+    Verified for q = 2 at k = 3 and 7 and for q = 3 at k = 3; q > 2 at
+    k >= 7 is untried, for want of a parallelism of F_q^8.
     """
-    if q != 2:
-        raise ValueError("the recursive construction is specified for q = 2 only")
     if k < 3 or k % 6 not in (1, 3):
         raise ValueError("need k = 1 or 3 (mod 6), k >= 3")
     r = (k + 1) // 3
-    if k - 1 - 2 * r < 0:
-        raise ValueError(f"multiplicity 2^(k-1-2r) not integral for k={k}, r={r}")
-    if parallelism.field.q != 2 or parallelism.n != k + 1:
-        raise ValueError(f"need a parallelism of F_2^{k + 1}")
-    if len(parallelism.spreads) != 2 ** k - 1:
-        raise ValueError(f"parallelism of F_2^{k + 1} must have 2^k-1 spreads")
-    base_params = DesignParams(2, 2, 3, k, r)
-    if base.params != base_params:
-        raise ValueError(f"base design must be an S_2(2,3,{k};{r})")
+    if parallelism.field.q != q or parallelism.n != k + 1:
+        raise ValueError(f"need a parallelism of F_{q}^{k + 1}")
+    if len(parallelism.spreads) != gaussian(k, 1, q):
+        raise ValueError(f"parallelism of F_{q}^{k + 1} must have "
+                         f"{gaussian(k, 1, q)} spreads")
+    if base.params != DesignParams(q, 2, 3, k, r):
+        raise ValueError(f"base design must be an S_{q}(2,3,{k};{r})")
     if not verify(base).ok:
         raise ValueError("base design fails verification")
 
     keys = [sp.keys for sp in parallelism.spreads]     # spread by spread
-    size = 2 ** (k - r)
-    parts = [(3, None, 0, 2 ** (k + 1 - 3 * r))]
+    parts = [(3, None, 0, q ** (k + 1 - 3 * r) * (q - 1))]
     parts += [(d, (0,), b, mult) for d, table in base.tables.items()
               for b, mult in table.items()]
-    parts.append((2, chain(*keys[:size - 1]), 0, 2 ** (k - 1 - 2 * r)))
-    # the set tagged with v, the j-th after the zero set, has bottom
-    # <v>, v the vector whose ``vector_code`` is j
-    for j in range(1, 2 ** r):
-        group = keys[size - 1 + (j - 1) * size:size - 1 + j * size]
-        bottom = rows_key(2, (vector_from_code(j, 2, r),))
-        parts.append((3, chain(*group), bottom, 2 ** (k - 1 - 2 * (r - 1))))
-    return ExtensionFamilies(DesignParams(2, 2, 3, 2 * k + 1, k + 1 + r), k + 1,
+    start = gaussian(k - r, 1, q)
+    parts.append((2, chain(*keys[:start]), 0, q ** (k - 1 - 2 * r)))
+    # the sets after the zero set are tagged with the vectors v of F_q^r
+    # whose first nonzero entry is 1, in ``vector_code`` order; bottom <v>
+    size = q ** (k - r)
+    for v in (vector_from_code(c, q, r) for c in range(1, q ** r)):
+        if next(filter(None, v)) == 1:
+            parts.append((3, chain(*keys[start:start + size]),
+                          rows_key(q, (v,)), q ** (k + 1 - 2 * r)))
+            start += size
+    return ExtensionFamilies(DesignParams(q, 2, 3, 2 * k + 1, k + 1 + r), k + 1,
                              tuple(parts))
-
-
-def construct_recursive(q: int, k: int, parallelism: Parallelism,
-                        base: DesignMultiset) -> DesignMultiset:
-    """``recursive_families(q, k, parallelism, base)``, expanded."""
-    return recursive_families(q, k, parallelism, base).design()
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,6 @@ class UniformSystem:
     def variable_keys(self) -> tuple:
         return self.r_values
 
-    def rows(self) -> tuple:
-        return self.matrix
-
 
 @dataclass(frozen=True)
 class FullSystem:
@@ -66,9 +63,6 @@ class FullSystem:
 
     def variable_keys(self) -> tuple:
         return self.variables
-
-    def rows(self) -> tuple:
-        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -197,7 +191,7 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     column = {key_index[kk]: c for c, kk in enumerate(unpinned)}
     ncol = len(unpinned)
     rows = []
-    for coeffs, b in zip(system.rows(), system.rhs):
+    for coeffs, b in zip(system.matrix, system.rhs):
         rhs_val = Fraction(b)
         row = {}
         for pos in compress(range(len(coeffs)), coeffs):

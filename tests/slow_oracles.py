@@ -65,7 +65,7 @@ def dense_fraction_solve(system, pins: dict | None = None) -> tuple:
             raise KeyError(f"pin for unknown variable {kk!r}")
     free_positions = [i for i, kk in enumerate(keys) if kk not in pins]
     aug = []
-    for row, b in zip(system.rows(), system.rhs):
+    for row, b in zip(system.matrix, system.rhs):
         rhs_val = Fraction(b)
         for kk, val in pins.items():
             rhs_val -= Fraction(row[key_index[kk]]) * Fraction(val)

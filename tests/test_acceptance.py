@@ -13,9 +13,9 @@ from qsteiner.counting import (ORACLE_GUARD, count_C, count_D, count_N,
                                gaussian, necessary_conditions, oracle_C,
                                oracle_D, oracle_N)
 from qsteiner.designs import (apply_transform, build_parallelism, build_spread,
-                              construct_fano_m5, construct_recursive,
-                              construct_s3485, construct_uniform_design,
-                              puncture_design, puncture_steiner, verify)
+                              construct_uniform_design, fano_m5_families,
+                              puncture_design, puncture_steiner,
+                              recursive_families, s3485_families, verify)
 from qsteiner.equations import (NonIntegralSolution, build_full, build_uniform,
                                 family_system_params, solve,
                                 uniform_family_solution)
@@ -35,7 +35,7 @@ def parallelism_2_4():
 
 @lru_cache(maxsize=None)
 def fano_m5_design():
-    return construct_fano_m5(2, parallelism_2_4())
+    return fano_m5_families(2, parallelism_2_4()).design()
 
 
 def test_criterion_1_formula_vs_oracle():
@@ -141,10 +141,10 @@ def test_criterion_4_constructed_designs_verify():
          lambda: construct_uniform_design(2, 3, 4, 8, 4,
                                           {0: 1, 1: 0, 2: 20, 3: 240, 4: 2176}),
          6477),
-        ("explicit S_2(3,4,8;5)", lambda: construct_s3485(2), 6477),
+        ("explicit S_2(3,4,8;5)", lambda: s3485_families(2).design(), 6477),
         ("four-type S_2(2,3,7;5)", fano_m5_design, 381),
         ("recursive S_2(2,3,7;5)",
-         lambda: construct_recursive(2, 3, parallelism_2_4(), base), 381),
+         lambda: recursive_families(2, 3, parallelism_2_4(), base).design(), 381),
     ]
     details = []
     for label, make, total in designs:

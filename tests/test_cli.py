@@ -150,6 +150,24 @@ def test_build_s3485_and_recursive(tmp_path, capsys, monkeypatch):
     assert code == 0 and "381" in out
 
 
+def test_build_recursive_q3_k3(tmp_path, capsys, monkeypatch):
+    """At q = 3 the recursive construction takes the shipped parallelism
+    of F_3^4 and the uniform base S_3(2,3,3;1); its file is pinned, and
+    its puncture is fano-m4 at q = 3."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "build", "recursive", "--q", "3", "--k", "3")
+    assert code == 0 and err == ""
+    assert out == ("wrote recursive-q3.design (1531 distinct blocks)\n"
+                   "PASS: 1332 equations, total multiplicity 7651\n")
+    text = Path("recursive-q3.design").read_text()
+    assert sha256(text) == (
+        "f41eebc8f88d21700048fe3f26cb06cec55a34d828b29886df9f789402db15c8")
+    assert run(capsys, "puncture", "recursive-q3.design")[0] == 0
+    assert run(capsys, "build", "fano-m4", "--q", "3")[0] == 0
+    assert (parse_design_file("recursive-q3-m4.design")
+            == parse_design_file("fano-m4-q3.design"))
+
+
 def test_spread_and_parallelism_commands(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "spread", "2", "4")

@@ -13,8 +13,7 @@ from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               ExtensionFamilies, Parallelism, Spread,
                               apply_transform, build_parallelism, build_spread,
-                              construct_fano_m5, construct_recursive,
-                              construct_s3485, construct_uniform_design,
+                              construct_uniform_design,
                               _batches, _line_key, distinctness_check,
                               fano_m5_families, puncture_design,
                               puncture_steiner, recursive_families,
@@ -131,7 +130,7 @@ def test_verify_block_dim_out_of_range():
 
 
 def test_mass_identity_on_verified_designs():
-    for d in (fano_m4(2), fano_m4(3), construct_s3485(2)):
+    for d in (fano_m4(2), fano_m4(3), s3485_families(2).design()):
         p = d.params
         assert verify(d).ok
         assert d.total_multiplicity() == p.block_budget()
@@ -164,7 +163,7 @@ def test_verify_matches_object_oracle(chunk, monkeypatch):
                       rng.choice((1, 2, q, 2 ** 63 + rng.randrange(9), 2 ** 70 + 1))
                       for _ in range(rng.randint(1, 12))}
             designs.append(DesignMultiset(params, blocks))
-    for good in (fano_m4(2), fano_m4(3), construct_s3485(2)):
+    for good in (fano_m4(2), fano_m4(3), s3485_families(2).design()):
         block = next(iter(good.blocks))
         designs += [good, good.with_block_multiplicity(block, 2 ** 64)]
     # verify counts the multiplicity most d-subspaces carry in closed
@@ -175,7 +174,7 @@ def test_verify_matches_object_oracle(chunk, monkeypatch):
     para3 = parse_parallelism_file(packaged_parallelism_path(3, 4))
     uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
     designs += [uniform, construct_uniform_design(2, 2, 3, 6, 4, {1: 3, 2: 1}),
-                construct_fano_m5(3, para3)]
+                fano_m5_families(3, para3).design()]
     plane = next(b for b in uniform.blocks if b.dim == 3)
     designs += [uniform.with_block_multiplicity(plane, 0),
                 uniform.with_block_multiplicity(plane, 2 ** 64)]
@@ -221,7 +220,7 @@ def test_batches_list_only_what_differs_from_w():
 def test_blocks_decode_as_checked():
     """The blocks of a parsed design and of a spread, decoded from keys
     without the RREF check, equal and hash as ``subspace_from_key``'s."""
-    design = parse_design(serialize_design(construct_s3485(2)))
+    design = parse_design(serialize_design(s3485_families(2).design()))
     spread = build_spread(2, 4)
     for blocks, m, keys in (
             (list(design.blocks), 5,
@@ -508,7 +507,7 @@ def test_construct_uniform_q4():
 
 
 def test_construct_s3485_part_sizes():
-    d = construct_s3485(2)
+    d = s3485_families(2).design()
     sizes = {}
     for b, mult in d.blocks.items():
         key = (b.dim, mult)
@@ -520,20 +519,20 @@ def test_construct_s3485_part_sizes():
 
 
 def test_construct_s3485_punctures_to_uniform_m4():
-    d4 = puncture_design(construct_s3485(2))
+    d4 = puncture_design(s3485_families(2).design())
     assert verify(d4).ok
     assert d4 == construct_uniform_design(2, 3, 4, 8, 4,
                                           {0: 1, 1: 0, 2: 20, 3: 240, 4: 2176})
 
 
 def test_construct_s3485_q3():
-    d = construct_s3485(3)
+    d = s3485_families(3).design()
     assert verify(d).ok
     assert d.total_multiplicity() == gaussian(8, 3, 3) // gaussian(4, 3, 3)
 
 
 def test_construct_s3485_puncture_chain_to_m1():
-    d = construct_s3485(2)
+    d = s3485_families(2).design()
     while d.params.m > 1:
         d = puncture_design(d)
         assert verify(d).ok, d.params
@@ -542,7 +541,7 @@ def test_construct_s3485_puncture_chain_to_m1():
 
 def test_construct_fano_m5():
     para = build_parallelism(2, 4)
-    d = construct_fano_m5(2, para)
+    d = fano_m5_families(2, para).design()
     assert d.total_multiplicity() == 381
     assert verify(d).ok
     # type totals: 1 + 15*8*2 + 4*5*4 + 3*5*4
@@ -553,13 +552,13 @@ def test_construct_fano_m5():
 
 
 def test_construct_fano_m5_punctures_to_uniform():
-    d = construct_fano_m5(2, build_parallelism(2, 4))
+    d = fano_m5_families(2, build_parallelism(2, 4)).design()
     assert puncture_design(d) == fano_m4()
 
 
 def test_construct_fano_m5_q3_from_file():
     para = parse_parallelism_file(packaged_parallelism_path(3, 4))
-    d = construct_fano_m5(3, para)
+    d = fano_m5_families(3, para).design()
     assert verify(d).ok
     assert d.total_multiplicity() == 7651
     # the written file, pinned byte for byte
@@ -568,14 +567,16 @@ def test_construct_fano_m5_q3_from_file():
 
 
 def test_construct_fano_m5_rejects_wrong_parallelism():
-    with pytest.raises(ValueError):
-        construct_fano_m5(2, build_parallelism(2, 6))
+    with pytest.raises(ValueError, match=r"^need a parallelism of F_2\^4$"):
+        fano_m5_families(2, build_parallelism(2, 6))
+    with pytest.raises(ValueError, match=r"^need a parallelism of F_3\^4$"):
+        fano_m5_families(3, build_parallelism(2, 4))
 
 
 def test_construct_recursive_k3():
     para = build_parallelism(2, 4)
     base = construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
-    d = construct_recursive(2, 3, para, base)
+    d = recursive_families(2, 3, para, base).design()
     assert d.params == DesignParams(2, 2, 3, 7, 5)
     assert d.total_multiplicity() == 381
     # part structure: 1 raised null + 240 top 3-subspaces (x2) +
@@ -589,22 +590,36 @@ def test_construct_recursive_k3():
         "c31fb486bddb1a2fb4efad2c65cc2162d9be1a814d71ad4fc68c6fc9e62d784a")
     assert verify(d).ok
     assert puncture_design(d) == fano_m4()
-    # same verified parameters as the four-type construction, equal up to
-    # the arbitrary spread-set labeling
-    other = construct_fano_m5(2, para)
-    assert puncture_design(other) == puncture_design(d)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_fano_m5_is_recursive_k3(q):
+    """The four-type S_q(2,3,7;5) is the recursive construction at k = 3
+    with the parallelism's last q+1 spreads first, over the uniform base
+    S_q(2,3,3;1): the same design and the same class-sum report."""
+    para = (build_parallelism(2, 4) if q == 2
+            else parse_parallelism_file(packaged_parallelism_path(3, 4)))
+    moved = Parallelism(para.field, 4,
+                        para.spreads[-(q + 1):] + para.spreads[:-(q + 1)])
+    base = construct_uniform_design(q, 2, 3, 3, 1, {1: 1})
+    fano, rec = fano_m5_families(q, para), recursive_families(q, 3, moved, base)
+    assert fano.design() == rec.design()
+    assert verify_families(fano) == verify_families(rec) == verify(rec.design())
+    assert verify_families(fano).ok
 
 
 def test_construct_recursive_validation():
     para = build_parallelism(2, 4)
     base = construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
-    with pytest.raises(ValueError):
-        construct_recursive(3, 3, para, base)
-    with pytest.raises(ValueError):
-        construct_recursive(2, 5, para, base)
-    with pytest.raises(ValueError):
-        construct_recursive(2, 3, para,
-                            construct_uniform_design(2, 2, 3, 7, 1, {0: 45, 1: 336}))
+    with pytest.raises(ValueError, match=r"^need a parallelism of F_3\^4$"):
+        recursive_families(3, 3, para, base)
+    with pytest.raises(ValueError, match=r"^need k = 1 or 3 \(mod 6\), k >= 3$"):
+        recursive_families(2, 5, para, base)
+    with pytest.raises(ValueError, match=r"^base design must be an S_2\(2,3,3;1\)$"):
+        recursive_families(2, 3, para,
+                           construct_uniform_design(2, 2, 3, 7, 1, {0: 45, 1: 336}))
+    with pytest.raises(ValueError, match=r"^base design fails verification$"):
+        recursive_families(2, 3, para, construct_uniform_design(2, 2, 3, 3, 1, {1: 2}))
 
 
 # ---------------------------------------------------------------------------

@@ -381,9 +381,6 @@ class IntegerSystem:
     def variable_keys(self) -> tuple:
         return tuple(f"v{j}" for j in range(self.ncols))
 
-    def rows(self) -> tuple:
-        return self.matrix
-
 
 def random_integer_system(rng: random.Random) -> IntegerSystem:
     """Rows drawn from the span of a few random augmented rows, with zero

@@ -6,7 +6,7 @@ import pytest
 
 from qsteiner import files
 from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
-                              construct_s3485, construct_uniform_design)
+                              construct_uniform_design, s3485_families)
 from qsteiner.field import make_field
 from qsteiner.files import (parse_design, parse_design_file, parse_parallelism,
                             serialize_design, serialize_parallelism)
@@ -16,7 +16,7 @@ from qsteiner.subspaces import _lead, _row_entry, _rref_key, rows_key, rref
 def test_design_round_trip_byte_identical():
     for design in (construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16}),
                    construct_uniform_design(3, 2, 3, 7, 4, {0: 1, 1: 0, 2: 9, 3: 162}),
-                   construct_s3485(2)):
+                   s3485_families(2).design()):
         text = serialize_design(design)
         again = parse_design(text)
         assert again == design
@@ -174,7 +174,7 @@ def test_file_reads_as_its_text(tmp_path, monkeypatch, chunk):
     text gives: with CR LF, CR, form feed and record separator line
     ends, blank lines, and block lines cut by the chunk boundaries."""
     monkeypatch.setattr(files, "_CHUNK", chunk)
-    text = serialize_design(construct_s3485(2))
+    text = serialize_design(s3485_families(2).design())
     variants = [text, text.replace("\n", "\r\n"), text.replace("\n", "\r"),
                 text.replace("\n", "\x0c"), text.replace("\n", "\n\n \t\n"),
                 text.replace("\n", "\x1e", 5), text + "block 1 1 0001;\n",

@@ -19,8 +19,8 @@ from qsteiner.counting import (ORACLE_GUARD, count_D, count_N,
 from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                               _class_sums, _overlapping, _punctured_tables,
                               apply_transform, build_parallelism,
-                              construct_s3485, construct_uniform_design,
-                              puncture_design, verify, verify_families)
+                              construct_uniform_design, puncture_design,
+                              s3485_families, verify, verify_families)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
@@ -74,7 +74,7 @@ VERIFIED = ("fano-m4 q=2", "fano-m4 q=3", "fano-m4 q=4", "s3485 q=2")
 @lru_cache(maxsize=None)
 def verified(name: str) -> DesignMultiset:
     if name == "s3485 q=2":
-        return construct_s3485(2)
+        return s3485_families(2).design()
     q = int(name[-1])
     return construct_uniform_design(q, 2, 3, 7, 4,
                                     {0: 1, 1: 0, 2: q * q, 3: q ** 4 * (q - 1)})
