@@ -27,10 +27,12 @@ invariant under the maps (u, v) -> (u, v + u Phi), so
 the class (U, K) with U the projection of X to F_q^{m1} and K = X meet
 F_q^r: q^{u(r-kappa)} subspaces, u = dim U and kappa = dim K.  Of a
 family, q^{(d1-u)(r-d2)} members contain X if U <= G1 and K <= G2, and
-none otherwise (the Kramer-Mesner reduction by this group).  Where a
-class is violated, a part's dimension or multiplicity is illegal or
-two parts share a block, it reports ``verify(fam.design())`` instead,
-so both reports are always equal.
+none otherwise (the Kramer-Mesner reduction by this group).  The parts
+add up, a block listed by several carrying the sum of their
+multiplicities, so the class sums are exact for every family.  Where a
+class is violated or a part's dimension is illegal, ``verify_families``
+reports ``verify(fam.design())`` instead, so both reports are always
+equal.
 """
 
 from __future__ import annotations
@@ -123,8 +125,10 @@ class DesignMultiset:
     @classmethod
     def _from_tables(cls, params: DesignParams, tables: dict) -> "DesignMultiset":
         """A design from key tables whose keys are subspaces of F_q^m of
-        the table's dimension and whose multiplicities are positive
-        ints, unchecked; empty tables are dropped."""
+        the table's dimension and whose multiplicities are ints,
+        unchecked; empty tables are dropped.  Multiplicities that add up
+        (a puncture, a transform, extension families) may leave a block
+        at 0 or below, which ``verify`` counts as it is."""
         design = cls.__new__(cls)
         design.params = params
         design.tables = {d: table for d, table in tables.items() if table}
@@ -260,11 +264,14 @@ def _batches(q: int, m: int, tables: dict) -> list:
     None, counted in closed form), each block of another multiplicity
     at mult - w, and each d-subspace absent from the table at -w, its
     key listed from the pivot cells (``_cell_keys``).  If w is 0 they
-    are the table's blocks.  Keys are grouped by weight.
+    are the table's blocks.  A block at multiplicity 0 counts as absent.
+    Keys are grouped by weight.
     """
     out = []
     for d, table in tables.items():
         counts = Counter(table.values())
+        if counts.pop(0, 0):    # a block whose multiplicities cancelled
+            table = {key: mult for key, mult in table.items() if mult}
         counts[0] = gaussian(m, d, q) - len(table)
         (w, most), *rest = counts.most_common(2)
         if rest and rest[0][1] == most:
@@ -353,7 +360,7 @@ class SteinerSystem:
             raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
         for b in blocks:
             if b.dim != k or b.ambient != n or b.field.q != field.q:
-                raise ValueError(f"block {b!r} is not a {k}-subspace of F^{n}")
+                raise ValueError(f"block {b!r} is not a {k}-subspace of F_{field.q}^{n}")
         self._set(field, t, k, n, [rows_key(field.q, b.rows) for b in blocks])
 
     @classmethod
@@ -402,35 +409,27 @@ def puncture_steiner(system: SteinerSystem) -> tuple:
 
     Returns the full punctured multiset (an S_q(t,k,n;n-1)) together
     with the extracted (k-1)-dimensional part, which is checked to be a
-    q-Steiner system S_q(t-1,k-1,n-1).  Every t-subspace of F_q^{n-1}
-    covered by that part must be absent from the k-dimensional images,
-    and every other t-subspace must appear exactly q^t times in them.
+    q-Steiner system S_q(t-1,k-1,n-1).  The multiset is then checked
+    by ``verify``: as each t-subspace X of F_q^{n-1} lies in at most
+    one (k-1)-image, its s = t equation says that the k-dimensional
+    images contain X q^t times if no (k-1)-image does, and never
+    otherwise; a repeated (k-1)-image breaks it as well.
     """
     if not verify_steiner(system):
         raise ValueError("input is not a valid q-Steiner system")
     q, t, k, n = system.field.q, system.t, system.k, system.n
-    field = system.field
     tables = _punctured_tables(q, n, {k: dict.fromkeys(system.keys, 1)})
     design = DesignMultiset._from_tables(DesignParams(q, t, k, n, n - 1), tables)
-
-    lower = sorted(tables.get(k - 1, ()))
-    for key in lower:
-        if tables[k - 1][key] != 1:
-            raise ConstructionError(
-                f"repeated (k-1)-image {subspace_from_key(field, n - 1, key)!r}")
-    sub_system = SteinerSystem._of_keys(field, t - 1, k - 1, n - 1, lower)
+    sub_system = SteinerSystem._of_keys(system.field, t - 1, k - 1, n - 1,
+                                        sorted(tables.get(k - 1, ())))
     if not verify_steiner(sub_system):
         raise ConstructionError("(k-1)-images do not form the derived Steiner system")
-
-    lower_cov = coverage([(k - 1, 1, sub_system.keys)], field, n - 1, t)
-    upper = [b for b in _batches(q, n - 1, design.tables) if b[0] == k]
-    upper_cov = coverage(upper, field, n - 1, t)
-    for (key, low), (_, got) in zip(lower_cov, upper_cov):
-        want = 0 if low else q ** t
-        if got != want:
-            raise ConstructionError(
-                f"t-subspace {subspace_from_key(field, n - 1, key)!r} appears "
-                f"{got} times, expected {want}")
+    report = verify(design)
+    if not report.ok:
+        v = report.violations[0]
+        raise ConstructionError(
+            f"equation for the {v.s}-subspace {v.subject!r} gives {v.got}, "
+            f"expected {v.expected}")
     return design, sub_system
 
 
@@ -440,10 +439,7 @@ class Spread(SteinerSystem):
     made."""
 
     def __init__(self, field: GF, n: int, lines: tuple) -> None:
-        for line in lines:
-            if line.dim != 2 or line.ambient != n or line.field.q != field.q:
-                raise ValueError(f"{line!r} is not a 2-subspace of F_{field.q}^{n}")
-        self._set(field, 1, 2, n, [rows_key(field.q, line.rows) for line in lines])
+        SteinerSystem.__init__(self, field, 1, 2, n, lines)
 
     def _set(self, field: GF, t: int, k: int, n: int, keys) -> None:
         super()._set(field, t, k, n, keys)
@@ -452,8 +448,6 @@ class Spread(SteinerSystem):
             if not big <= key < big * big:
                 line = subspace_from_key(field, n, key)
                 raise ValueError(f"{line!r} is not a 2-subspace of F_{field.q}^{n}")
-        if n < 1:
-            raise ValueError(f"dimension 1 out of range for ambient {n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
         points = Counter()
         for _, column in _within_columns(field, n, 2, self.keys, 1):
@@ -498,7 +492,8 @@ def build_spread(q: int, n: int) -> Spread:
 
 @dataclass(frozen=True)
 class Parallelism:
-    """A partition of all 2-subspaces of F_q^n into disjoint spreads."""
+    """A partition of all 2-subspaces of F_q^n into disjoint spreads,
+    each a ``Spread``."""
 
     field: GF
     n: int
@@ -507,7 +502,9 @@ class Parallelism:
     def __post_init__(self) -> None:
         q = self.field.q
         seen = set()
-        for sp in self.spreads:
+        for i, sp in enumerate(self.spreads):
+            if not isinstance(sp, Spread):
+                raise ValueError(f"member {i} is a {type(sp).__name__}, not a Spread")
             if sp.n != self.n or sp.field.q != q:
                 raise ValueError("spread with mismatched parameters")
             for key in sp.keys:
@@ -668,8 +665,9 @@ class ExtensionFamilies:
         object.__setattr__(self, "parts", tuple(parts))
 
     def design(self) -> DesignMultiset:
-        """The multiset of the families; a part of multiplicity 0 adds
-        nothing, and a block two parts share takes the later one's."""
+        """The multiset of the families, which add up: a block several
+        parts list carries the sum of their multiplicities, and a part
+        of multiplicity 0 adds nothing."""
         pr = self.params
         return DesignMultiset._from_tables(pr, _extension_tables(
             pr.q, self.m1, pr.m, [part for part in self.parts if part[3]]))
@@ -679,14 +677,16 @@ def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
     """The key tables of the blocks of F_q^n listed by ``parts``: part
     ``(d, keys, bottom, mult)`` is the d-subspaces ``_extension_keys(q,
     m, keys, n, bottom)``, each at multiplicity mult, keys None standing
-    for every (d - dim bottom)-subspace of F_q^m."""
+    for every (d - dim bottom)-subspace of F_q^m; multiplicities of a
+    block listed twice add up."""
     tables: dict = {}
     for d, keys, bottom, mult in parts:
         if keys is None:
             keys = grassmannian_keys(q, m, d - len(row_codes(bottom, q, n - m)))
         table = tables.setdefault(d, {})
+        get = table.get
         for key in _extension_keys(q, m, keys, n, bottom):
-            table[key] = mult
+            table[key] = get(key, 0) + mult
     return tables
 
 
@@ -696,13 +696,12 @@ def verify_families(fam: ExtensionFamilies) -> VerificationReport:
     C(s,t,d,k,q) * q^{(d1-u)(r-d2)} * #{G1 >= U} * [K <= G2] must be
     N(s,m,t,n,q); ``equations_checked`` counts each class's subspaces.
 
-    It returns ``verify(fam.design())`` itself if a class is violated,
-    a part's dimension is outside ``r_range`` or its multiplicity
-    negative, or parts overlap (``_overlapping``), where the expansion
-    keeps one multiplicity of a block the sums would add twice."""
+    The parts add up, so the sums are exact for every family; it expands
+    the design only to report what failed, returning
+    ``verify(fam.design())`` itself if a class is violated or a part's
+    dimension is outside ``r_range`` (for ``block_dim_violations``)."""
     pr = fam.params
-    if (any(d not in pr.r_range() or mult < 0 for d, _, _, mult in fam.parts)
-            or _overlapping(fam.parts)):
+    if any(d not in pr.r_range() for d, _, _, _ in fam.parts):
         return verify(fam.design())
     checked = 0
     for s in pr.s_range():
@@ -718,18 +717,6 @@ def verify_families(fam: ExtensionFamilies) -> VerificationReport:
         tops = gaussian(fam.m1, d - d2, q) if keys is None else len(keys)
         total += mult * tops * q ** ((d - d2) * (r - d2))
     return VerificationReport(True, checked, (), (), total)
-
-
-def _overlapping(parts: tuple) -> bool:
-    """True iff two parts, or one part twice, list one block: parts with
-    the same (d, bottom) share a top key or one of them lists every
-    top, or a part repeats a key."""
-    groups = defaultdict(list)
-    for d, keys, bottom, _ in parts:
-        groups[d, bottom].append(keys)
-    return any(len(group) > 1 if None in group
-               else len(set(chain(*group))) < sum(map(len, group))
-               for group in groups.values())
 
 
 def _class_sums(fam: ExtensionFamilies, s: int) -> Iterator[tuple]:
@@ -836,9 +823,6 @@ def recursive_families(q: int, k: int, parallelism: Parallelism,
     r = (k + 1) // 3
     if parallelism.field.q != q or parallelism.n != k + 1:
         raise ValueError(f"need a parallelism of F_{q}^{k + 1}")
-    if len(parallelism.spreads) != gaussian(k, 1, q):
-        raise ValueError(f"parallelism of F_{q}^{k + 1} must have "
-                         f"{gaussian(k, 1, q)} spreads")
     if base.params != DesignParams(q, 2, 3, k, r):
         raise ValueError(f"base design must be an S_{q}(2,3,{k};{r})")
     if not verify(base).ok:

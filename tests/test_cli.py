@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from qsteiner.cli import main
-from qsteiner.designs import build_parallelism
+from qsteiner.designs import build_parallelism, construct_uniform_design
 from qsteiner.files import (parse_design_file, parse_parallelism_file,
-                            serialize_parallelism, write_parallelism)
+                            serialize_parallelism, write_design,
+                            write_parallelism)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -148,6 +149,39 @@ def test_build_s3485_and_recursive(tmp_path, capsys, monkeypatch):
     assert code == 0 and "6477" in out
     code, out, _ = run(capsys, "build", "recursive", "--q", "2", "--k", "3")
     assert code == 0 and "381" in out
+
+
+def test_verify_reports_illegal_block_dimension(tmp_path, capsys, monkeypatch):
+    """A 4-dimensional block in fano-m4 (legal dimensions 0..3) is named
+    by the report; no equation counts it, so none is violated."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "fano-m4", "--q", "2")
+    text = Path("fano-m4-q2.design").read_text()
+    Path("whole.design").write_text(text + "block 1 4 1000;0100;0010;0001\n")
+    code, out, _ = run(capsys, "verify", "whole.design")
+    assert code == 1
+    assert out == ("FAIL: block 1000;0100;0010;0001 has dimension 4 "
+                   "outside the legal range\n")
+
+
+def test_build_recursive_from_base_file(tmp_path, capsys, monkeypatch):
+    """``--base FILE`` reads the base design: the uniform S_2(2,3,3;1)
+    gives the pinned recursive k = 3 file, and a base that fails
+    verification is bad input, with no file written."""
+    monkeypatch.chdir(tmp_path)
+    write_design(construct_uniform_design(2, 2, 3, 3, 1, {1: 1}), "base.design")
+    code, out, _ = run(capsys, "build", "recursive", "--q", "2", "--k", "3",
+                       "--base", "base.design", "-o", "rec.design")
+    assert code == 0
+    assert out == ("wrote rec.design (201 distinct blocks)\n"
+                   "PASS: 187 equations, total multiplicity 381\n")
+    assert sha256(Path("rec.design").read_text()) == (
+        "c31fb486bddb1a2fb4efad2c65cc2162d9be1a814d71ad4fc68c6fc9e62d784a")
+    write_design(construct_uniform_design(2, 2, 3, 3, 1, {1: 2}), "twice.design")
+    code, out, err = run(capsys, "build", "recursive", "--q", "2", "--k", "3",
+                         "--base", "twice.design", "-o", "bad.design")
+    assert (code, out, err) == (2, "", "error: base design fails verification\n")
+    assert not os.path.exists("bad.design")
 
 
 def test_build_recursive_q3_k3(tmp_path, capsys, monkeypatch):

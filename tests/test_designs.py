@@ -13,7 +13,7 @@ from qsteiner.counting import gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               ExtensionFamilies, Parallelism, Spread,
                               apply_transform, build_parallelism, build_spread,
-                              construct_uniform_design,
+                              construct_uniform_design, SteinerSystem,
                               _batches, _line_key, distinctness_check,
                               fano_m5_families, puncture_design,
                               puncture_steiner, recursive_families,
@@ -196,7 +196,10 @@ def test_batches_list_only_what_differs_from_w():
     """A complete table at one multiplicity w is counted in closed form
     alone; with exactly one block at another multiplicity that block is
     listed, at mult - w, and no absent subspace; at w = 0 every block is
-    listed, also when the table is as large as the absent part."""
+    listed, also when the table is as large as the absent part.  A block
+    whose multiplicities cancelled stays in its table at 0 and is listed
+    as absent, also when w is not 0 and when the table's one nonzero
+    multiplicity would otherwise stand for every key in it."""
     uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
     plane = next(b for b in uniform.blocks if b.dim == 3)
     raised = uniform.with_block_multiplicity(plane, 9)
@@ -213,8 +216,24 @@ def test_batches_list_only_what_differs_from_w():
                           {x: 1 + (i >= 11) for i, x in enumerate(points)})
     assert sorted((w, len(keys)) for _, w, keys
                   in _batches(3, 4, half.tables)) == [(1, 11), (2, 9)]
-    for design in (raised, half):
+    # 4 of the 7 points of F_2^3 at 2, one at 0: w = 2
+    pts = grassmannian_keys(2, 3, 1)
+    punctured = puncture_design(ExtensionFamilies(DesignParams(2, 1, 2, 5, 4), 3, (
+        (1, tuple(pts[:5]), 0, 1),
+        (2, (pts[4],), subspaces.rows_key(2, ((1,),)), -2))).design())
+    assert punctured.tables == {1: {1: 2, 2: 2, 3: 2, 4: 2, 5: 0}}
+    # 2 of the 15 points of F_2^4 at 0, then 2 at 1: w = 0
+    cancelled = cancelled_family().design()
+    assert list(cancelled.tables[1].values()) == [0, 0, 1, 1]
+    for design in (raised, half, punctured, cancelled):
         assert verify(design) == object_verify(design)
+
+
+def cancelled_family():
+    """Two parts whose multiplicities cancel on the two blocks of one."""
+    g = grassmannian_keys(2, 3, 1)[:2]
+    return ExtensionFamilies(DesignParams(2, 1, 2, 5, 4), 3,
+                             ((1, g, 0, 1), (1, g[:1], 0, -1)))
 
 
 def test_blocks_decode_as_checked():
@@ -338,10 +357,36 @@ def test_puncture_steiner_trivial_system():
 def test_puncture_steiner_rejects_non_steiner():
     f = make_field(2)
     lines = tuple(enumerate_subspaces(f, 4, 2))[:5]
-    from qsteiner.designs import SteinerSystem
     bogus = SteinerSystem(f, 1, 2, 4, lines)
     with pytest.raises(ValueError):
         puncture_steiner(bogus)
+
+
+def test_puncture_steiner_rejects_a_broken_puncture(monkeypatch):
+    """``verify`` of the punctured multiset catches a broken puncture:
+    a k-image's multiplicity raised, a k-image dropped, a (k-1)-image
+    repeated; the message names the first violated equation."""
+    punctured = designs._punctured_tables
+
+    def raise_upper(tables):
+        tables[2][min(tables[2])] += 1
+
+    def drop_upper(tables):
+        del tables[2][min(tables[2])]
+
+    def repeat_lower(tables):
+        tables[1][min(tables[1])] = 2
+
+    for change in (raise_upper, drop_upper, repeat_lower):
+        def broken(q, m, tables):
+            out = punctured(q, m, tables)
+            change(out)
+            return out
+        monkeypatch.setattr(designs, "_punctured_tables", broken)
+        with pytest.raises(ConstructionError,
+                           match=r"^equation for the [01]-subspace Subspace\(q=2, "
+                                 r"m=3, \[[01;-]+\]\) gives -?\d+, expected \d+$"):
+            puncture_steiner(build_spread(2, 4))
 
 
 def test_punctured_spread_verifies_as_design():
@@ -453,6 +498,18 @@ def test_parallelism_rejects_bad_partition():
         Parallelism(F2, 4, para.spreads[:6])
     with pytest.raises(ValueError):
         Parallelism(F2, 4, para.spreads + (para.spreads[0],))
+
+
+def test_parallelism_rejects_members_that_are_not_spreads():
+    """Only a ``Spread`` checks that its lines partition the points, so a
+    parallelism takes nothing else: neither one system of all 35 lines
+    nor seven systems of five lines each, none of them a partition."""
+    lines = tuple(enumerate_subspaces(F2, 4, 2))
+    with pytest.raises(ValueError, match=r"^member 0 is a SteinerSystem, not a Spread$"):
+        Parallelism(F2, 4, (SteinerSystem(F2, 1, 2, 4, lines),))
+    groups = tuple(SteinerSystem(F2, 1, 2, 4, lines[i:i + 5]) for i in range(0, 35, 5))
+    with pytest.raises(ValueError, match=r"^member 0 is a SteinerSystem, not a Spread$"):
+        Parallelism(F2, 4, groups)
 
 
 def test_line_key_matches_rref():
@@ -650,45 +707,61 @@ def construction_families():
             uniform_families(fano_m4(2), 2), uniform_families(fano_m4(3), 1)]
 
 
+CONSTRUCTIONS = dict(zip((
+    "s3485-q2", "s3485-q3", "s3485-q4", "fano-m5-q2", "fano-m5-q3",
+    "recursive-k3", "fano-m4-q2", "fano-m4-q3"), construction_families()))
+
+
 def family_mutants(fam):
     """The family with one defect each: the last part's multiplicity
     raised, its first top key dropped, its multiplicity negated, a
     block of dimension m (outside the constructions' r_range), and the
     last part of multiplicity above 1 split into two parts at 1 and at
-    the rest, of which the expansion keeps the later."""
+    its whole multiplicity, which add up to one too many."""
     pr = fam.params
     q, r = pr.q, pr.m - fam.m1
     parts = list(fam.parts)
     d, keys, bottom, mult = parts[-1]
     if keys is None:
         keys = grassmannian_keys(q, fam.m1, d - len(row_codes(bottom, q, r)))
-    i = max(i for i, part in enumerate(parts) if part[3] > 1)
-    split = (*parts[i][:3], 1), (*parts[i][:3], parts[i][3] - 1)
     assert pr.m not in pr.r_range()
     return [replace(fam, parts=(*parts[:-1], part)) for part in (
         (d, keys, bottom, mult + 1), (d, keys[1:], bottom, mult),
         (d, keys, bottom, -mult))] + [
         replace(fam, parts=(*parts, (pr.m, None, grassmannian_keys(q, r, r)[0], 1))),
-        replace(fam, parts=(*parts[:i], *split, *parts[i + 1:]))]
+        split_family(fam, 1)]
 
 
-@pytest.mark.parametrize("fam", construction_families(), ids=(
-    "s3485-q2", "s3485-q3", "s3485-q4", "fano-m5-q2", "fano-m5-q3",
-    "recursive-k3", "fano-m4-q2", "fano-m4-q3"))
-def test_verify_families_matches_verify(fam, monkeypatch):
-    """The class sums pass every construction without expanding it, and
-    on each mutant report exactly what ``verify`` of the expansion does,
-    violations included: where a class is violated, a part is illegal
-    or parts overlap, by falling back to it."""
+def split_family(fam, extra):
+    """The family with its last part of multiplicity above 1 split into
+    two parts, at 1 and at the rest plus ``extra``."""
+    parts = fam.parts
+    i = max(i for i, part in enumerate(parts) if part[3] > 1)
+    split = (*parts[i][:3], 1), (*parts[i][:3], parts[i][3] - 1 + extra)
+    return replace(fam, parts=(*parts[:i], *split, *parts[i + 1:]))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_verify_families_matches_verify(name, monkeypatch):
+    """The class sums pass every construction without expanding it, also
+    with a part split in two that add up to it, and on each mutant
+    report exactly what ``verify`` of the expansion does, and the
+    object-keyed oracle, violations included: where a class is violated
+    or a part is illegal, by falling back to it."""
+    fam = CONSTRUCTIONS[name]
     expected = verify(fam.design())
     assert expected.ok
+    split = split_family(fam, 0)
+    assert split.design() == fam.design()
     with monkeypatch.context() as patch:
         patch.setattr(designs, "verify", None)      # the sums alone
-        assert verify_families(fam) == expected
+        assert verify_families(fam) == verify_families(split) == expected
     for mutant in family_mutants(fam):
         report = verify_families(mutant)
         assert not report.ok
         assert report == verify(mutant.design())
+        if name not in ("s3485-q3", "s3485-q4"):    # too slow there
+            assert report == object_verify(mutant.design())
 
 
 def test_extension_families_validation():
@@ -708,6 +781,9 @@ def test_extension_families_validation():
     # a part of multiplicity 0 expands to nothing
     fam = ExtensionFamilies(params, 4, ((1, None, 0, 0), (1, (0,), 1, 2)))
     assert fam.design().tables == {1: {1: 2}}
+    # parts that cancel leave blocks at 0, which the class sums count
+    fam = cancelled_family()
+    assert verify_families(fam) == verify(fam.design())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from qsteiner.counting import (ORACLE_GUARD, count_D, count_N,
                                covering_coefficient, gaussian, oracle_D,
                                oracle_N)
 from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
-                              _class_sums, _overlapping, _punctured_tables,
+                              _class_sums, _punctured_tables,
                               apply_transform, build_parallelism,
                               construct_uniform_design, puncture_design,
                               s3485_families, verify, verify_families)
@@ -183,14 +183,12 @@ def families(draw):
 @given(families())
 def test_class_sums_match_each_subspace(fam):
     """``verify_families`` reports exactly as ``verify`` of the expansion.
-    Without overlapping parts, each s-subspace X is covered
-    (``object_coverage`` of the expansion) as its class (U, K) says, U
-    the rows of X leading left of column m1 cut to m1 columns and K the
-    other rows cut to the last r, and each class holds size of them."""
+    Each s-subspace X is covered (``object_coverage`` of the expansion)
+    as its class (U, K) says, also where parts overlap, U the rows of X
+    leading left of column m1 cut to m1 columns and K the other rows
+    cut to the last r, and each class holds size of them."""
     design = fam.design()
     assert verify_families(fam) == verify(design)
-    if _overlapping(fam.parts):
-        return
     pr, m1 = fam.params, fam.m1
     for s in pr.s_range():
         sums = {(top, below): (size, got)
