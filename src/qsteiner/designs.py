@@ -127,8 +127,8 @@ class DesignMultiset:
         """A design from key tables whose keys are subspaces of F_q^m of
         the table's dimension and whose multiplicities are ints,
         unchecked; empty tables are dropped.  Multiplicities that add up
-        (a puncture, a transform, extension families) may leave a block
-        at 0 or below, which ``verify`` counts as it is."""
+        (a puncture, a transform) may leave a block at 0 or below, which
+        ``verify`` counts as it is and a design file cannot hold."""
         design = cls.__new__(cls)
         design.params = params
         design.tables = {d: table for d, table in tables.items() if table}
@@ -666,11 +666,15 @@ class ExtensionFamilies:
 
     def design(self) -> DesignMultiset:
         """The multiset of the families, which add up: a block several
-        parts list carries the sum of their multiplicities, and a part
-        of multiplicity 0 adds nothing."""
+        parts list carries the sum of their multiplicities, and one whose
+        parts cancel to 0 is left out."""
         pr = self.params
-        return DesignMultiset._from_tables(pr, _extension_tables(
-            pr.q, self.m1, pr.m, [part for part in self.parts if part[3]]))
+        parts = [part for part in self.parts if part[3]]
+        tables = _extension_tables(pr.q, self.m1, pr.m, parts)
+        if any(part[3] < 0 for part in parts):
+            tables = {d: {key: mult for key, mult in table.items() if mult}
+                      for d, table in tables.items()}
+        return DesignMultiset._from_tables(pr, tables)
 
 
 def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:

@@ -170,10 +170,10 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     by cross-multiplying with the pivot row and dividing out the gcd of
     its entries.  Forward elimination clears each pivot column from the
     rows not yet pivoted, picking the pivot row with the fewest entries,
-    then the smallest lead; back substitution then clears it from the
-    pivot rows above.  The result is the reduced row echelon form up to
-    row scaling, whatever rows are picked.  Rationals are formed only
-    from the reduced rows, as right-hand side over lead.
+    then the smallest lead, then the first; back substitution then
+    clears it from the pivot rows above.  The result is the reduced row
+    echelon form up to row scaling, whatever rows are picked.  Rationals
+    are formed only from the reduced rows, as right-hand side over lead.
 
     Returns the full assignment (pins included).  When underdetermined,
     the assignment is the particular solution with all free variables
@@ -206,39 +206,45 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
             row[ncol] = rhs_val.numerator
         rows.append(row)
 
-    def clear(i: int, col: int, prow: dict) -> None:
-        """Clear column col of row i by the pivot row prow, cross
+    def clear(row: dict, col: int, prow: dict) -> None:
+        """Clear column col of row in place by the pivot row prow, cross
         multiplying and dividing out the gcd of the entries."""
-        row = rows[i]
         p, f = prow[col], row[col]
         g = gcd(p, f)
         a, b = p // g, f // g
-        new = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+        if a != 1:
+            for c in row:
+                row[c] *= a
         for c, v in prow.items():
-            w = new.get(c, 0) - b * v
+            w = row.get(c, 0) - b * v
             if w:
-                new[c] = w
+                row[c] = w
             else:
-                del new[c]
-        content = gcd(*new.values())
+                del row[c]
+        content = gcd(*row.values())
         if content > 1:
-            new = {c: v // content for c, v in new.items()}
-        rows[i] = new
+            for c in row:
+                row[c] //= content
 
-    # forward elimination on the rows not yet pivoted
+    # forward elimination on the rows not yet pivoted, which hold column
+    # col iff it is their smallest, so they wait in buckets by that
     pivots = []            # (column, row index), columns ascending
-    active = list(range(len(rows)))
+    buckets = [[] for _ in range(ncol + 1)]
+    for i, row in enumerate(rows):
+        if row:
+            buckets[min(row)].append(i)
     for col in range(ncol):
-        cands = [i for i in active if col in rows[i]]
+        cands = buckets[col]
         if not cands:
             continue
-        # the sparsest row, then the smallest lead, keeps the fill-in
-        # and the integers small
-        pr = min(cands, key=lambda i: (len(rows[i]), abs(rows[i][col])))
-        active.remove(pr)
+        # the sparsest row, then the smallest lead, then the first row,
+        # keeps the fill-in and the integers small
+        pr = min(cands, key=lambda i: (len(rows[i]), abs(rows[i][col]), i))
         for i in cands:
             if i != pr:
-                clear(i, col, rows[pr])
+                clear(rows[i], col, rows[pr])
+                if rows[i]:
+                    buckets[min(rows[i])].append(i)
         pivots.append((col, pr))
     # back substitution, last pivot first, leaves each pivot row zero
     # in every other pivot column
@@ -246,10 +252,10 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
         col, pr = pivots[j]
         for _, i in pivots[:j]:
             if col in rows[i]:
-                clear(i, col, rows[pr])
+                clear(rows[i], col, rows[pr])
 
-    # rows never pivoted hold at most a right-hand side
-    if any(rows[i] for i in active):
+    # a row never pivoted and not cleared to zero holds a right-hand side
+    if buckets[ncol]:
         return SolveOutcome("inconsistent", {}, (), False)
 
     # particular solution: free variables fixed to zero

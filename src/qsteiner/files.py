@@ -16,20 +16,21 @@ canonical subspace order (dimension, then row-major lexicographic), so
 serialization is deterministic and diffable; that order is the numeric
 order of the blocks' keys.  Reading and writing go between row text and
 the key tables of ``DesignMultiset`` directly.  A design file is read in
-chunks, never whole.  A block line is read one of two ways.  The fast
-path splits it at its first ";" into its prefix (the text ``block M D
-top``) and the text of the rows below the top row (its suffix), and
+chunks, never whole.  A block line is read one of three ways.  The
+fast path splits it at its first ";" into its prefix (the text ``block
+M D top``) and the text of the rows below the top row (its suffix), and
 looks both up in tables of those already seen: a suffix's entry holds
 its key, its place below the top row and what the RREF check needs of
 it, a prefix's entry what the check and the key need of the top row
 with the line's multiplicity and dimension.  When both are known and
 the top row fits the suffix, the line costs one ``str.partition`` and
-two lookups.  Every other line, and every error, goes through the full
-check, which parses each distinct row once, raises every message and
-enters the line's suffix, and its prefix when the line is written as
-the writer writes it.  Memory is bounded by the distinct suffixes and
-the distinct (multiplicity, dimension, top row) of well-formed lines,
-not by the blocks.
+two lookups.  The middle path first enters a new suffix of rows read
+before, or a new prefix in the writer's form over a top row read
+before.  Every other line, and every error, goes through the full
+check, which parses each distinct row once and raises every message.
+Memory is bounded by the distinct rows, suffixes and prefixes, not by
+the blocks.  The writer refuses a multiplicity below 1 before it opens
+the file.
 
 Parallelism file (``qsteiner-parallelism v1``)::
 
@@ -52,7 +53,8 @@ from typing import Iterator
 from .designs import (DesignMultiset, DesignParams, Parallelism,
                       _canonical_parallelism)
 from .field import make_field
-from .subspaces import Subspace, _code_row, _row_entry, _rref_key, row_codes
+from .subspaces import (Subspace, _code_row, _row_entry, _rref_key, row_codes,
+                        subspace_from_key)
 
 DESIGN_HEADER = "qsteiner-design v1"
 PARALLELISM_HEADER = "qsteiner-parallelism v1"
@@ -129,6 +131,30 @@ def _parse_block(text: str, q: int, m: int, dim: int, seen: dict) -> int:
     return _rref_key(entries, q ** m)
 
 
+class _Texts(dict):
+    """``texts[x]`` is ``make(x)``, made on the first lookup."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, x) -> str:
+        text = self[x] = self.make(x)
+        return text
+
+
+def _check_positive(design: DesignMultiset) -> None:
+    """ValueError with the reader's message for the first block line, in
+    file order, whose multiplicity is below 1."""
+    p = design.params
+    for d in sorted(design.tables):
+        table = design.tables[d]
+        if min(table.values(), default=1) < 1:
+            key = min(key for key, mult in table.items() if mult < 1)
+            block = subspace_from_key(make_field(p.q), p.m, key)
+            line = f"block {table[key]} {d} {format_block_rows(block)}"
+            raise ValueError(f"multiplicity must be positive in {line!r}")
+
+
 def _design_lines(design: DesignMultiset) -> Iterator[str]:
     """The lines of the design file: blocks in canonical order, dimension
     first, then the rows lexicographically, one dimension at a time.
@@ -136,39 +162,37 @@ def _design_lines(design: DesignMultiset) -> Iterator[str]:
     A dimension's keys are sorted, which is the canonical order, and
     each is split once into its top row and the key of the rows below it
     (its suffix).  A row's text and a suffix's text are worked out once
-    each."""
+    each, the head ``block M D top`` once per run of one top row and
+    multiplicity."""
     p = design.params
     q, m = p.q, p.m
     yield f"{DESIGN_HEADER}\nq={q} t={p.t} k={p.k} n={p.n} m={m}\n"
-    text: dict = {}                        # row code -> its text
-
-    def row_text(code: int) -> str:
-        if code not in text:
-            text[code] = _format_row(_code_row(code, q, m), q)
-        return text[code]
-
+    row_text = _Texts(lambda code: _format_row(_code_row(code, q, m), q))
+    suffix_text = _Texts(lambda rest: "".join(
+        [";" + row_text[code] for code in row_codes(rest, q, m)]) + "\n")
     for d in sorted(design.tables):
         table = design.tables[d]
         if d == 0:
             yield f"block {table[0]} 0 -\n"
             continue
         place = q ** (m * (d - 1))
-        suffix_text: dict = {}             # suffix key -> its text
         keys = sorted(table)
+        top = mult = None
         for start in range(0, len(keys), _LINES):
             lines = []
             for key in keys[start:start + _LINES]:
                 code, rest = divmod(key, place)
-                suffix = suffix_text.get(rest)
-                if suffix is None:
-                    suffix = suffix_text[rest] = "".join(
-                        [";" + row_text(c) for c in row_codes(rest, q, m)]) + "\n"
-                lines.append(f"block {table[key]} {d} {row_text(code)}{suffix}")
+                if code != top or table[key] != mult:
+                    top, mult = code, table[key]
+                    head = f"block {mult} {d} {row_text[code]}"
+                lines.append(head + suffix_text[rest])
             yield "".join(lines)
 
 
 def serialize_design(design: DesignMultiset) -> str:
-    """The design file text (see the module docstring)."""
+    """The design file text (see the module docstring); ValueError if a
+    block's multiplicity is below 1."""
+    _check_positive(design)
     return "".join(_design_lines(design))
 
 
@@ -193,22 +217,35 @@ def _pieces(source) -> Iterator[str]:
 
 def _suffix_entry(text: str, seen: dict, big: int) -> tuple:
     """The key, top-row lead, pivot mask and dimension of the block rows
-    ``text``, whose rows are all in ``seen`` and already checked, and
-    the place of a row above them in a key."""
+    ``text``, and the place of a row above them in a key; KeyError
+    unless every row is in ``seen`` (and so checked), ValueError unless
+    the rows are in RREF."""
     entries = [seen[part] for part in text.split(";")]
     pivots = sum(1 << entry[1] for entry in entries)
     return (_rref_key(entries, big), entries[0][1], pivots, len(entries),
             big ** len(entries))
 
 
+def _prefix_entry(text: str, seen: dict, tables: dict) -> tuple:
+    """D - 1, the top row's lead, nonzero mask and code, M and the table
+    of D, for a prefix ``block M D top`` in the writer's form, M, D >= 1;
+    ValueError if not in that form, KeyError unless top is in ``seen``."""
+    _, mult, dim, top = text.split(" ", 3)
+    mult, dim = int(mult), int(dim)
+    if min(mult, dim) < 1 or f"block {mult} {dim} {top}" != text:
+        raise ValueError(text)
+    row = seen[top]
+    return dim - 1, row[1], row[2], row[0], mult, tables[dim]
+
+
 def parse_design(source) -> DesignMultiset:
     """The design in ``source``: the text of a design file, or the file
     open for reading, read in chunks."""
-    lines = chain.from_iterable(filter(str.strip, piece.splitlines())
-                                for piece in _pieces(source))
-    if next(lines, "").strip() != DESIGN_HEADER:
+    lines = chain.from_iterable(piece.splitlines() for piece in _pieces(source))
+    head = filter(str.strip, lines)
+    if next(head, "").strip() != DESIGN_HEADER:
         raise ValueError(f"missing header {DESIGN_HEADER!r}")
-    param_line = next(lines, None)
+    param_line = next(head, None)
     if param_line is None:
         raise ValueError("missing parameter line")
     try:
@@ -223,9 +260,8 @@ def parse_design(source) -> DesignMultiset:
     # block stands over the empty suffix
     suffixes: dict = {}
     empty = (0, big, 0, 0, 1)
-    # the text "block M D top" of a line before its first ";" -> D - 1,
-    # the top row's lead, nonzero mask and code, M and the table of D;
-    # entered from lines that passed the full check in the writer's form
+    # the text "block M D top" of a line before its first ";" -> its
+    # ``_prefix_entry``
     prefixes: dict = {}
     for ln in lines:
         # the fast path: a block is its top row over a known suffix, so
@@ -235,7 +271,16 @@ def parse_design(source) -> DesignMultiset:
         prefix, sep, rest = ln.partition(";")
         p = prefixes.get(prefix)
         below = suffixes.get(rest) if sep else empty
-        if (p is not None and below is not None and p[0] == below[3]
+        if p is None or below is None:
+            # the middle path: enter what is new, if it can be, then test
+            try:
+                if below is None:
+                    below = suffixes[rest] = _suffix_entry(rest, seen, big)
+                if p is None:
+                    p = prefixes[prefix] = _prefix_entry(prefix, seen, tables)
+            except (KeyError, ValueError):
+                p = None
+        if (p is not None and p[0] == below[3]
                 and p[1] < below[1] and not p[2] & below[2]):
             key = p[3] * below[4] + below[0]
             if key not in p[5]:
@@ -243,6 +288,8 @@ def parse_design(source) -> DesignMultiset:
                 continue
         # the full check: every other line, and every error
         parts = ln.split(maxsplit=3)
+        if not parts:
+            continue
         if len(parts) != 4 or parts[0] != "block":
             raise ValueError(f"bad block line {ln!r}")
         if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
@@ -251,23 +298,18 @@ def parse_design(source) -> DesignMultiset:
         mult, dim = int(parts[1]), int(parts[2])
         if mult < 1:
             raise ValueError(f"multiplicity must be positive in {ln!r}")
-        text = parts[3]
-        # a "row;" block fails here, before its empty suffix is entered
-        key = _parse_block(text, q, m, dim, seen)
-        top, sep, rest = text.partition(";")
-        if sep and rest not in suffixes:
-            suffixes[rest] = _suffix_entry(rest, seen, big)
+        key = _parse_block(parts[3], q, m, dim, seen)
         table = tables[dim]
         if key in table:
-            raise ValueError(f"duplicate block line for {text!r}")
+            raise ValueError(f"duplicate block line for {parts[3]!r}")
         table[key] = mult
-        if dim and prefix == f"block {mult} {dim} {top}":
-            row = seen[top]
-            prefixes[prefix] = (dim - 1, row[1], row[2], row[0], mult, table)
     return DesignMultiset._from_tables(params, tables)
 
 
 def write_design(design: DesignMultiset, path) -> None:
+    """Write the design file; ValueError, before opening it, if a block's
+    multiplicity is below 1."""
+    _check_positive(design)
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(_design_lines(design))
 

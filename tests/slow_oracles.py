@@ -1,16 +1,17 @@
 """Slow reference implementations that the fast paths are tested against."""
 
 import itertools
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import add
 
 from qsteiner.counting import count_N, covering_coefficient
-from qsteiner.designs import EquationViolation, VerificationReport
+from qsteiner.designs import DesignParams, EquationViolation, VerificationReport
 from qsteiner.equations import SolveOutcome
 from qsteiner.field import make_field
 from qsteiner.subspaces import (Subspace, _combine, extension_raise_dim,
-                                first_subspace, puncture, rref,
+                                first_subspace, puncture, rows_key, rref,
                                 subspaces_within, vector_code)
 
 
@@ -239,3 +240,69 @@ def object_transform(blocks, column_ops) -> Counter:
                 row[j] = acc
         out[rref(b.field, rows) if rows else b] += mult
     return out
+
+
+# A design file read line by line and each row digit by digit: a block
+# is accepted iff ``rref`` leaves its rows unchanged, and keyed by
+# ``rows_key``.  ``files.parse_design`` must accept exactly the texts
+# this accepts, with equal parameters and equal tables in equal order.
+_BLOCK_LINE = re.compile(r"\s*block\s+(\S+)\s+(\S+)\s+(\S.*)", re.DOTALL)
+
+
+def _object_number(token: str) -> int:
+    if not token or any(c not in "0123456789" for c in token):
+        raise ValueError(f"{token!r} is not written in decimal digits")
+    return int(token)
+
+
+def _object_row(text: str, q: int, m: int) -> tuple:
+    tokens = list(text) if q <= 9 else text.split()
+    row = tuple(_object_number(token) for token in tokens)
+    if len(row) != m or any(x >= q for x in row):
+        raise ValueError(f"row {text!r} is not a vector of F_{q}^{m}")
+    return row
+
+
+def object_parse_design(text: str) -> tuple:
+    """``(params, tables)`` of the design file ``text``, ``tables[d]``
+    mapping the key of each d-dimensional block to its multiplicity, in
+    line order; ValueError if ``text`` is not a design file."""
+    lines = text.splitlines()
+    filled = [i for i, ln in enumerate(lines) if ln.strip()]
+    if len(filled) < 2 or lines[filled[0]].strip() != "qsteiner-design v1":
+        raise ValueError("no header and parameter line")
+    values = {}
+    for token in lines[filled[1]].split():
+        name, eq, value = token.partition("=")
+        if not eq or len(name) != 1 or name not in "qtknm" or name in values:
+            raise ValueError(f"bad parameter {token!r}")
+        values[name] = _object_number(value)
+    if len(values) != 5:
+        raise ValueError("a parameter is missing")
+    params = DesignParams(*[values[name] for name in "qtknm"])
+    q, m = params.q, params.m
+    field = make_field(q)
+    tables: dict = {}
+    for ln in lines[filled[1] + 1:]:
+        if not ln.strip():
+            continue
+        match = _BLOCK_LINE.fullmatch(ln)
+        if match is None:
+            raise ValueError(f"bad block line {ln!r}")
+        mult, dim = _object_number(match[1]), _object_number(match[2])
+        if mult < 1:
+            raise ValueError(f"multiplicity {mult} in {ln!r}")
+        if match[3] == "-":
+            if dim != 0:
+                raise ValueError(f"no rows in {ln!r}")
+            key = 0
+        else:
+            rows = tuple(_object_row(part, q, m) for part in match[3].split(";"))
+            if len(rows) != dim or rref(field, rows).rows != rows:
+                raise ValueError(f"rows of {ln!r} are no RREF basis of dimension {dim}")
+            key = rows_key(q, rows)
+        table = tables.setdefault(dim, {})
+        if key in table:
+            raise ValueError(f"{ln!r} repeats a block")
+        table[key] = mult
+    return params, tables

@@ -14,8 +14,8 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               ExtensionFamilies, Parallelism, Spread,
                               apply_transform, build_parallelism, build_spread,
                               construct_uniform_design, SteinerSystem,
-                              _batches, _line_key, distinctness_check,
-                              fano_m5_families, puncture_design,
+                              _batches, _extension_tables, _line_key,
+                              distinctness_check, fano_m5_families, puncture_design,
                               puncture_steiner, recursive_families,
                               s3485_families, trivial_steiner, verify,
                               verify_families, verify_steiner)
@@ -197,9 +197,10 @@ def test_batches_list_only_what_differs_from_w():
     alone; with exactly one block at another multiplicity that block is
     listed, at mult - w, and no absent subspace; at w = 0 every block is
     listed, also when the table is as large as the absent part.  A block
-    whose multiplicities cancelled stays in its table at 0 and is listed
-    as absent, also when w is not 0 and when the table's one nonzero
-    multiplicity would otherwise stand for every key in it."""
+    whose multiplicities cancelled in a table (a puncture, summed parts)
+    stays in it at 0 and is listed as absent, also when w is not 0 and
+    when the table's one nonzero multiplicity would otherwise stand for
+    every key in it."""
     uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
     plane = next(b for b in uniform.blocks if b.dim == 3)
     raised = uniform.with_block_multiplicity(plane, 9)
@@ -222,9 +223,13 @@ def test_batches_list_only_what_differs_from_w():
         (1, tuple(pts[:5]), 0, 1),
         (2, (pts[4],), subspaces.rows_key(2, ((1,),)), -2))).design())
     assert punctured.tables == {1: {1: 2, 2: 2, 3: 2, 4: 2, 5: 0}}
-    # 2 of the 15 points of F_2^4 at 0, then 2 at 1: w = 0
-    cancelled = cancelled_family().design()
+    # 2 of the 15 points of F_2^4 at 0, then 2 at 1: w = 0; the family's
+    # design leaves out the two at 0, its summed tables keep them
+    fam = cancelled_family()
+    cancelled = DesignMultiset._from_tables(
+        fam.params, _extension_tables(2, 3, 4, list(fam.parts)))
     assert list(cancelled.tables[1].values()) == [0, 0, 1, 1]
+    assert list(fam.design().tables[1].values()) == [1, 1]
     for design in (raised, half, punctured, cancelled):
         assert verify(design) == object_verify(design)
 
@@ -781,7 +786,7 @@ def test_extension_families_validation():
     # a part of multiplicity 0 expands to nothing
     fam = ExtensionFamilies(params, 4, ((1, None, 0, 0), (1, (0,), 1, 2)))
     assert fam.design().tables == {1: {1: 2}}
-    # parts that cancel leave blocks at 0, which the class sums count
+    # parts that cancel leave no block, and the class sums agree
     fam = cancelled_family()
     assert verify_families(fam) == verify(fam.design())
 

@@ -3,14 +3,20 @@
 import itertools
 
 import pytest
+from slow_oracles import object_parse_design
 
 from qsteiner import files
-from qsteiner.designs import (DesignMultiset, DesignParams, build_parallelism,
-                              construct_uniform_design, s3485_families)
+from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
+                              build_parallelism, construct_uniform_design,
+                              fano_m5_families, recursive_families,
+                              s3485_families)
+from qsteiner.equations import uniform_family_solution
 from qsteiner.field import make_field
 from qsteiner.files import (parse_design, parse_design_file, parse_parallelism,
-                            serialize_design, serialize_parallelism)
-from qsteiner.subspaces import _lead, _row_entry, _rref_key, rows_key, rref
+                            serialize_design, serialize_parallelism,
+                            write_design)
+from qsteiner.subspaces import (_lead, _row_entry, _rref_key,
+                                grassmannian_keys, rows_key, rref)
 
 
 def test_design_round_trip_byte_identical():
@@ -309,3 +315,176 @@ def test_new_prefix_over_known_suffix():
             == parse_design(header + ones.replace("01 2", "1 2")).tables
             == {2: {rows_key(2, ((1, 0, 0, 0), row)): 1
                     for row in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}})
+
+
+HEADER = "qsteiner-design v1\nq=2 t=2 k=3 n=7 m=4\n"
+
+
+def _read_as_cold(known: str, line: str, message, cold: str = "") -> None:
+    """``line`` after the ``known`` lines reads as it does after the
+    ``cold`` ones, where nothing is known of it: a valid block
+    (``message`` None) gets the cold parse's key and multiplicity, any
+    other line the cold parse's message."""
+    if message is None:
+        base = parse_design(HEADER + known).tables
+        warm = parse_design(HEADER + known + line + "\n").tables
+        (dim, table), = parse_design(HEADER + line + "\n").tables.items()
+        assert warm == {**base, dim: {**base.get(dim, {}), **table}}
+        return
+    for text in (HEADER + known + line + "\n", HEADER + cold + line + "\n"):
+        with pytest.raises(ValueError) as exc:
+            parse_design(text)
+        assert str(exc.value) == message
+
+
+def test_new_suffix_under_known_prefix():
+    """A line whose prefix ("block M D top") is known but whose rows
+    below the top row are new reads as it does when nothing is known:
+    a new suffix of rows already seen is entered and the line takes the
+    fast path's test, and every other line the full check."""
+    known = ("block 4 3 1000;0100;0001\n"  # rows 1000, 0100, 0001 seen
+             "block 4 3 0100;0010;0001\n"  # row 0010 seen
+             "block 4 2 1000;0100\n"       # prefix 'block 4 2 1000'
+             "block 4 3 1000;0100;0010\n"  # prefix 'block 4 3 1000'
+             "block 4 2 0100;0001\n"       # prefix 'block 4 2 0100'
+             "block 4 2 1010;0001\n"       # row 1010 seen
+             "block 4 2 1010;0100\n")      # prefix 'block 4 2 1010'
+    for line, message in (
+            ("block 4 2 1000;0010", None),           # a new suffix of seen rows
+            ("block 4 3 1000;0010;0001", None),
+            ("block 4 2 1000;0011", None),           # a suffix row never seen
+            ("block 4 3 1000;0010;0100",             # a suffix not in RREF
+             "rows ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)) are not in "
+             "reduced row echelon form"),
+            ("block 4 2 1000;",                      # an empty row
+             "row '' does not have 4 coordinates"),
+            ("block 4 2 1000;0010;0001",             # a dimension mismatch
+             "block says dimension 2 but has 3 rows"),
+            ("block 4 2 1000;1000",                  # top leads at the suffix
+             "rows ((1, 0, 0, 0), (1, 0, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 4 2 0100;1000",                  # top leads right of it
+             "rows ((0, 1, 0, 0), (1, 0, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 4 2 1010;0010",                  # nonzero at a suffix pivot
+             "rows ((1, 0, 1, 0), (0, 0, 1, 0)) are not in reduced row "
+             "echelon form")):
+        _read_as_cold(known, line, message)
+    # a block already read, through the full check, so its suffix is new
+    _read_as_cold(known, "block 4 3 1000;0100;0001",
+                  "duplicate block line for '1000;0100;0001'",
+                  cold="block 4 3 1000;0100;0001\n")
+
+
+def test_new_prefix_in_writer_form():
+    """A line whose prefix ("block M D top") is new, in the writer's
+    form and over a seen top row, is entered from its words and reads
+    as it does when nothing is known; any other new prefix, and every
+    error, goes to the full check."""
+    known = ("block 4 2 1000;0100\n"       # rows 1000, 0100 seen
+             "block 4 3 1010;0100;0001\n"  # rows 1010, 0001 seen
+             "block 4 2 1000;0001\n"       # suffix '0001'
+             "block 4 3 1000;0100;0001\n"  # suffix '0100;0001'
+             "block 4 2 0010;0001\n")      # row 0010 seen
+    for line, message in (
+            ("block 3 2 1010;0001", None),           # over a known suffix
+            ("block 3 1 1010", None),                # over the empty suffix
+            ("block 3 2 1010;0100", None),           # over a new suffix
+            ("block 3 2 1100;0001", None),           # a top row never seen
+            ("block 3 2 1010;0101", None),           # a suffix row never seen
+            ("block 04 2 1010;0001", None),          # not the writer's form
+            ("block 3 2 0100;0100",                  # top leads at the suffix
+             "rows ((0, 1, 0, 0), (0, 1, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 2 0001;0100",                  # top leads right of it
+             "rows ((0, 0, 0, 1), (0, 1, 0, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 2 1010;0010",                  # nonzero at a suffix pivot
+             "rows ((1, 0, 1, 0), (0, 0, 1, 0)) are not in reduced row "
+             "echelon form"),
+            ("block 3 3 1010;0001",                  # a dimension mismatch
+             "block says dimension 3 but has 2 rows"),
+            ("block 1 0 1000;0100",                  # dimension 0 with rows
+             "block says dimension 0 but has 2 rows"),
+            ("block 0 2 1010;0001",
+             "multiplicity must be positive in 'block 0 2 1010;0001'"),
+            ("block 1 -1 1010;0001",
+             "multiplicity and dimension must be ASCII decimal numbers in "
+             "'block 1 -1 1010;0001'")):
+        _read_as_cold(known, line, message)
+    # a duplicate at another multiplicity, and one not in the writer's form
+    for line, first in (("block 3 3 1010;0100;0001", "block 4 3 1010;0100;0001"),
+                        ("block 04 2 1000;0001", "block 4 2 1000;0001")):
+        text = first.split(" ", 3)[3]
+        _read_as_cold(known, line, f"duplicate block line for {text!r}",
+                      cold=first + "\n")
+    # "block 04 2 ..." reads at multiplicity 4; neither it nor a prefix
+    # of dimension or multiplicity 0 is entered, nor one off the form
+    assert parse_design(HEADER + known + "block 04 2 1010;0001\n").tables[2][
+        rows_key(2, ((1, 0, 1, 0), (0, 0, 0, 1)))] == 4
+    seen = {"1000": _row_entry((1, 0, 0, 0), 2)}
+    for prefix, error in (
+            ("block 04 2 1000", ValueError), ("block 1 0 1000", ValueError),
+            ("block 0 1 1000", ValueError), ("blok 1 2 1000", ValueError),
+            ("block  1 2 1000", ValueError), ("block 1 +2 1000", ValueError),
+            ("block 1 2", ValueError), ("", ValueError),
+            ("block 1 2 1000 ", KeyError), ("block 1 2 0100", KeyError)):
+        tables: dict = {}
+        with pytest.raises(error):
+            files._prefix_entry(prefix, seen, tables)
+        assert tables == {}
+
+
+def test_tables_follow_line_order():
+    """A parsed design holds its tables, and each table's keys, in the
+    order of the file's lines, for the file of every construction and
+    for its block lines reversed: ``design.blocks`` iterates in that
+    order, and ``verify`` reports the first block of an illegal
+    dimension in it."""
+    para2 = build_parallelism(2, 4)
+    para3 = files.parse_parallelism_file(files.packaged_parallelism_path(3, 4))
+    base3 = construct_uniform_design(3, 2, 3, 3, 1, {1: 1})
+    for design in (
+            construct_uniform_design(2, 2, 3, 7, 4,
+                                     uniform_family_solution("S(2,3,7;4)", 2)),
+            construct_uniform_design(2, 3, 4, 8, 4,
+                                     uniform_family_solution("S(3,4,8;4)", 2)),
+            s3485_families(2).design(), fano_m5_families(2, para2).design(),
+            recursive_families(3, 3, para3, base3).design()):
+        lines = serialize_design(design).splitlines(keepends=True)
+        for text in ("".join(lines), "".join(lines[:2] + lines[:1:-1])):
+            _, tables = object_parse_design(text)
+            assert [(d, list(t)) for d, t in parse_design(text).tables.items()] \
+                == [(d, list(t)) for d, t in tables.items()]
+
+
+def test_cancelled_blocks_write_and_read_back(tmp_path):
+    """Extension families whose parts cancel on a block leave it out of
+    the design, which writes and reads back; a block of negative
+    multiplicity is refused before the file is opened."""
+    params = DesignParams(2, 1, 2, 5, 4)
+    lines = grassmannian_keys(2, 3, 1)
+    design = ExtensionFamilies(params, 3, ((1, lines, 0, 1),
+                                           (1, lines[:1], 0, -1))).design()
+    assert design == ExtensionFamilies(params, 3, ((1, lines[1:], 0, 1),)).design()
+    path = tmp_path / "cancelled.design"
+    write_design(design, path)
+    assert parse_design_file(path) == design
+    assert path.read_text() == serialize_design(design)
+    negative = ExtensionFamilies(params, 3, ((1, lines, 0, 1),
+                                             (1, lines[1:2], 0, -2))).design()
+    message = "multiplicity must be positive in 'block -1 1 0100'"
+    with pytest.raises(ValueError) as exc:
+        serialize_design(negative)
+    assert str(exc.value) == message
+    path = tmp_path / "negative.design"
+    with pytest.raises(ValueError) as exc:
+        write_design(negative, path)
+    assert str(exc.value) == message
+    assert not path.exists()
+    # a block left at 0, as a puncture of negative blocks may leave one
+    zero = DesignMultiset._from_tables(params, {1: {**design.tables[1], 2: 0}})
+    with pytest.raises(ValueError, match=r"^multiplicity must be positive in "
+                                         r"'block 0 1 0010'$"):
+        write_design(zero, path)
+    assert not path.exists()

@@ -1,6 +1,7 @@
 """Property tests (hypothesis) for the key-table design form: file
-round trips, puncturing and column transforms, and the rejection of
-malformed block lines; for the class sums of extension families; for
+round trips, puncturing and column transforms, the rejection of
+malformed block lines, and edited files read as a line-by-line reader
+reads them; for the class sums of extension families; for
 ``rref`` as the canonical form and the keys' numeric order as the
 canonical order; for the ``N`` and ``D`` oracles at random witnesses;
 and for the parallelisms of the orbit search."""
@@ -11,7 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from slow_oracles import object_coverage
+from slow_oracles import object_coverage, object_parse_design
 
 from qsteiner.counting import (ORACLE_GUARD, count_D, count_N,
                                covering_coefficient, gaussian, oracle_D,
@@ -234,12 +235,12 @@ def test_transform_preserves_verification(data):
 
 
 @st.composite
-def mixed_designs(draw):
+def mixed_designs(draw, shapes=((2, 4), (3, 3), (4, 3), (16, 3))):
     """A design of ``designs`` joined with every subspace of one
     dimension d, 1 < d < m, each at multiplicity 1, 2 or 3, so that one
     top row stands in block lines of several multiplicities and over
     several rows below it."""
-    design = draw(designs(shapes=((2, 4), (3, 3), (4, 3), (16, 3))))
+    design = draw(designs(shapes=shapes))
     q, m = design.params.q, design.params.m
     blocks = dict(design.blocks)
     for x in enumerate_subspaces(make_field(q), m, draw(st.integers(2, m - 1))):
@@ -270,6 +271,57 @@ def test_known_prefix_path_matches_line_path(design, data):
         == [(d, list(t.items())) for d, t in by_line.tables.items()]
     shuffled = data.draw(st.permutations(body))
     assert parse_design("".join(head + shuffled)) == design
+
+
+def _edit_file(text: str, data) -> str:
+    """``text`` with one edit: a line dropped, duplicated or swapped with
+    another, a digit changed, a multiplicity set to 0, or a blank or
+    CR LF line inserted."""
+    lines = text.splitlines(keepends=True)
+    edit = data.draw(st.sampled_from(("drop", "duplicate", "swap", "digit",
+                                      "zero", "blank", "crlf")))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "digit":
+        at = data.draw(st.sampled_from([at for at, c in enumerate(text)
+                                        if c.isdigit()]))
+        # a 0 or 1 keeps the row in every field, so the RREF check sees it
+        digit = data.draw(st.sampled_from("01") | st.sampled_from("0123456789"))
+        return text[:at] + digit + text[at + 1:]
+    elif edit == "zero":
+        word, _, rest = lines[max(i, 2)].split(" ", 2)
+        lines[max(i, 2)] = f"{word} 0 {rest}"
+    elif edit == "blank":
+        lines.insert(i, data.draw(st.sampled_from(("\n", " \n", "\t \n"))))
+    else:
+        lines.insert(i, "\r\n")
+        lines[i + 1] = lines[i + 1].rstrip("\n") + "\r\n"
+    return "".join(lines)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(mixed_designs(shapes=((2, 4), (3, 3), (4, 3))), st.data())
+def test_parse_matches_object_parse(design, data):
+    """A design file with one edit is read as the line-by-line reader
+    ``object_parse_design`` reads it: accepted by both, with equal
+    parameters and the same tables in the same order, or by neither."""
+    text = _edit_file(serialize_design(design), data)
+    try:
+        params, tables = object_parse_design(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_design(text)
+        return
+    parsed = parse_design(text)
+    assert parsed.params == params
+    assert [(d, list(t.items())) for d, t in parsed.tables.items()] \
+        == [(d, list(t.items())) for d, t in tables.items()]
 
 
 # The malformed block lines of tests/test_files.py, each with the exact
