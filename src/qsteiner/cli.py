@@ -62,13 +62,17 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_pins(pin_args) -> dict:
+    """The ``X<r>=<value>`` pins, r in ASCII decimal digits, each r once."""
     pins = {}
     for item in pin_args or ():
         name, _, value = item.partition("=")
-        if not name.startswith("X") or not value:
+        if not name.startswith("X") or not files._is_decimal(name[1:]) or not value:
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1")
+        r = int(name[1:])
+        if r in pins:
+            raise ValueError(f"bad pin {item!r}; X{r} is pinned twice")
         try:
-            pins[int(name[1:])] = Fraction(value)
+            pins[r] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1") from None
     return pins

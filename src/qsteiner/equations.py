@@ -10,8 +10,9 @@ by the verifier's coverage kernel; ``designs.verify`` checks a design
 against these equations without materializing them.  All
 arithmetic is exact: coefficients are integers, elimination is sparse
 and fraction-free over Python integers, ``fractions.Fraction`` values
-are formed only for the answer (the free basis on first read), and a
-solution is only ever reported when it satisfies every equation exactly.
+are formed only where a substitution does not divide exactly and for
+the answer (the free basis on first read), and a solution is only ever
+reported when it satisfies every equation exactly.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ class SolveOutcome:
     solution with that free variable set to 1, so the full solution set
     is the assignment plus any rational combination of the basis.  Each
     vector has an entry for every unpinned key; pinned keys are absent.
-    The basis is built from the reduced pivot rows the first time it is
-    read, then cached; it is None unless the system is underdetermined.
+    The basis is built the first time it is read, by reducing copies of
+    the echelon rows, then cached; it is None unless the system is
+    underdetermined.
     """
 
     status: str
@@ -84,7 +86,8 @@ class SolveOutcome:
     free_keys: tuple
     nonneg_integer: bool
     # free_basis is built from the unpinned keys in column order and the
-    # reduced pivot rows, (column, row), the right-hand side at len(_unpinned)
+    # echelon rows, (column, row), the right-hand side at len(_unpinned);
+    # the rows are left unreduced until then, and never changed
     _unpinned: tuple = dataclasses.field(default=(), compare=False, repr=False)
     _pivot_rows: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
@@ -92,15 +95,22 @@ class SolveOutcome:
     def free_basis(self) -> dict | None:
         if self.status != "underdetermined":
             return None
-        # a reduced pivot row is nonzero only at its pivot, free columns
-        # and the right-hand side
+        # back substitution, last pivot first, leaves each pivot row zero
+        # in every other pivot column: nonzero only at its pivot, free
+        # columns and the right-hand side
+        pivot_rows = [(col, dict(row)) for col, row in self._pivot_rows]
+        for j in range(len(pivot_rows) - 1, 0, -1):
+            col, prow = pivot_rows[j]
+            for _, row in pivot_rows[:j]:
+                if col in row:
+                    _clear(row, col, prow)
         unpinned, ncol = self._unpinned, len(self._unpinned)
         template = dict.fromkeys(unpinned, Fraction(0))
         basis = {}
         for key in self.free_keys:
             basis[key] = vec = template.copy()
             vec[key] = Fraction(1)
-        for col, row in self._pivot_rows:
+        for col, row in pivot_rows:
             lead = row[col]
             for c, v in row.items():
                 if c != col and c != ncol:
@@ -157,7 +167,29 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
     return FullSystem(params, tuple(x for s in s_rng for x in decoded[s]),
                       tuple(y for r in r_rng for y in decoded[r]),
                       tuple(map(tuple, matrix)),
-                      tuple(count_N(s, m, t, n, q) for s in s_rng for _ in keys[s]))
+                      tuple(b for s in s_rng
+                            for b in [count_N(s, m, t, n, q)] * len(keys[s])))
+
+
+def _clear(row: dict, col: int, prow: dict) -> None:
+    """Clear column col of row in place by the pivot row prow, cross
+    multiplying and dividing out the gcd of the entries."""
+    p, f = prow[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:
@@ -170,10 +202,12 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     by cross-multiplying with the pivot row and dividing out the gcd of
     its entries.  Forward elimination clears each pivot column from the
     rows not yet pivoted, picking the pivot row with the fewest entries,
-    then the smallest lead, then the first; back substitution then
-    clears it from the pivot rows above.  The result is the reduced row
-    echelon form up to row scaling, whatever rows are picked.  Rationals
-    are formed only from the reduced rows, as right-hand side over lead.
+    then the smallest lead, then the first, and leaves the pivot rows in
+    echelon form.  Substitution over them, last pivot first, gives each
+    pivot variable as right-hand side minus the known terms over lead,
+    in integers while the division is exact and as a ``Fraction`` once
+    it is not.  The pivot rows are reduced further only for
+    ``SolveOutcome.free_basis``, on its first read.
 
     Returns the full assignment (pins included).  When underdetermined,
     the assignment is the particular solution with all free variables
@@ -192,7 +226,9 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     ncol = len(unpinned)
     rows = []
     for coeffs, b in zip(system.matrix, system.rhs):
-        rhs_val = Fraction(b)
+        # an int until a pin makes it a Fraction; both have a numerator
+        # and a denominator
+        rhs_val = b
         row = {}
         for pos in compress(range(len(coeffs)), coeffs):
             if pos in pinned:
@@ -205,26 +241,6 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
         if rhs_val:
             row[ncol] = rhs_val.numerator
         rows.append(row)
-
-    def clear(row: dict, col: int, prow: dict) -> None:
-        """Clear column col of row in place by the pivot row prow, cross
-        multiplying and dividing out the gcd of the entries."""
-        p, f = prow[col], row[col]
-        g = gcd(p, f)
-        a, b = p // g, f // g
-        if a != 1:
-            for c in row:
-                row[c] *= a
-        for c, v in prow.items():
-            w = row.get(c, 0) - b * v
-            if w:
-                row[c] = w
-            else:
-                del row[c]
-        content = gcd(*row.values())
-        if content > 1:
-            for c in row:
-                row[c] //= content
 
     # forward elimination on the rows not yet pivoted, which hold column
     # col iff it is their smallest, so they wait in buckets by that
@@ -242,29 +258,27 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
         pr = min(cands, key=lambda i: (len(rows[i]), abs(rows[i][col]), i))
         for i in cands:
             if i != pr:
-                clear(rows[i], col, rows[pr])
+                _clear(rows[i], col, rows[pr])
                 if rows[i]:
                     buckets[min(rows[i])].append(i)
         pivots.append((col, pr))
-    # back substitution, last pivot first, leaves each pivot row zero
-    # in every other pivot column
-    for j in range(len(pivots) - 1, 0, -1):
-        col, pr = pivots[j]
-        for _, i in pivots[:j]:
-            if col in rows[i]:
-                clear(rows[i], col, rows[pr])
 
     # a row never pivoted and not cleared to zero holds a right-hand side
     if buckets[ncol]:
         return SolveOutcome("inconsistent", {}, (), False)
 
-    # particular solution: free variables fixed to zero
-    values = [Fraction(0)] * ncol
-    for col, i in pivots:
-        if ncol in rows[i]:
-            values[col] = Fraction(rows[i][ncol], rows[i][col])
+    # particular solution, free variables fixed to zero: a pivot row is
+    # zero left of its pivot, so the variables right of it are known
+    known = {}             # column -> nonzero value
+    for col, i in reversed(pivots):
+        row = rows[i]
+        rest = row.get(ncol, 0) - sum(v * known[c] for c, v in row.items()
+                                      if c in known)
+        if rest:
+            quotient, remainder = divmod(rest, row[col])
+            known[col] = Fraction(rest, row[col]) if remainder else quotient
     assignment = {kk: Fraction(v) for kk, v in pins.items()}
-    assignment.update(zip(unpinned, values))
+    assignment.update((kk, Fraction(known.get(c, 0))) for c, kk in enumerate(unpinned))
     pivot_cols = {col for col, _ in pivots}
     free_keys = tuple(kk for c, kk in enumerate(unpinned) if c not in pivot_cols)
     status = "unique" if not free_keys else "underdetermined"

@@ -316,6 +316,15 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     ("uniform-solve 2 2 3 7 4 --pin X0=1/0", "bad pin 'X0=1/0'"),
     ("uniform-solve 2 2 3 7 4 --pin X0=abc", "bad pin 'X0=abc'; expected e.g. X0=1"),
     ("uniform-solve 2 2 3 7 4 --pin Xa=1", "bad pin 'Xa=1'; expected e.g. X0=1"),
+    # a variable is named by X and ASCII decimal digits only, and once
+    ("uniform-solve 2 2 3 7 4 --pin X+0=1", "bad pin 'X+0=1'; expected e.g. X0=1"),
+    ("uniform-solve 2 2 3 7 4 --pin X\u0660=1",     # an Arabic-Indic zero
+     "bad pin 'X\u0660=1'; expected e.g. X0=1"),
+    ("uniform-solve 2 2 3 7 4 --pin X=1", "bad pin 'X=1'; expected e.g. X0=1"),
+    ("uniform-solve 2 2 3 7 4 --pin X0=1 --pin X0=2",
+     "bad pin 'X0=2'; X0 is pinned twice"),
+    ("uniform-solve 2 2 3 7 4 --pin X0=1 --pin X00=5",
+     "bad pin 'X00=5'; X0 is pinned twice"),
     ("uniform-solve 6 2 3 7 4 --pin X0=1", "unsupported field order 6"),
     ("oracle C 0 1 1 40 2", "oracle would enumerate"),
     ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -382,13 +383,17 @@ class IntegerSystem:
         return tuple(f"v{j}" for j in range(self.ncols))
 
 
-def random_integer_system(rng: random.Random) -> IntegerSystem:
+def random_integer_system(rng: random.Random, min_size: int = 0,
+                          max_size: int = 8, entry: int = 5,
+                          perturb: float = 0.1) -> IntegerSystem:
     """Rows drawn from the span of a few random augmented rows, with zero
     rows, duplicates, negative entries and the odd perturbed right-hand
-    side mixed in."""
-    nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
-    basis = [[rng.randint(-5, 5) for _ in range(ncols + 1)]
-             for _ in range(rng.randint(0, min(nrows, ncols) + 1))]
+    side mixed in.  There are at least min_size rows, columns and
+    spanning rows, as far as the rows and columns allow."""
+    nrows, ncols = rng.randint(min_size, max_size), rng.randint(min_size, max_size)
+    basis = [[rng.randint(-entry, entry) for _ in range(ncols + 1)]
+             for _ in range(rng.randint(min(min_size, nrows, ncols),
+                                        min(nrows, ncols) + 1))]
     rows = []
     for _ in range(nrows):
         kind = rng.random()
@@ -401,7 +406,7 @@ def random_integer_system(rng: random.Random) -> IntegerSystem:
             for b in basis:
                 c = rng.randint(-3, 3)
                 row = [x + c * y for x, y in zip(row, b)]
-        if rng.random() < 0.1:
+        if rng.random() < perturb:
             row[-1] += rng.choice((-1, 1))
         rows.append(row)
     return IntegerSystem(ncols, tuple(tuple(r[:-1]) for r in rows),
@@ -421,3 +426,52 @@ def test_solve_matches_dense_oracle_on_random_integer_systems():
         statuses[assert_same_outcome(system, pins).status] += 1
     assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
     assert min(statuses.values()) > 20
+
+
+def test_solve_matches_dense_oracle_on_larger_random_systems():
+    """Up to 14 columns and entries up to 9 in size, so that the
+    substitution chains through long runs of fractions."""
+    rng = random.Random(20160318)
+    statuses = Counter()
+    for _ in range(150):
+        system = random_integer_system(rng, min_size=8, max_size=14, entry=9,
+                                       perturb=0.03)
+        pins = None
+        if system.ncols and rng.random() < 0.4:
+            keys = system.variable_keys()
+            pins = {kk: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for kk in rng.sample(keys, rng.randint(1, min(3, len(keys))))}
+        statuses[assert_same_outcome(system, pins).status] += 1
+    assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
+    assert min(statuses.values()) > 5
+
+
+def test_substitution_chains_through_fractions():
+    """Echelon rows that forward elimination leaves as they are: each
+    value is divided out from the values after it, in fractions where
+    the division is not exact, with or without pins."""
+    out = assert_same_outcome(IntegerSystem(2, ((2, 1), (0, 3)), (1, 1)))
+    assert out.status == "unique"
+    assert out.assignment == {"v0": Fraction(1, 3), "v1": Fraction(1, 3)}
+    # v2 = 1/2 leaves 2 v0 + v1 = 1 and 3 v1 = 3/2
+    out = assert_same_outcome(IntegerSystem(3, ((2, 1, 4), (0, 3, 1)), (3, 2)),
+                              {"v2": Fraction(1, 2)})
+    assert out.assignment == {"v2": Fraction(1, 2), "v0": Fraction(1, 4),
+                              "v1": Fraction(1, 2)}
+    # exact divisions all the way up
+    out = assert_same_outcome(IntegerSystem(3, ((2, 4, 6), (0, 3, 3), (0, 0, 5)),
+                                            (28, 15, 15)))
+    assert out.assignment == {"v0": 1, "v1": 2, "v2": 3}
+    for out in (out, solve(build_uniform(2, 2, 3, 7, 6))):
+        assert all(type(v) is Fraction for v in out.assignment.values())
+
+
+def test_free_basis_leaves_outcome_and_echelon_rows_unchanged():
+    fs = build_full(2, 2, 3, 7, 4)
+    out = solve(fs)
+    assignment, pivot_rows = dict(out.assignment), deepcopy(out._pivot_rows)
+    basis = out.free_basis
+    assert out.assignment == assignment and out._pivot_rows == pivot_rows
+    # a second reduction of the same rows, and a second solve, agree
+    assert SolveOutcome.free_basis.func(out) == basis
+    assert solve(fs).free_basis == basis
