@@ -66,7 +66,9 @@ def _parse_pins(pin_args) -> dict:
     pins = {}
     for item in pin_args or ():
         name, _, value = item.partition("=")
-        if not name.startswith("X") or not files._is_decimal(name[1:]) or not value:
+        # the value in ASCII, without the underscores ``Fraction`` reads
+        if (not name.startswith("X") or not files._is_decimal(name[1:]) or not value
+                or not value.isascii() or "_" in value):
             raise ValueError(f"bad pin {item!r}; expected e.g. X0=1")
         r = int(name[1:])
         if r in pins:

@@ -29,10 +29,9 @@ F_q^r: q^{u(r-kappa)} subspaces, u = dim U and kappa = dim K.  Of a
 family, q^{(d1-u)(r-d2)} members contain X if U <= G1 and K <= G2, and
 none otherwise (the Kramer-Mesner reduction by this group).  The parts
 add up, a block listed by several carrying the sum of their
-multiplicities, so the class sums are exact for every family.  Where a
-class is violated or a part's dimension is illegal, ``verify_families``
-reports ``verify(fam.design())`` instead, so both reports are always
-equal.
+multiplicities, so the class sums are exact for every family, and
+``verify_families`` reports as ``verify(fam.design())`` without
+expanding it.  ``verify`` is their case m1 = m: each class one subspace.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from operator import add
 from typing import Iterable, Iterator
 
 from .counting import count_N, covering_coefficient, gaussian
@@ -226,32 +224,12 @@ def verify(design: DesignMultiset) -> VerificationReport:
     enters every equation in closed form, w * C * count_D(s, d, m, q);
     the coverage kernel lists only the blocks whose multiplicity is not
     w and, if w is not 0, the d-subspaces absent from the design
-    (``_batches``).
+    (``_batches``), which ``_report`` reads as parts over m1 = m: a
+    class is one subspace, and each s one ``coverage`` call.
     """
     pr = design.params
-    q, t, k, n, m = pr.q, pr.t, pr.k, pr.n, pr.m
-    field = make_field(q)
-    r_rng = pr.r_range()
-    bad_dims = tuple((subspace_from_key(field, m, key), d)
-                     for d, table in design.tables.items() if d not in r_rng
-                     for key in table)
-    batches = _batches(q, m, design.tables)
-    violations = []
-    checked = 0
-    for s in pr.s_range():
-        expected = count_N(s, m, t, n, q)
-        coeff = {d: covering_coefficient(s, t, d, k, q) for d in design.tables}
-        acc = coverage([(d, w * coeff[d], keys)
-                        for d, w, keys in batches if coeff[d]], field, m, s)
-        # a Subspace only for a violation
-        for key, got in acc:
-            checked += 1
-            if got != expected:
-                violations.append(EquationViolation(
-                    s, subspace_from_key(field, m, key), got, expected))
-    ok = not violations and not bad_dims
-    return VerificationReport(ok, checked, tuple(violations), bad_dims,
-                              design.total_multiplicity())
+    parts = [(d, keys, 0, w) for d, w, keys in _batches(pr.q, pr.m, design.tables)]
+    return _report(pr, pr.m, parts, design.tables)
 
 
 def _batches(q: int, m: int, tables: dict) -> list:
@@ -334,7 +312,17 @@ def _punctured_tables(q: int, m: int, tables: dict) -> dict:
             img, place, out = entry
             img += top // q * place
             out[img] = out.get(img, 0) + mult
-    return out_tables
+    return _drop_cancelled(out_tables, chain(*map(dict.values, tables.values())))
+
+
+def _drop_cancelled(tables: dict, mults: Iterable) -> dict:
+    """These key tables less their blocks at multiplicity 0, if one of
+    ``mults``, the multiplicities added up in them, is negative: only
+    then can a sum cancel to 0."""
+    if min(mults, default=0) >= 0:
+        return tables
+    return {d: {key: mult for key, mult in table.items() if mult}
+            for d, table in tables.items()}
 
 
 def distinctness_check(design: DesignMultiset) -> bool:
@@ -627,7 +615,7 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 
 # ---------------------------------------------------------------------------
 # Constructions, unchecked: the uniform design, or extension families
-# (``verify`` and ``verify_families`` check them)
+# (``verify`` and ``verify_families`` check them by the same class sums)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -669,12 +657,9 @@ class ExtensionFamilies:
         parts list carries the sum of their multiplicities, and one whose
         parts cancel to 0 is left out."""
         pr = self.params
-        parts = [part for part in self.parts if part[3]]
-        tables = _extension_tables(pr.q, self.m1, pr.m, parts)
-        if any(part[3] < 0 for part in parts):
-            tables = {d: {key: mult for key, mult in table.items() if mult}
-                      for d, table in tables.items()}
-        return DesignMultiset._from_tables(pr, tables)
+        tables = _extension_tables(pr.q, self.m1, pr.m, self.parts)
+        return DesignMultiset._from_tables(pr, _drop_cancelled(
+            tables, [part[3] for part in self.parts]))
 
 
 def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
@@ -682,9 +667,9 @@ def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
     ``(d, keys, bottom, mult)`` is the d-subspaces ``_extension_keys(q,
     m, keys, n, bottom)``, each at multiplicity mult, keys None standing
     for every (d - dim bottom)-subspace of F_q^m; multiplicities of a
-    block listed twice add up."""
+    block listed twice add up, and a part at 0 lists nothing."""
     tables: dict = {}
-    for d, keys, bottom, mult in parts:
+    for d, keys, bottom, mult in (part for part in parts if part[3]):
         if keys is None:
             keys = grassmannian_keys(q, m, d - len(row_codes(bottom, q, n - m)))
         table = tables.setdefault(d, {})
@@ -695,61 +680,73 @@ def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
 
 
 def verify_families(fam: ExtensionFamilies) -> VerificationReport:
-    """``verify(fam.design())``, checked by class sums (module
-    docstring): per s and class (U, K), the sum over the parts of mult *
-    C(s,t,d,k,q) * q^{(d1-u)(r-d2)} * #{G1 >= U} * [K <= G2] must be
-    N(s,m,t,n,q); ``equations_checked`` counts each class's subspaces.
-
-    The parts add up, so the sums are exact for every family; it expands
-    the design only to report what failed, returning
-    ``verify(fam.design())`` itself if a class is violated or a part's
-    dimension is outside ``r_range`` (for ``block_dim_violations``)."""
+    """``verify(fam.design())`` by class sums (module docstring): per s
+    and class (U, K), the sum over the parts of mult * C(s,t,d,k,q) *
+    q^{(d1-u)(r-d2)} * #{G1 >= U} * [K <= G2] must be N(s,m,t,n,q).  Only
+    parts of a dimension outside ``r_range`` are expanded, for
+    ``block_dim_violations``."""
     pr = fam.params
-    if any(d not in pr.r_range() for d, _, _, _ in fam.parts):
-        return verify(fam.design())
-    checked = 0
-    for s in pr.s_range():
-        expected = count_N(s, pr.m, pr.t, pr.n, pr.q)
-        for _, _, size, got in _class_sums(fam, s):
-            if got != expected:
-                return verify(fam.design())
+    bad = [part for part in fam.parts if part[0] not in pr.r_range()]
+    tables = _drop_cancelled(_extension_tables(pr.q, fam.m1, pr.m, bad),
+                             [part[3] for part in bad])
+    return _report(pr, fam.m1, fam.parts, tables)
+
+
+def _report(params: DesignParams, m1: int, parts, tables: dict) -> VerificationReport:
+    """The report on the design of these ``ExtensionFamilies`` parts over
+    F_q^{m1}, by class sums: a violated class lists its q^{u(r-kappa)}
+    subspaces ``_extension_keys(q, m1, (U,), m, K)``, sorted per s, as
+    ``verify`` of the expansion does.  ``tables`` holds (at least) the key
+    tables of the blocks of a dimension outside ``r_range``."""
+    q, m, r = params.q, params.m, params.m - m1
+    field = make_field(q)
+    violations, checked = [], 0
+    for s in params.s_range():
+        expected = count_N(s, m, params.t, params.n, q)
+        failed = []
+        for top, below, size, got in _class_sums(params, m1, parts, s):
             checked += size
-    q, r = pr.q, pr.m - fam.m1
+            if got != expected:     # a Subspace only for a violation
+                failed += [(key, got) for key in _extension_keys(q, m1, (top,), m, below)]
+        violations += [EquationViolation(s, subspace_from_key(field, m, key), got, expected)
+                       for key, got in sorted(failed)]
+    bad_dims = tuple((subspace_from_key(field, m, key), d)
+                     for d, table in tables.items() if d not in params.r_range()
+                     for key in table)
     total = 0
-    for d, keys, bottom, mult in fam.parts:
+    for d, keys, bottom, mult in parts:
         d2 = len(row_codes(bottom, q, r))
-        tops = gaussian(fam.m1, d - d2, q) if keys is None else len(keys)
+        tops = gaussian(m1, d - d2, q) if keys is None else len(keys)
         total += mult * tops * q ** ((d - d2) * (r - d2))
-    return VerificationReport(True, checked, (), (), total)
+    return VerificationReport(not violations and not bad_dims, checked,
+                              tuple(violations), bad_dims, total)
 
 
-def _class_sums(fam: ExtensionFamilies, s: int) -> Iterator[tuple]:
+def _class_sums(params: DesignParams, m1: int, parts: list, s: int) -> Iterator[tuple]:
     """Yield ``(U, K, size, got)`` for each class of s-subspaces X of
-    F_q^m: U the key of X's projection to F_q^{m1}, K the key of X meet
-    F_q^r in F_q^r, size the number q^{u(r-kappa)} of X in the class,
-    and got the sum of mult * C(s,t,d,k,q) over the blocks containing
-    any one X.  Per part, ``coverage`` counts the tops containing each U
-    and whether G2 contains each K."""
-    pr, m1 = fam.params, fam.m1
-    q, r = pr.q, pr.m - m1
+    F_q^m under these ``ExtensionFamilies`` parts over F_q^{m1}: U the
+    key of X's projection to F_q^{m1}, K the key of X meet F_q^r in
+    F_q^r, size the number q^{u(r-kappa)} of X in the class, and got the
+    sum of mult * C(s,t,d,k,q) over the blocks containing any one X.
+    Per (u, K), one ``coverage`` call counts the tops containing each U
+    of the parts whose G2 contains K, at mult * C * q^{(d1-u)(r-d2)}."""
+    q, r = params.q, params.m - m1
     field = make_field(q)
     for u in range(max(0, s - r), min(s, m1) + 1):
         kappa = s - u
-        rows = []
-        for d, keys, bottom, mult in fam.parts:
+        weighted = []       # (the K inside G2, the part's batch)
+        for d, keys, bottom, mult in parts:
             d2 = len(row_codes(bottom, q, r))
-            w = mult * covering_coefficient(s, pr.t, d, pr.k, q)
+            w = mult * covering_coefficient(s, params.t, d, params.k, q)
             if w and d - d2 >= u and d2 >= kappa:
-                rows.append((w * q ** ((d - d2 - u) * (r - d2)),
-                             [c for _, c in coverage([(d - d2, 1, keys)], field, m1, u)],
-                             [c for _, c in coverage([(d2, 1, (bottom,))], field, r, kappa)]))
-        tops, size = grassmannian_keys(q, m1, u), q ** (u * (r - kappa))
-        for j, below in enumerate(grassmannian_keys(q, r, kappa)):
-            sums = [0] * len(tops)
-            for w, counts, inside in rows:
-                if inside[j]:
-                    sums = list(map(add, sums, map(w.__mul__, counts)))
-            yield from ((top, below, size, got) for top, got in zip(tops, sums))
+                cover = coverage([(d2, 1, (bottom,))], field, r, kappa)
+                weighted.append(({below for below, c in cover if c},
+                                 (d - d2, w * q ** ((d - d2 - u) * (r - d2)), keys)))
+        size = q ** (u * (r - kappa))
+        for below in grassmannian_keys(q, r, kappa):
+            batches = [batch for inside, batch in weighted if below in inside]
+            for top, got in coverage(batches, field, m1, u):
+                yield top, below, size, got
 
 
 def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,

@@ -321,6 +321,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     ("uniform-solve 2 2 3 7 4 --pin X\u0660=1",     # an Arabic-Indic zero
      "bad pin 'X\u0660=1'; expected e.g. X0=1"),
     ("uniform-solve 2 2 3 7 4 --pin X=1", "bad pin 'X=1'; expected e.g. X0=1"),
+    # and a value by ASCII characters, without the underscores Fraction reads
+    ("uniform-solve 2 2 3 7 4 --pin X0=\u0663",     # an Arabic-Indic three
+     "bad pin 'X0=\u0663'; expected e.g. X0=1"),
+    ("uniform-solve 2 2 3 7 4 --pin X0=1_0", "bad pin 'X0=1_0'; expected e.g. X0=1"),
     ("uniform-solve 2 2 3 7 4 --pin X0=1 --pin X0=2",
      "bad pin 'X0=2'; X0 is pinned twice"),
     ("uniform-solve 2 2 3 7 4 --pin X0=1 --pin X00=5",

@@ -197,10 +197,10 @@ def test_batches_list_only_what_differs_from_w():
     alone; with exactly one block at another multiplicity that block is
     listed, at mult - w, and no absent subspace; at w = 0 every block is
     listed, also when the table is as large as the absent part.  A block
-    whose multiplicities cancelled in a table (a puncture, summed parts)
-    stays in it at 0 and is listed as absent, also when w is not 0 and
-    when the table's one nonzero multiplicity would otherwise stand for
-    every key in it."""
+    whose multiplicities cancelled in a summed table stays in it at 0
+    and is listed as absent, also when w is not 0 and when the table's
+    one nonzero multiplicity would otherwise stand for every key in it;
+    a puncture and a family's design leave such a block out."""
     uniform = construct_uniform_design(3, 2, 3, 7, 4, {0: 2, 2: 5, 3: 7})
     plane = next(b for b in uniform.blocks if b.dim == 3)
     raised = uniform.with_block_multiplicity(plane, 9)
@@ -222,7 +222,9 @@ def test_batches_list_only_what_differs_from_w():
     punctured = puncture_design(ExtensionFamilies(DesignParams(2, 1, 2, 5, 4), 3, (
         (1, tuple(pts[:5]), 0, 1),
         (2, (pts[4],), subspaces.rows_key(2, ((1,),)), -2))).design())
-    assert punctured.tables == {1: {1: 2, 2: 2, 3: 2, 4: 2, 5: 0}}
+    assert punctured.tables == {1: {1: 2, 2: 2, 3: 2, 4: 2}}
+    punctured = DesignMultiset._from_tables(
+        punctured.params, {1: {**punctured.tables[1], 5: 0}})
     # 2 of the 15 points of F_2^4 at 0, then 2 at 1: w = 0; the family's
     # design leaves out the two at 0, its summed tables keep them
     fam = cancelled_family()
@@ -748,21 +750,27 @@ def split_family(fam, extra):
 
 @pytest.mark.parametrize("name", CONSTRUCTIONS)
 def test_verify_families_matches_verify(name, monkeypatch):
-    """The class sums pass every construction without expanding it, also
-    with a part split in two that add up to it, and on each mutant
-    report exactly what ``verify`` of the expansion does, and the
-    object-keyed oracle, violations included: where a class is violated
-    or a part is illegal, by falling back to it."""
+    """The class sums pass every construction, also with a part split in
+    two that add up to it, and on each mutant report exactly what
+    ``verify`` of the expansion does, and the object-keyed oracle,
+    violations and illegal blocks included; all without expanding the
+    family or calling ``verify``."""
     fam = CONSTRUCTIONS[name]
     expected = verify(fam.design())
     assert expected.ok
     split = split_family(fam, 0)
     assert split.design() == fam.design()
-    with monkeypatch.context() as patch:
-        patch.setattr(designs, "verify", None)      # the sums alone
+    mutants = family_mutants(fam)
+
+    def refuse(*args):
+        raise AssertionError("the family was expanded or verified")
+
+    with monkeypatch.context() as patch:        # the sums alone
+        patch.setattr(designs, "verify", refuse)
+        patch.setattr(ExtensionFamilies, "design", refuse)
         assert verify_families(fam) == verify_families(split) == expected
-    for mutant in family_mutants(fam):
-        report = verify_families(mutant)
+        reports = [verify_families(mutant) for mutant in mutants]
+    for mutant, report in zip(mutants, reports):
         assert not report.ok
         assert report == verify(mutant.design())
         if name not in ("s3485-q3", "s3485-q4"):    # too slow there

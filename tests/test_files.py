@@ -8,8 +8,8 @@ from slow_oracles import object_parse_design
 from qsteiner import files
 from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                               build_parallelism, construct_uniform_design,
-                              fano_m5_families, recursive_families,
-                              s3485_families)
+                              fano_m5_families, puncture_design,
+                              recursive_families, s3485_families)
 from qsteiner.equations import uniform_family_solution
 from qsteiner.field import make_field
 from qsteiner.files import (parse_design, parse_design_file, parse_parallelism,
@@ -460,8 +460,9 @@ def test_tables_follow_line_order():
 
 def test_cancelled_blocks_write_and_read_back(tmp_path):
     """Extension families whose parts cancel on a block leave it out of
-    the design, which writes and reads back; a block of negative
-    multiplicity is refused before the file is opened."""
+    the design, which writes and reads back, and so does a puncture
+    whose images cancel; a block of negative multiplicity is refused
+    before the file is opened."""
     params = DesignParams(2, 1, 2, 5, 4)
     lines = grassmannian_keys(2, 3, 1)
     design = ExtensionFamilies(params, 3, ((1, lines, 0, 1),
@@ -482,7 +483,16 @@ def test_cancelled_blocks_write_and_read_back(tmp_path):
         write_design(negative, path)
     assert str(exc.value) == message
     assert not path.exists()
-    # a block left at 0, as a puncture of negative blocks may leave one
+    # the two points of F_2^5 off the last column at 1 and -1 puncture to
+    # one point at 0, which is left out: the empty design
+    punctured = puncture_design(DesignMultiset._from_tables(
+        DesignParams(2, 2, 3, 7, 5), {1: {0b10000: 1, 0b10001: -1}}))
+    assert punctured == DesignMultiset._from_tables(DesignParams(2, 2, 3, 7, 4), {})
+    path = tmp_path / "punctured.design"
+    write_design(punctured, path)
+    assert parse_design_file(path) == punctured
+    # a block left at 0 in a table made by hand
+    path = tmp_path / "zero.design"
     zero = DesignMultiset._from_tables(params, {1: {**design.tables[1], 2: 0}})
     with pytest.raises(ValueError, match=r"^multiplicity must be positive in "
                                          r"'block 0 1 0010'$"):

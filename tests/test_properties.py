@@ -193,7 +193,7 @@ def test_class_sums_match_each_subspace(fam):
     pr, m1 = fam.params, fam.m1
     for s in pr.s_range():
         sums = {(top, below): (size, got)
-                for top, below, size, got in _class_sums(fam, s)}
+                for top, below, size, got in _class_sums(pr, m1, fam.parts, s)}
         weighted = [(y, mult * covering_coefficient(s, pr.t, y.dim, pr.k, pr.q))
                     for y, mult in design.blocks.items()]
         sizes = Counter()
