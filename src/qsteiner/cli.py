@@ -29,6 +29,19 @@ def _fmt_value(v) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _is_integer(text: str) -> bool:
+    """True iff text is ASCII decimal digits after an optional ``-``;
+    ``int`` also takes spaces, ``+``, underscores and non-ASCII digits."""
+    return files._is_decimal(text.removeprefix("-"))
+
+
+def _integer(text: str) -> int:
+    """An integer argument, checked by ``_is_integer``."""
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def cmd_gauss(args) -> int:
     print(counting.gaussian(args.n, args.k, args.q))
     return 0
@@ -229,11 +242,10 @@ def _parse_ops(op_args, ncols: int) -> list:
     ops = []
     for item in op_args or ():
         col, _, coeffs = item.partition("=")
-        try:
-            j = int(col)
-            cs = tuple(int(c) for c in coeffs.split(","))
-        except ValueError:
-            raise ValueError(f"bad op {item!r}; expected J=c0,c1,...") from None
+        tokens = coeffs.split(",")
+        if not all(map(_is_integer, [col, *tokens])):
+            raise ValueError(f"bad op {item!r}; expected J=c0,c1,...")
+        j, cs = int(col), tuple(map(int, tokens))
         if len(cs) != ncols:
             raise ValueError(f"op {item!r} needs {ncols} coefficients")
         ops.append((j, cs))
@@ -256,7 +268,7 @@ def cmd_transform(args) -> int:
 
 def _add_system_args(sub) -> None:
     for name in ("q", "t", "k", "n", "m"):
-        sub.add_argument(name, type=int)
+        sub.add_argument(name, type=_integer)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,21 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gauss", help="q-binomial coefficient [n choose k]_q")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("k", type=_integer)
+    p.add_argument("q", type=_integer)
     p.set_defaults(func=cmd_gauss)
 
     p = subs.add_parser("necessary",
                         help="divisibility necessary conditions for S_q(t,k,n)")
     for name in ("t", "k", "n", "q"):
-        p.add_argument(name, type=int)
+        p.add_argument(name, type=_integer)
     p.set_defaults(func=cmd_necessary)
 
     p = subs.add_parser("oracle",
                         help="compare a closed-form count with its brute-force oracle")
     p.add_argument("count", choices=("N", "C", "D"))
-    p.add_argument("params", type=int, nargs="+",
+    p.add_argument("params", type=_integer, nargs="+",
                    help=" | ".join(f"{c}: {names}"
                                    for c, names in _ORACLE_PARAMS.items()))
     p.set_defaults(func=cmd_oracle)
@@ -305,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("build", help="build, write and verify a design")
     p.add_argument("name",
                    choices=("fano-m4", "s3484", "s3485", "fano-m5", "recursive"))
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, help="parameter k for 'recursive'")
+    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, help="parameter k for 'recursive'")
     p.add_argument("--parallelism", default="auto",
                    help="auto | search | path to a parallelism file")
     p.add_argument("--base", help="base design file for 'recursive'")
@@ -320,15 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_puncture)
 
     p = subs.add_parser("spread", help="build the field-extension spread of F_q^n")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("q", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_spread)
 
     p = subs.add_parser("parallelism",
                         help="search or load a parallelism and write it out")
-    p.add_argument("q", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("q", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("--source", default="auto",
                    help="auto | search | path to a parallelism file")
     p.add_argument("-o", "--output")

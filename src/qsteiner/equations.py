@@ -7,7 +7,11 @@ coefficient D_{s,r,m} * C_{(s,t),(r,k)}.  The full system has one
 equation per s-subspace X of F_q^m and one unknown a_Y per r-subspace
 Y, with coefficient C_{(s,t),(r,k)} when X <= Y and 0 otherwise, placed
 by the verifier's coverage kernel; ``designs.verify`` checks a design
-against these equations without materializing them.  All
+against these equations without materializing them.  Both systems
+hand ``solve`` their equations as sparse rows, ``{column: coefficient}``
+dicts of the nonzeros: the full system stores only these, and derives
+its dense ``matrix`` when read; the uniform system stores its few dense
+coefficients and derives the rows.  All
 arithmetic is exact: coefficients are integers, elimination is sparse
 and fraction-free over Python integers, ``fractions.Fraction`` values
 are formed only where a substitution does not divide exactly and for
@@ -21,7 +25,6 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import compress
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
@@ -29,8 +32,9 @@ from .designs import DesignParams
 from .field import make_field
 from .subspaces import _decode_key, _within_columns, grassmannian_keys
 
-# Largest number of equations a materialized full system may have.
-FULL_SYSTEM_GUARD = 10 ** 5
+# Largest number of nonzero coefficients a materialized full system may
+# have (``full_system_nonzeros``).
+FULL_SYSTEM_GUARD = 10 ** 6
 
 
 class NonIntegralSolution(ValueError):
@@ -51,19 +55,41 @@ class UniformSystem:
     def variable_keys(self) -> tuple:
         return self.r_values
 
+    @property
+    def rows(self) -> tuple:
+        """Each equation's nonzero coefficients, ``{column: coefficient}``."""
+        return tuple({j: c for j, c in enumerate(row) if c} for row in self.matrix)
+
 
 @dataclass(frozen=True)
 class FullSystem:
-    """One equation per s-subspace, one unknown a_Y per r-subspace."""
+    """One equation per s-subspace, one unknown a_Y per r-subspace.
+
+    ``rows[i]`` holds equation i's nonzero coefficients only, as
+    ``{column: coefficient}`` with columns indexing ``variables``; they
+    are never changed.  ``matrix`` is the dense view of them, built
+    each time it is read.
+    """
 
     params: DesignParams
     subjects: tuple        # s-subspaces, canonical order, dims ascending
     variables: tuple       # r-subspaces, canonical order, dims ascending
-    matrix: tuple          # integer coefficient rows aligned with variables
+    rows: tuple            # per subject, {column: nonzero integer coefficient}
     rhs: tuple
 
     def variable_keys(self) -> tuple:
         return self.variables
+
+    @property
+    def matrix(self) -> tuple:
+        """The integer coefficient rows, dense, aligned with variables."""
+        dense = []
+        for row in self.rows:
+            coeffs = [0] * len(self.variables)
+            for j, c in row.items():
+                coeffs[j] = c
+            dense.append(tuple(coeffs))
+        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -134,27 +160,37 @@ def build_uniform(q: int, t: int, k: int, n: int, m: int) -> UniformSystem:
     return UniformSystem(params, s_values, r_values, tuple(matrix), tuple(rhs))
 
 
+def full_system_nonzeros(q: int, t: int, k: int, n: int, m: int) -> int:
+    """The number of nonzero coefficients of the full system of
+    S_q(t,k,n;m): each of the [m r]_q r-subspaces holds [r s]_q
+    s-subspaces, for every (s, r) with a nonzero covering coefficient."""
+    params = DesignParams(q, t, k, n, m)
+    return sum(gaussian(m, r, q) * gaussian(r, s, q)
+               for r in params.r_range() for s in params.s_range()
+               if covering_coefficient(s, t, r, k, q))
+
+
 def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
     """The per-subspace equation system for S_q(t,k,n;m), placed by
     the coverage kernel: ``subspaces._within_columns`` lists the keys of
     the s-subspaces X of each r-subspace Y; row X gets C_{(s,t),(r,k)}
-    in column Y.
+    in column Y, and no entry where the coefficient is 0.
 
-    Guarded: systems beyond FULL_SYSTEM_GUARD equations must be checked
-    with the streaming verifier instead of being materialized.
+    Guarded: systems beyond FULL_SYSTEM_GUARD nonzero coefficients are
+    refused before anything is built; check a design against them with
+    the streaming verifier instead.
     """
     params = DesignParams(q, t, k, n, m)
-    n_eq = sum(gaussian(m, s, q) for s in params.s_range())
-    if n_eq > FULL_SYSTEM_GUARD:
-        raise ValueError(f"full system would have {n_eq} equations "
+    nonzeros = full_system_nonzeros(q, t, k, n, m)
+    if nonzeros > FULL_SYSTEM_GUARD:
+        raise ValueError(f"full system would have {nonzeros} nonzero coefficients "
                          f"(> {FULL_SYSTEM_GUARD}); use the streaming verifier")
     field = make_field(q)
     s_rng, r_rng = params.s_range(), params.r_range()
     # each Grassmannian listed and decoded once, for rows and columns
     keys = {d: grassmannian_keys(q, m, d) for d in {*s_rng, *r_rng}}
     decoded = {d: [_decode_key(field, m, key) for key in keys[d]] for d in keys}
-    row_of = {key: i for i, key in enumerate(key for s in s_rng for key in keys[s])}
-    matrix = [[0] * sum(len(keys[r]) for r in r_rng) for _ in row_of]
+    row_at = {key: {} for s in s_rng for key in keys[s]}
     offset = 0
     for r in r_rng:
         for s in s_rng:
@@ -162,11 +198,11 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
             if c:
                 for start, column in _within_columns(field, m, r, keys[r], s):
                     for j, key in enumerate(column, offset + start):
-                        matrix[row_of[key]][j] = c
+                        row_at[key][j] = c
         offset += len(keys[r])
     return FullSystem(params, tuple(x for s in s_rng for x in decoded[s]),
                       tuple(y for r in r_rng for y in decoded[r]),
-                      tuple(map(tuple, matrix)),
+                      tuple(row_at.values()),
                       tuple(b for s in s_rng
                             for b in [count_N(s, m, t, n, q)] * len(keys[s])))
 
@@ -195,12 +231,15 @@ def _clear(row: dict, col: int, prow: dict) -> None:
 def solve(system, pins: dict | None = None) -> SolveOutcome:
     """Exact elimination after substituting the pinned values.
 
-    Elimination is sparse and fraction-free: each equation is a dict of
-    its nonzero integer entries, the right-hand side in the column after
-    the last unknown, scaled by the denominator of that right-hand side
-    once the pins are substituted.  A row is cleared of a pivot column
-    by cross-multiplying with the pivot row and dividing out the gcd of
-    its entries.  Forward elimination clears each pivot column from the
+    The system gives ``variable_keys()``, ``rhs`` and ``rows``, each
+    equation's nonzero integer coefficients as ``{column: coefficient}``
+    with columns indexing ``variable_keys()``; ``rows`` is read, never
+    changed.  Elimination is sparse and fraction-free: each equation is
+    a copy of its row, pins substituted over its nonzeros, with the
+    right-hand side in the column after the last unknown, all scaled by
+    the denominator of that right-hand side.  A row is cleared of a
+    pivot column by cross-multiplying with the pivot row and dividing
+    out the gcd of its entries.  Forward elimination clears each pivot column from the
     rows not yet pivoted, picking the pivot row with the fewest entries,
     then the smallest lead, then the first, and leaves the pivot rows in
     echelon form.  Substitution over them, last pivot first, gives each
@@ -225,21 +264,23 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     column = {key_index[kk]: c for c, kk in enumerate(unpinned)}
     ncol = len(unpinned)
     rows = []
-    for coeffs, b in zip(system.matrix, system.rhs):
-        # an int until a pin makes it a Fraction; both have a numerator
-        # and a denominator
-        rhs_val = b
-        row = {}
-        for pos in compress(range(len(coeffs)), coeffs):
-            if pos in pinned:
-                rhs_val -= coeffs[pos] * pinned[pos]
-            else:
-                row[column[pos]] = coeffs[pos]
-        den = rhs_val.denominator
-        if den != 1:
-            row = {c: v * den for c, v in row.items()}
-        if rhs_val:
-            row[ncol] = rhs_val.numerator
+    for coeffs, b in zip(system.rows, system.rhs):
+        if pinned:
+            # an int until a pin makes it a Fraction; both have a
+            # numerator and a denominator
+            row = {}
+            for pos, v in coeffs.items():
+                if pos in pinned:
+                    b -= v * pinned[pos]
+                else:
+                    row[column[pos]] = v
+            if b.denominator != 1:
+                row = {c: v * b.denominator for c, v in row.items()}
+        else:
+            # elimination clears rows in place
+            row = dict(coeffs)
+        if b:
+            row[ncol] = b.numerator
         rows.append(row)
 
     # forward elimination on the rows not yet pivoted, which hold column

@@ -330,6 +330,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     ("uniform-solve 2 2 3 7 4 --pin X0=1 --pin X00=5",
      "bad pin 'X00=5'; X0 is pinned twice"),
     ("uniform-solve 6 2 3 7 4 --pin X0=1", "unsupported field order 6"),
+    # refused before it is built, where the dense form exhausted memory
+    ("full-solve 4 2 3 7 6", "full system would have 8471463 nonzero coefficients"),
     ("oracle C 0 1 1 40 2", "oracle would enumerate"),
     ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),
     ("oracle C 1 2 1 4", "oracle C takes 5 numbers: s t r k q"),
@@ -342,6 +344,50 @@ def test_degenerate_arguments_exit_2(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    "full-solve 2 2 3 7 \u0662",  # an Arabic-Indic two
+    "full-solve 2 2 3 +7 6",
+    "gauss 1_0 1 2",
+    "gauss ' 10' 1 2",
+    "gauss 10 1 '2\u00a0'",  # a no-break space
+    "necessary 2 3 7 \u0662",
+    "oracle N 1 4 2 7 \u0662",
+    "spread 2 \uff14",  # a fullwidth four
+    "parallelism 2 1_0",
+    "build fano-m4 --q \u0662",
+    "build recursive --q 2 --k \u0663",
+    "build recursive --q 2 --k -",
+    "transform fano-m4-q2.design --op \u0660=1,0,0,0",
+    "transform fano-m4-q2.design --op ' 1=1,1,0,0'",
+    "transform fano-m4-q2.design --op 1=1,1,0,+0",
+    "transform fano-m4-q2.design --op 1=1,0_1,0,0",
+    "transform fano-m4-q2.design --op 1=1,--1,0,0",
+])
+def test_integer_arguments_are_ascii_decimal(tmp_path, capsys, monkeypatch, argv):
+    """Every integer argument is ASCII decimal digits after an optional
+    ``-``, as ``--pin`` names are; ``int`` would also take spaces, a
+    ``+``, underscores and non-ASCII digits.  Each line exits 2 and
+    writes no file."""
+    monkeypatch.chdir(tmp_path)
+    write_design(construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16}),
+                 "fano-m4-q2.design")
+    try:
+        code = main(shlex.split(argv))
+    except SystemExit as exc:    # argparse rejected the line
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "error:" in err
+    assert os.listdir() == ["fano-m4-q2.design"]
+
+
+def test_negative_integer_arguments_keep_their_messages(capsys):
+    """A leading ``-`` still reaches the range checks."""
+    code, out, err = run(capsys, "gauss", "7", "2", "-2")
+    assert code == 2 and out == "" and "q >= 2" in err
+    code, out, err = run(capsys, "full-solve", "2", "2", "3", "7", "-1")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_readme_commands_run(tmp_path, capsys, monkeypatch):

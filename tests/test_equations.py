@@ -1,6 +1,8 @@
 """Equation-system construction and exact rational solving."""
 
 import random
+import time
+import tracemalloc
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
@@ -14,8 +16,8 @@ from qsteiner.counting import count_D, count_N, covering_coefficient, gaussian
 from qsteiner.designs import DesignMultiset, construct_uniform_design, verify
 from qsteiner.equations import (FULL_SYSTEM_GUARD, NonIntegralSolution,
                                 SolveOutcome, build_full, build_uniform,
-                                family_system_params, solve,
-                                uniform_family_solution)
+                                family_system_params, full_system_nonzeros,
+                                solve, uniform_family_solution)
 from qsteiner.subspaces import contains
 
 # (q, m) of S_q(2,3,7;m) systems covering q = 2, odd q and the
@@ -196,6 +198,57 @@ def test_full_system_guard():
         build_full(2, 2, 3, 17, 14)
 
 
+def test_full_system_nonzeros_closed_form():
+    """``full_system_nonzeros`` counts the stored entries without
+    building the system, and the guard admits S_2(2,3,9;8)."""
+    for q, m in (*FULL_CASES, (2, 5), (2, 6)):
+        fs = build_full(q, 2, 3, 7, m)
+        assert full_system_nonzeros(q, 2, 3, 7, m) == sum(map(len, fs.rows))
+    assert full_system_nonzeros(2, 2, 3, 7, 6) == 12369
+    assert full_system_nonzeros(2, 2, 3, 9, 8) == 723265 <= FULL_SYSTEM_GUARD
+    assert full_system_nonzeros(4, 2, 3, 7, 6) == 8471463 > FULL_SYSTEM_GUARD
+
+
+def test_full_system_guard_refuses_before_building():
+    """The refusal names the count and comes at once, before a field
+    table or a Grassmannian is built."""
+    for args, count in (((4, 2, 3, 7, 6), 8471463),
+                        ((2, 2, 3, 17, 14), full_system_nonzeros(2, 2, 3, 17, 14))):
+        tracemalloc.start()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"would have {count} nonzero"):
+            build_full(*args)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert took < 0.5 and peak < 100_000, (args, took, peak)
+
+
+@pytest.mark.parametrize("q, m", (*FULL_CASES, (2, 5)))
+def test_full_system_rows_are_the_nonzeros(q, m):
+    """``rows`` holds exactly the nonzero entries of ``matrix``, and no
+    stored 0."""
+    fs = build_full(q, 2, 3, 7, m)
+    assert len(fs.rows) == len(fs.matrix) == len(fs.rhs) == len(fs.subjects)
+    for row, dense in zip(fs.rows, fs.matrix):
+        assert len(dense) == len(fs.variables)
+        assert row == {j: c for j, c in enumerate(dense) if c}
+        assert 0 not in row.values()
+
+
+def test_solve_leaves_rows_unchanged():
+    """Elimination works on copies: ``rows`` is the same after a solve,
+    pinned or not, and after the free basis is read."""
+    fs, us = build_full(2, 2, 3, 7, 4), build_uniform(2, 2, 3, 7, 4)
+    for system, pins in ((fs, None), (fs, {fs.variables[0]: Fraction(1, 3),
+                                           fs.variables[7]: 2}),
+                         (us, None), (us, {0: 1})):
+        before = deepcopy(system.rows)
+        out = solve(system, pins)
+        out.free_basis
+        assert system.rows == before
+
+
 def test_uniform_to_full_consistency():
     """A constant assignment per dimension satisfies the full system."""
     # pins giving the integral uniform solution of S_2(2,3,7;m)
@@ -373,7 +426,9 @@ def test_solve_matches_dense_oracle_on_pinned_uniform_systems():
 
 @dataclass(frozen=True)
 class IntegerSystem:
-    """The three things ``solve`` reads from a system."""
+    """The three things ``solve`` reads from a system, ``rows`` derived
+    from the dense ``matrix`` that ``slow_oracles.dense_fraction_solve``
+    reads."""
 
     ncols: int
     matrix: tuple
@@ -381,6 +436,10 @@ class IntegerSystem:
 
     def variable_keys(self) -> tuple:
         return tuple(f"v{j}" for j in range(self.ncols))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple({j: c for j, c in enumerate(row) if c} for row in self.matrix)
 
 
 def random_integer_system(rng: random.Random, min_size: int = 0,
