@@ -40,6 +40,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
+from operator import countOf
 from typing import Iterable, Iterator
 
 from .counting import count_N, covering_coefficient, gaussian
@@ -225,7 +226,10 @@ def verify(design: DesignMultiset) -> VerificationReport:
     the coverage kernel lists only the blocks whose multiplicity is not
     w and, if w is not 0, the d-subspaces absent from the design
     (``_batches``), which ``_report`` reads as parts over m1 = m: a
-    class is one subspace, and each s one ``coverage`` call.
+    class is one subspace, and each s one ``coverage`` call, whose
+    default stands for every s-subspace no listed block contains.  The
+    equations are counted per default; only the listed sums are read,
+    and the whole Grassmannian only if the default itself fails.
     """
     pr = design.params
     parts = [(d, keys, 0, w) for d, w, keys in _batches(pr.q, pr.m, design.tables)]
@@ -243,13 +247,19 @@ def _batches(q: int, m: int, tables: dict) -> list:
     at mult - w, and each d-subspace absent from the table at -w, its
     key listed from the pivot cells (``_cell_keys``).  If w is 0 they
     are the table's blocks.  A block at multiplicity 0 counts as absent.
-    Keys are grouped by weight.
+    Keys are grouped by weight.  A table whose blocks all carry one
+    nonzero multiplicity, the common case, is recognised by one
+    ``countOf`` over its values; ``Counter`` counts only the others.
     """
     out = []
     for d, table in tables.items():
-        counts = Counter(table.values())
-        if counts.pop(0, 0):    # a block whose multiplicities cancelled
-            table = {key: mult for key, mult in table.items() if mult}
+        first = next(iter(table.values()), 0)
+        if first and countOf(table.values(), first) == len(table):
+            counts = Counter({first: len(table)})
+        else:
+            counts = Counter(table.values())
+            if counts.pop(0, 0):    # a block whose multiplicities cancelled
+                table = {key: mult for key, mult in table.items() if mult}
         counts[0] = gaussian(m, d, q) - len(table)
         (w, most), *rest = counts.most_common(2)
         if rest and rest[0][1] == most:
@@ -380,8 +390,9 @@ class SteinerSystem:
 
 def verify_steiner(system: SteinerSystem) -> bool:
     """Every t-subspace of the ambient space covered exactly once."""
-    cov = coverage([(system.k, 1, system.keys)], system.field, system.n, system.t)
-    return all(c == 1 for _, c in cov)
+    q, t, n = system.field.q, system.t, system.n
+    _, sums = coverage([(system.k, 1, system.keys)], system.field, n, t)
+    return len(sums) == gaussian(n, t, q) and all(c == 1 for c in sums.values())
 
 
 def trivial_steiner(q: int, t: int, n: int) -> SteinerSystem:
@@ -697,17 +708,24 @@ def _report(params: DesignParams, m1: int, parts, tables: dict) -> VerificationR
     F_q^{m1}, by class sums: a violated class lists its q^{u(r-kappa)}
     subspaces ``_extension_keys(q, m1, (U,), m, K)``, sorted per s, as
     ``verify`` of the expansion does.  ``tables`` holds (at least) the key
-    tables of the blocks of a dimension outside ``r_range``."""
+    tables of the blocks of a dimension outside ``r_range``.
+
+    Per (u, K) the equations are counted as size * [m1 u]_q, one per
+    class default; the classes are read one by one only from the listed
+    sums, or from every u-subspace U if the default is not N."""
     q, m, r = params.q, params.m, params.m - m1
     field = make_field(q)
     violations, checked = [], 0
     for s in params.s_range():
         expected = count_N(s, m, params.t, params.n, q)
         failed = []
-        for top, below, size, got in _class_sums(params, m1, parts, s):
-            checked += size
-            if got != expected:     # a Subspace only for a violation
-                failed += [(key, got) for key in _extension_keys(q, m1, (top,), m, below)]
+        for u, below, size, default, sums in _class_sums(params, m1, parts, s):
+            checked += size * gaussian(m1, u, q)
+            tops = (sums.items() if default == expected else
+                    [(top, sums.get(top, default)) for top in grassmannian_keys(q, m1, u)])
+            for top, got in tops:
+                if got != expected:     # a Subspace only for a violation
+                    failed += [(key, got) for key in _extension_keys(q, m1, (top,), m, below)]
         violations += [EquationViolation(s, subspace_from_key(field, m, key), got, expected)
                        for key, got in sorted(failed)]
     bad_dims = tuple((subspace_from_key(field, m, key), d)
@@ -723,13 +741,15 @@ def _report(params: DesignParams, m1: int, parts, tables: dict) -> VerificationR
 
 
 def _class_sums(params: DesignParams, m1: int, parts: list, s: int) -> Iterator[tuple]:
-    """Yield ``(U, K, size, got)`` for each class of s-subspaces X of
-    F_q^m under these ``ExtensionFamilies`` parts over F_q^{m1}: U the
+    """Yield ``(u, K, size, default, sums)`` per dimension u and key K
+    for the classes (U, K) of s-subspaces X of F_q^m under these
+    ``ExtensionFamilies`` parts over F_q^{m1}: U, of dimension u, the
     key of X's projection to F_q^{m1}, K the key of X meet F_q^r in
-    F_q^r, size the number q^{u(r-kappa)} of X in the class, and got the
-    sum of mult * C(s,t,d,k,q) over the blocks containing any one X.
-    Per (u, K), one ``coverage`` call counts the tops containing each U
-    of the parts whose G2 contains K, at mult * C * q^{(d1-u)(r-d2)}."""
+    F_q^r, size the number q^{u(r-kappa)} of X in each class, and
+    ``sums.get(U, default)`` the sum of mult * C(s,t,d,k,q) over the
+    blocks containing any one X of the class (U, K).  Per (u, K), one
+    ``coverage`` call counts the tops containing each U of the parts
+    whose G2 contains K, at mult * C * q^{(d1-u)(r-d2)}."""
     q, r = params.q, params.m - m1
     field = make_field(q)
     for u in range(max(0, s - r), min(s, m1) + 1):
@@ -739,14 +759,12 @@ def _class_sums(params: DesignParams, m1: int, parts: list, s: int) -> Iterator[
             d2 = len(row_codes(bottom, q, r))
             w = mult * covering_coefficient(s, params.t, d, params.k, q)
             if w and d - d2 >= u and d2 >= kappa:
-                cover = coverage([(d2, 1, (bottom,))], field, r, kappa)
-                weighted.append(({below for below, c in cover if c},
-                                 (d - d2, w * q ** ((d - d2 - u) * (r - d2)), keys)))
+                _, inside = coverage([(d2, 1, (bottom,))], field, r, kappa)
+                weighted.append((inside, (d - d2, w * q ** ((d - d2 - u) * (r - d2)), keys)))
         size = q ** (u * (r - kappa))
         for below in grassmannian_keys(q, r, kappa):
             batches = [batch for inside, batch in weighted if below in inside]
-            for top, got in coverage(batches, field, m1, u):
-                yield top, below, size, got
+            yield (u, below, size, *coverage(batches, field, m1, u))
 
 
 def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,

@@ -20,14 +20,16 @@ chunks, never whole.  A block line is read one of three ways.  The
 fast path splits it at its first ";" into its prefix (the text ``block
 M D top``) and the text of the rows below the top row (its suffix), and
 looks both up in tables of those already seen: a suffix's entry holds
-its key, its place below the top row and what the RREF check needs of
-it, a prefix's entry what the check and the key need of the top row
-with the line's multiplicity and dimension.  When both are known and
-the top row fits the suffix, the line costs one ``str.partition`` and
-two lookups.  The middle path first enters a new suffix of rows read
-before, or a new prefix in the writer's form over a top row read
-before.  Every other line, and every error, goes through the full
-check, which parses each distinct row once and raises every message.
+its key and a bit mask, a prefix's entry a bit mask, the top row's
+share of the key and the line's multiplicity and table.  The masks are
+built so that they are disjoint exactly when the top row fits the
+suffix as an RREF basis of dimension D, so the whole check is one
+``&``, and the key one addition.  Lines come in runs of one prefix, and
+a prefix is looked up only when it differs from the line before's.  The
+middle path first enters a new suffix of rows read before, or a new
+prefix in the writer's form over a top row read before.  Every other
+line, and every error, goes through the full check, which parses each
+distinct row once and raises every message.
 Memory is bounded by the distinct rows, suffixes and prefixes, not by
 the blocks.  The writer refuses a multiplicity below 1 before it opens
 the file.
@@ -215,27 +217,39 @@ def _pieces(source) -> Iterator[str]:
     yield "".join(pending)
 
 
-def _suffix_entry(text: str, seen: dict, big: int) -> tuple:
-    """The key, top-row lead, pivot mask and dimension of the block rows
-    ``text``, and the place of a row above them in a key; KeyError
-    unless every row is in ``seen`` (and so checked), ValueError unless
-    the rows are in RREF."""
-    entries = [seen[part] for part in text.split(";")]
+def _suffix_entry(entries: list, m: int, big: int) -> tuple:
+    """The fit mask (see ``_prefix_entry``) and the key of the e block
+    rows with these ``_row_entry`` values, top row first; ValueError
+    unless they are in RREF.  The mask holds the rows' pivot columns,
+    the columns at or right of the top row's lead shifted by m (none if
+    e = 0), and the bit 2m + e."""
+    key = _rref_key(entries, big)
     pivots = sum(1 << entry[1] for entry in entries)
-    return (_rref_key(entries, big), entries[0][1], pivots, len(entries),
-            big ** len(entries))
+    right = (1 << m) - (1 << entries[0][1]) if entries else 0
+    return pivots | right << m | 1 << 2 * m + len(entries), key
 
 
-def _prefix_entry(text: str, seen: dict, tables: dict) -> tuple:
-    """D - 1, the top row's lead, nonzero mask and code, M and the table
-    of D, for a prefix ``block M D top`` in the writer's form, M, D >= 1;
-    ValueError if not in that form, KeyError unless top is in ``seen``."""
+def _prefix_entry(text: str, seen: dict, tables: dict, m: int, big: int) -> tuple:
+    """The fit mask, the top row's share ``top * big**(D-1)`` of the key,
+    M and the table of D, for a prefix ``block M D top`` in the writer's
+    form, M >= 1 and 1 <= D <= m; ValueError if not in that form or if
+    top has no leading 1, KeyError unless top is in ``seen``.
+
+    The mask holds top's nonzero columns, its lead shifted by m, and the
+    bits 2m + e for every e in 0..m but D - 1.  It is disjoint from a
+    suffix's mask (``_suffix_entry``) iff top is zero at the suffix's
+    pivots, leads left of the suffix's top row, and stands over D - 1
+    rows: iff top over the suffix is an RREF basis of dimension D."""
     _, mult, dim, top = text.split(" ", 3)
     mult, dim = int(mult), int(dim)
-    if min(mult, dim) < 1 or f"block {mult} {dim} {top}" != text:
+    if mult < 1 or not 1 <= dim <= m or f"block {mult} {dim} {top}" != text:
         raise ValueError(text)
-    row = seen[top]
-    return dim - 1, row[1], row[2], row[0], mult, tables[dim]
+    code, lead, nonzero, _ = seen[top]
+    if lead < 0:
+        raise ValueError(text)
+    others = ((1 << m + 1) - 1) ^ (1 << dim - 1)
+    mask = nonzero | 1 << m + lead | others << 2 * m
+    return mask, code * big ** (dim - 1), mult, tables[dim]
 
 
 def parse_design(source) -> DesignMultiset:
@@ -259,32 +273,39 @@ def parse_design(source) -> DesignMultiset:
     # block rows below the top row -> their ``_suffix_entry``; a one-row
     # block stands over the empty suffix
     suffixes: dict = {}
-    empty = (0, big, 0, 0, 1)
+    empty = _suffix_entry([], m, big)
     # the text "block M D top" of a line before its first ";" -> its
-    # ``_prefix_entry``
+    # ``_prefix_entry``; ``p`` is the entry of ``last``, the prefix of
+    # the line before
     prefixes: dict = {}
+    last = p = None
+    # a mask that meets every mask, for a line the middle path refuses
+    refused = (-1,)
     for ln in lines:
         # the fast path: a block is its top row over a known suffix, so
         # checking it is checking the top row against the suffix, and its
-        # key is the top row's code at the suffix's place plus the
-        # suffix's key, one step of ``_rref_key``
+        # key is the top row's share plus the suffix's key, one step of
+        # ``_rref_key``
         prefix, sep, rest = ln.partition(";")
-        p = prefixes.get(prefix)
+        if prefix != last:
+            last, p = prefix, prefixes.get(prefix)
         below = suffixes.get(rest) if sep else empty
         if p is None or below is None:
             # the middle path: enter what is new, if it can be, then test
             try:
                 if below is None:
-                    below = suffixes[rest] = _suffix_entry(rest, seen, big)
+                    below = suffixes[rest] = _suffix_entry(
+                        [seen[part] for part in rest.split(";")], m, big)
                 if p is None:
-                    p = prefixes[prefix] = _prefix_entry(prefix, seen, tables)
+                    p = prefixes[prefix] = _prefix_entry(prefix, seen, tables, m, big)
             except (KeyError, ValueError):
-                p = None
-        if (p is not None and p[0] == below[3]
-                and p[1] < below[1] and not p[2] & below[2]):
-            key = p[3] * below[4] + below[0]
-            if key not in p[5]:
-                p[5][key] = p[4]
+                # the next line looks its prefix up again: the full check
+                # may enter the top row this one lacks
+                last, p, below = None, refused, refused
+        if not p[0] & below[0]:
+            key = p[1] + below[1]
+            if key not in p[3]:
+                p[3][key] = p[2]
                 continue
         # the full check: every other line, and every error
         parts = ln.split(maxsplit=3)

@@ -35,11 +35,12 @@ q**(n-m) + b``; a row of G2 keeps its own code.
 ``designs`` store them.
 
 ``coverage`` is the one coverage count every verifier reads.  It takes
-the blocks as batches of keys of one dimension and weight, and yields,
-for each s-subspace of F_q^m in canonical (``grassmannian_keys``)
-order, its key and the summed weight of the blocks containing it, 0
-included.  A batch may stand for every d-subspace of F_q^m: it
-adds the same closed-form count to every s-subspace and lists nothing.
+the blocks as batches of keys of one dimension and weight, and returns
+the summed weight of the blocks containing an s-subspace of F_q^m as a
+default and its exceptions: the default is what every s-subspace gets,
+and a sum is listed for each s-subspace a listed block contains.  A
+batch may stand for every d-subspace of F_q^m: it adds the same
+closed-form count to the default and lists nothing.
 ``designs.verify`` gives each block dimension's majority multiplicity
 w that way, and lists only the blocks of another multiplicity, at
 their difference from w, and the d-subspaces absent from the design,
@@ -620,37 +621,36 @@ def _within_columns(field: GF, m: int, d: int, keys: Iterable,
             yield start, column
 
 
-def coverage(batches: Iterable[tuple], field: GF, m: int,
-             s: int) -> Iterator[tuple]:
-    """Yield ``(key, weight)`` for every s-subspace of F_q^m, as its
-    key, in ``grassmannian_keys`` order: the summed weight of the blocks
-    containing it, 0 where none does.
+def coverage(batches: list, field: GF, m: int, s: int) -> tuple:
+    """``(every, sums)``: the summed weight of the blocks containing an
+    s-subspace of F_q^m is ``sums[key]`` for the keys in ``sums`` and
+    ``every`` for all others.
 
     ``batches`` holds ``(d, weight, keys)`` triples, ``keys`` a sized
     collection (not a mapping) of ``rows_key`` values of d-subspaces of
     F_q^m, each a block of that weight, or None for every d-subspace of
-    F_q^m.  The keys of the blocks' s-subspaces (``_within_columns``)
-    are counted with ``Counter`` and enter the sum as count * weight; a
-    None batch adds weight * gaussian(m-s, d-s, q), the number of
-    d-subspaces containing a given s-subspace, to every sum, and lists
-    nothing.  A weight may be negative, so a batch can take back part
-    of a None batch.
+    F_q^m.  A None batch adds weight * gaussian(m-s, d-s, q), the number
+    of d-subspaces containing a given s-subspace, to ``every`` and lists
+    nothing.  The keys of the listed blocks' s-subspaces
+    (``_within_columns``) are counted with ``Counter``, and each enters
+    ``sums`` at ``every`` plus count * weight; ``sums`` holds exactly
+    the keys some listed block contains.  A weight may be negative, so a
+    batch can take back part of a None batch.
     """
     # counting imports this module for its oracles
     from .counting import gaussian
     if not 0 <= s <= m:
         raise ValueError(f"dimension {s} out of range for ambient {m}")
-    cov: dict = {}
-    get = cov.get
-    every = 0
+    every = sum(w * gaussian(m - s, d - s, field.q)
+                for d, w, keys in batches if keys is None)
+    sums: dict = {}
+    get = sums.get
     for d, w, keys in batches:
         if keys is None:
-            every += w * gaussian(m - s, d - s, field.q)
             continue
         counts = Counter()
         for _, column in _within_columns(field, m, d, keys, s):
             counts.update(column)
         for key, c in counts.items():
-            cov[key] = get(key, 0) + c * w
-    keys = grassmannian_keys(field.q, m, s)
-    return zip(keys, map(every.__add__, map(cov.get, keys, itertools.repeat(0))))
+            sums[key] = get(key, every) + c * w
+    return every, sums

@@ -9,7 +9,7 @@ import pytest
 from slow_oracles import object_transform, object_verify
 
 from qsteiner import designs, subspaces
-from qsteiner.counting import gaussian
+from qsteiner.counting import covering_coefficient, gaussian
 from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               ExtensionFamilies, Parallelism, Spread,
                               apply_transform, build_parallelism, build_spread,
@@ -234,6 +234,59 @@ def test_batches_list_only_what_differs_from_w():
     assert list(fam.design().tables[1].values()) == [1, 1]
     for design in (raised, half, punctured, cancelled):
         assert verify(design) == object_verify(design)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_verify_by_exception_matches_object_oracle(q):
+    """``verify`` counts the equations per class default and reads the
+    classes one by one only where the default or a listed sum fails; it
+    reports as ``object_verify`` does (ok, equations checked, violations
+    in order, total multiplicity): with every d-subspace raised by 1,
+    where the default of each s with a nonzero coefficient fails and all
+    its equations are violated; with one block raised, where only the
+    listed classes of its s-subspaces fail; and with one dimension's
+    table all at multiplicity 0, or empty, both counted as absent."""
+    uniform = fano_m4(q)
+    pr = uniform.params
+    for d in pr.r_range():
+        table = uniform.tables.get(d, {})
+        raised = DesignMultiset._from_tables(pr, {**uniform.tables, d: {
+            key: table.get(key, 0) + 1 for key in grassmannian_keys(q, pr.m, d)}})
+        report = verify(raised)
+        assert report == object_verify(raised), d
+        assert len(report.violations) == sum(
+            gaussian(pr.m, s, q) for s in pr.s_range()
+            if covering_coefficient(s, pr.t, d, pr.k, q)), d
+    plane = next(b for b in uniform.blocks if b.dim == 3)
+    one = uniform.with_block_multiplicity(plane, uniform.blocks[plane] + 1)
+    report = verify(one)
+    assert report == object_verify(one)
+    assert [v.s for v in report.violations] == [2] * gaussian(3, 2, q)
+    assert all(contains(plane, v.subject) for v in report.violations)
+    for cut in ({key: 0 for key in uniform.tables[3]}, {}):
+        design = DesignMultiset._from_tables(pr, {**uniform.tables, 3: cut})
+        report = verify(design)
+        assert report == object_verify(design)
+        assert not report.ok
+
+
+def test_families_of_every_top_list_nothing():
+    """The s3485 families take every top (keys None), so no class sum is
+    listed and each class's default decides: the construction passes,
+    and with one part's multiplicity raised (its keys still None) the
+    report equals ``object_verify`` of the expansion."""
+    fam = s3485_families(2)
+    pr = fam.params
+    assert all(part[1] is None for part in fam.parts)
+    for s in pr.s_range():
+        assert all(not sums for *_, sums in designs._class_sums(pr, fam.m1, fam.parts, s))
+    d, keys, bottom, mult = fam.parts[2]
+    raised = replace(fam, parts=(*fam.parts[:2], (d, keys, bottom, mult + 1),
+                                 *fam.parts[3:]))
+    for family in (fam, raised):
+        report = verify_families(family)
+        assert report == object_verify(family.design())
+        assert report.ok == (family is fam)
 
 
 def cancelled_family():

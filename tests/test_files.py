@@ -1,15 +1,17 @@
 """Round-trip and rejection tests for the text file formats."""
 
 import itertools
+from collections import defaultdict
 
 import pytest
-from slow_oracles import object_parse_design
+from slow_oracles import object_parse_design, slot_grassmannian_rows
 
 from qsteiner import files
 from qsteiner.designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                               build_parallelism, construct_uniform_design,
                               fano_m5_families, puncture_design,
                               recursive_families, s3485_families)
+from qsteiner.counting import gaussian
 from qsteiner.equations import uniform_family_solution
 from qsteiner.field import make_field
 from qsteiner.files import (parse_design, parse_design_file, parse_parallelism,
@@ -422,17 +424,77 @@ def test_new_prefix_in_writer_form():
     # of dimension or multiplicity 0 is entered, nor one off the form
     assert parse_design(HEADER + known + "block 04 2 1010;0001\n").tables[2][
         rows_key(2, ((1, 0, 1, 0), (0, 0, 0, 1)))] == 4
-    seen = {"1000": _row_entry((1, 0, 0, 0), 2)}
+    # nor one of a dimension above m = 4 or over a row with no leading 1
+    seen = {"1000": _row_entry((1, 0, 0, 0), 2), "0000": _row_entry((0, 0, 0, 0), 2)}
     for prefix, error in (
             ("block 04 2 1000", ValueError), ("block 1 0 1000", ValueError),
             ("block 0 1 1000", ValueError), ("blok 1 2 1000", ValueError),
             ("block  1 2 1000", ValueError), ("block 1 +2 1000", ValueError),
             ("block 1 2", ValueError), ("", ValueError),
+            ("block 1 5 1000", ValueError), ("block 1 1 0000", ValueError),
             ("block 1 2 1000 ", KeyError), ("block 1 2 0100", KeyError)):
         tables: dict = {}
         with pytest.raises(error):
-            files._prefix_entry(prefix, seen, tables)
+            files._prefix_entry(prefix, seen, tables, 4, 2 ** 4)
         assert tables == {}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_fit_masks_accept_exactly_the_rref_lines(q):
+    """For m <= 4, the fast path's test of ``block 1 D top;suffix``, a
+    ``_prefix_entry`` whose mask is disjoint from a ``_suffix_entry``'s,
+    run for every row top over every RREF suffix and over none (a
+    one-row block), D from 1 to m + 1, accepts exactly the lines
+    ``object_parse_design`` accepts: the oracle reads every line it
+    accepts, at the fast path's key, and they are as many as the
+    subspaces of F_q^m.  The oracle accepts a line only if its rows
+    are the RREF basis of their span, of dimension D, and each subspace
+    has one such line here, so it accepts no line the fast path
+    refuses."""
+    for m in range(1, 5):
+        big = q ** m
+        seen = {"".join(map(str, row)): _row_entry(row, q)
+                for row in itertools.product(range(q), repeat=m)}
+        suffixes = {"": files._suffix_entry([], m, big)}
+        for e in range(1, m + 1):
+            for rows in slot_grassmannian_rows(q, m, e):
+                text = ";".join("".join(map(str, row)) for row in rows)
+                suffixes[";" + text] = files._suffix_entry(
+                    [seen[part] for part in text.split(";")], m, big)
+        lines, fast = [], defaultdict(dict)
+        for dim in range(1, m + 2):
+            for top in seen:
+                prefix = f"block 1 {dim} {top}"
+                try:
+                    mask, head, mult, table = files._prefix_entry(
+                        prefix, seen, defaultdict(dict), m, big)
+                except ValueError:  # D > m, or top has no leading 1
+                    continue
+                for suffix, (below, key) in suffixes.items():
+                    if not mask & below:
+                        lines.append(prefix + suffix + "\n")
+                        assert head + key not in fast[dim]
+                        fast[dim][head + key] = mult
+        assert [len(fast[dim]) for dim in range(1, m + 2)] \
+            == [gaussian(m, dim, q) for dim in range(1, m + 1)] + [0]
+        header = f"qsteiner-design v1\nq={q} t=1 k=2 n={m + 1} m={m}\n"
+        _, tables = object_parse_design(header + "".join(lines))
+        assert tables == {dim: table for dim, table in fast.items() if table}
+
+
+def test_uniform_m8_file_mostly_on_the_fast_path(monkeypatch):
+    """Of the 107,953 lines of the uniform S_2(2,3,15;8) file, the one
+    the verify benchmark reads, at most 254 reach the full check: the
+    dimension-0 line, and the lines with a row or a suffix read for the
+    first time."""
+    design = construct_uniform_design(2, 2, 3, 15, 8, {0: 381, 1: 0, 2: 64, 3: 256})
+    text = serialize_design(design)
+    full = []
+    parse_block = files._parse_block
+    monkeypatch.setattr(files, "_parse_block",
+                        lambda *args: full.append(args[0]) or parse_block(*args))
+    assert parse_design(text) == design
+    assert len(full) <= 254, len(full)
 
 
 def test_tables_follow_line_order():

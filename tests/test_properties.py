@@ -187,13 +187,18 @@ def test_class_sums_match_each_subspace(fam):
     Each s-subspace X is covered (``object_coverage`` of the expansion)
     as its class (U, K) says, also where parts overlap, U the rows of X
     leading left of column m1 cut to m1 columns and K the other rows
-    cut to the last r, and each class holds size of them."""
+    cut to the last r, and each class holds size of them.  A class's
+    sum is its U's entry in the sums of its (u, K), else the default,
+    so the default is expanded over every u-subspace U of F_q^{m1}."""
     design = fam.design()
     assert verify_families(fam) == verify(design)
     pr, m1 = fam.params, fam.m1
     for s in pr.s_range():
-        sums = {(top, below): (size, got)
-                for top, below, size, got in _class_sums(pr, m1, fam.parts, s)}
+        sums = {}
+        for u, below, size, default, listed in _class_sums(pr, m1, fam.parts, s):
+            tops = grassmannian_keys(pr.q, m1, u)
+            assert listed.keys() <= set(tops)
+            sums.update(((top, below), (size, listed.get(top, default))) for top in tops)
         weighted = [(y, mult * covering_coefficient(s, pr.t, y.dim, pr.k, pr.q))
                     for y, mult in design.blocks.items()]
         sizes = Counter()

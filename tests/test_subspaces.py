@@ -495,9 +495,12 @@ def test_subspaces_within_counts_and_canonical():
 
 
 def test_coverage_matches_object_oracle():
-    """The in-order coverage stream of keys against two object-based counts:
-    one over subspaces_within, one over contains() on the whole
-    Grassmannian, both read in enumerate_subspaces order."""
+    """Coverage, its default expanded over the Grassmannian, against two
+    object-based counts: one over subspaces_within, one over contains()
+    on the whole Grassmannian, both read in enumerate_subspaces order.
+    Its sums list exactly the subspaces of the listed blocks, and a
+    batch standing for every d-subspace raises the default and every
+    sum by the closed-form count."""
     rng = random.Random(3)
     for q in (2, 3, 4, 5, 8, 9, 16):
         f = make_field(q)
@@ -528,9 +531,19 @@ def test_coverage_matches_object_oracle():
             by_contains = [(rows_key(q, x.rows),
                             sum(w for y, w in blocks if contains(y, x)))
                            for x in xs]
-            got = list(coverage([(y.dim, w, [rows_key(q, y.rows)])
-                                 for y, w in blocks], f, m, s))
+            batches = [(y.dim, w, [rows_key(q, y.rows)]) for y, w in blocks]
+            every, sums = coverage(batches, f, m, s)
+            got = [(key, sums.get(key, every)) for key in grassmannian_keys(q, m, s)]
             assert got == by_within == by_contains, (q, s)
+            assert every == 0
+            assert sums.keys() == {rows_key(q, x.rows) for x in within}
+            d = rng.randint(s, m)
+            every, sums = coverage(batches + [(d, 3, None)], f, m, s)
+            extra = 3 * gaussian(m - s, d - s, q)
+            assert [(key, sums.get(key, every)) for key, _ in by_within] \
+                == [(key, w + extra) for key, w in by_within], (q, s, d)
+            assert every == extra
+            assert sums.keys() == {rows_key(q, x.rows) for x in within}
 
 
 def test_packed_is_row_major_matrix_code():
