@@ -163,9 +163,19 @@ def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
     return para
 
 
+# the build targets that read each option; any other target refuses it
+_BUILD_OPTIONS = {"k": ("recursive",), "base": ("recursive",),
+                  "parallelism": ("fano-m5", "recursive")}
+
+
 def cmd_build(args) -> int:
+    unread = [f"--{option}" for option, targets in _BUILD_OPTIONS.items()
+              if getattr(args, option) is not None and args.name not in targets]
+    if unread:
+        raise ValueError(f"build {args.name} does not take {', '.join(unread)}")
     # the extension-family targets set fam, verified by class sums
     q, fam = args.q, None
+    source = "auto" if args.parallelism is None else args.parallelism
     if args.name == "fano-m4":
         assignment = equations.uniform_family_solution("S(2,3,7;4)", q)
         design = designs.construct_uniform_design(q, 2, 3, 7, 4, assignment)
@@ -175,7 +185,7 @@ def cmd_build(args) -> int:
     elif args.name == "s3485":
         fam = designs.s3485_families(q)
     elif args.name == "fano-m5":
-        para = _resolve_parallelism(q, 4, args.parallelism)
+        para = _resolve_parallelism(q, 4, source)
         fam = designs.fano_m5_families(q, para)
     elif args.name == "recursive":
         k = args.k
@@ -187,7 +197,7 @@ def cmd_build(args) -> int:
             base = designs.construct_uniform_design(q, 2, 3, 3, 1, {1: 1})
         else:
             raise ValueError(f"build recursive with k={k} needs --base FILE")
-        para = _resolve_parallelism(q, k + 1, args.parallelism)
+        para = _resolve_parallelism(q, k + 1, source)
         fam = designs.recursive_families(q, k, para, base)
     else:
         raise ValueError(f"unknown build target {args.name!r}")
@@ -319,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("fano-m4", "s3484", "s3485", "fano-m5", "recursive"))
     p.add_argument("--q", type=_integer, required=True)
     p.add_argument("--k", type=_integer, help="parameter k for 'recursive'")
-    p.add_argument("--parallelism", default="auto",
+    p.add_argument("--parallelism",         # None reads as auto
                    help="auto | search | path to a parallelism file")
     p.add_argument("--base", help="base design file for 'recursive'")
     p.add_argument("-o", "--output")

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
 from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
-                        _decode_key, _extension_keys, _within_columns,
+                        _decode_key, _extension_keys, _rref_rows, _within_columns,
                         coverage, grassmannian_keys, puncture_key, row_codes,
                         rows_key, rref, subspace_from_key, vector_from_code)
 
@@ -918,7 +918,7 @@ def apply_transform(target, column_ops: Iterable):
                         field, m, _code_row(code, q, m), mat)
                 rows.append(image)
             out = out_tables.setdefault(len(rows), {})
-            key = rows_key(q, rref(field, rows).rows) if rows else 0
+            key = rows_key(q, _rref_rows(field, rows, m))
             out[key] = out.get(key, 0) + mult
     if isinstance(target, DesignMultiset):
         return DesignMultiset._from_tables(target.params, out_tables)

@@ -243,6 +243,14 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
         raise ValueError("vectors of unequal length")
     if not all(map(set(range(field.q)).issuperset, vecs)):
         raise ValueError(f"an entry of {vecs} is outside F_{field.q}")
+    return Subspace(field, m, _rref_rows(field, vecs, m))
+
+
+def _rref_rows(field: GF, vecs: Iterable, m: int) -> tuple:
+    """The RREF rows (a tuple of tuples) of the span of ``vecs``,
+    vectors of F_q^m the program holds; ``rref`` without its checks.
+    Rows are replaced, never changed in place, so only the list is copied."""
+    vecs = list(vecs)
     sub, mul = field.sub_table, field.mul_table
     rank = 0
     for col in range(m):
@@ -265,7 +273,7 @@ def rref(field: GF, vectors: Iterable[tuple]) -> Subspace:
         rank += 1
         if rank == len(vecs):
             break
-    return Subspace(field, m, tuple(tuple(vecs[i]) for i in range(rank)))
+    return tuple(tuple(vecs[i]) for i in range(rank))
 
 
 def enumerate_subspaces(field: GF, m: int, d: int) -> Iterator[Subspace]:
@@ -373,9 +381,11 @@ def _extension_keys(q: int, m: int, keys: Iterable, n: int,
     base = sum(code * big ** i for i, code in enumerate(reversed(g2)))
     for key in keys:
         top = row_codes(key, q, m)
-        choices = [[(code * shift + b) * place for b in suffixes]
-                   for code, place in zip(top, _places(big, len(top) + len(g2)))]
-        yield from map(base.__add__, map(sum, itertools.product(*choices)))
+        # product order, top row slowest: each row extends every key so far
+        acc = [base]
+        for code, place in zip(top, _places(big, len(top) + len(g2))):
+            acc = [a + (code * shift + b) * place for a in acc for b in suffixes]
+        yield from acc
 
 
 def _free_codes(q: int, m: int, columns: list) -> list:

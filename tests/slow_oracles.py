@@ -219,12 +219,28 @@ def object_verify(design) -> VerificationReport:
                               tuple(violations), bad_dims, sum(blocks.values()))
 
 
+# Every vector of a span, enumerated from the field tables: each row in
+# turn adds each of its multiples to every vector found so far.  No row
+# reduction, so ``object_transform`` compares images with no code from
+# the elimination it checks.
+def object_span(field, m: int, rows) -> frozenset:
+    """The set of all vectors of F_q^m in the span of ``rows``."""
+    add, mul = field.add_table, field.mul_table
+    span = {(0,) * m}
+    for row in rows:
+        span = {tuple(add[x][mul[c][y]] for x, y in zip(v, row))
+                for v in span for c in range(field.q)}
+    return frozenset(span)
+
+
 # Object-level column transform: each column operation applied to every
-# row of every block in turn, each image row-reduced by ``rref``.
-# ``designs.apply_transform`` must give the same blocks.
+# row of every block in turn, each image taken as its set of vectors
+# (``object_span``).  ``designs.apply_transform`` must give blocks with
+# the same vector sets.
 def object_transform(blocks, column_ops) -> Counter:
     """The images of ``blocks``, a ``{Subspace: multiplicity}`` mapping,
-    under the column operations; multiplicities of equal images add up.
+    under the column operations, each as its ``object_span``;
+    multiplicities of equal images add up.
 
     An operation ``(j, coeffs)`` replaces entry j of a row by the
     combination of the row's entries with those coefficients."""
@@ -238,7 +254,7 @@ def object_transform(blocks, column_ops) -> Counter:
                 for c, x in zip(coeffs, row):
                     acc = add[acc][mul[c][x]]
                 row[j] = acc
-        out[rref(b.field, rows) if rows else b] += mult
+        out[object_span(b.field, b.ambient, rows)] += mult
     return out
 
 

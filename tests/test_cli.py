@@ -307,6 +307,26 @@ def test_bad_arguments_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "needs --base" in err
 
 
+@pytest.mark.parametrize("argv, refused", [
+    ("build s3485 --q 2 --k 9 --base nothere.design --parallelism nothere.txt",
+     "--k, --base, --parallelism"),
+    ("build fano-m4 --q 2 --k 3", "--k"),
+    ("build s3484 --q 2 --base nothere.design", "--base"),
+    ("build fano-m5 --q 2 --k 3", "--k"),
+    ("build s3485 --q 2 --parallelism auto", "--parallelism"),
+])
+def test_build_refuses_options_its_target_does_not_read(tmp_path, capsys,
+                                                         monkeypatch, argv, refused):
+    """``--k`` and ``--base`` are for ``recursive`` only, ``--parallelism``
+    for ``fano-m5`` and ``recursive``: any other target exits 2 with one
+    ``error:`` line naming the options, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and os.listdir() == []
+    target = argv.split()[1]
+    assert err == f"error: build {target} does not take {refused}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     ("gauss 7 2 1", "q >= 2"),
     ("gauss 7 2 0", "q >= 2"),

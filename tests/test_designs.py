@@ -3,10 +3,11 @@
 import hashlib
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from slow_oracles import object_transform, object_verify
+from slow_oracles import object_span, object_transform, object_verify
 
 from qsteiner import designs, subspaces
 from qsteiner.counting import covering_coefficient, gaussian
@@ -23,7 +24,7 @@ from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_design,
                             parse_parallelism, parse_parallelism_file,
                             serialize_design, serialize_parallelism)
-from qsteiner.subspaces import (contains, enumerate_subspaces,
+from qsteiner.subspaces import (Subspace, contains, enumerate_subspaces,
                                 grassmannian_keys, null_subspace, puncture,
                                 row_codes, rref, subspaces_within)
 
@@ -905,11 +906,20 @@ def _random_ops(rng, q, m, count):
 
 
 def test_transform_matches_object_oracle():
-    """The keyed transform gives, block by block, the images the object
-    oracle gets by row-reducing each transformed block: Steiner systems
+    """The keyed transform gives, block by block, the vector sets the
+    object oracle spans from each transformed block: Steiner systems
     (spreads at q = 2 and 3, in canonical block order) and designs with
-    mixed multiplicities at q = 2, 3 and 4."""
+    mixed multiplicities at q = 2, 3, 4, 5, 8 and 9."""
     rng = random.Random(16)
+
+    def spans(blocks):
+        """The blocks' vector sets; each block's rows must be RREF."""
+        out = Counter()
+        for b, mult in blocks.items():
+            Subspace(b.field, b.ambient, b.rows)
+            out[object_span(b.field, b.ambient, b.rows)] += mult
+        return out
+
     for q, n in ((2, 4), (2, 6), (3, 4)):
         st = build_spread(q, n)
         for _ in range(5):
@@ -917,9 +927,10 @@ def test_transform_matches_object_oracle():
             out = apply_transform(st, ops)
             want = object_transform(dict.fromkeys(st.blocks, 1), ops)
             assert set(want.values()) == {1}
-            assert out.blocks == tuple(sorted(want, key=lambda b: b.rows))
+            assert spans(dict.fromkeys(out.blocks, 1)) == want
+            assert list(out.blocks) == sorted(out.blocks, key=lambda b: b.rows)
             assert (out.t, out.k, out.n) == (1, 2, n) and verify_steiner(out)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5, 8, 9):
         f = make_field(q)
         blocks = {}
         for d in range(5):
@@ -929,5 +940,4 @@ def test_transform_matches_object_oracle():
         d = DesignMultiset(DesignParams(q, 2, 3, 7, 4), blocks)
         for _ in range(5):
             ops = _random_ops(rng, q, 4, rng.randrange(1, 4))
-            assert dict(apply_transform(d, ops).blocks.items()) \
-                == object_transform(blocks, ops)
+            assert spans(apply_transform(d, ops).blocks) == object_transform(blocks, ops)

@@ -2,9 +2,10 @@
 round trips, puncturing and column transforms, the rejection of
 malformed block lines, and edited files read as a line-by-line reader
 reads them; for the class sums of extension families; for
-``rref`` as the canonical form and the keys' numeric order as the
-canonical order; for the ``N`` and ``D`` oracles at random witnesses;
-and for the parallelisms of the orbit search."""
+``rref`` as the canonical form, ``_rref_rows`` against spans counted
+by brute force, and the keys' numeric order as the canonical order;
+for the ``N`` and ``D`` oracles at random witnesses; and for the
+parallelisms of the orbit search."""
 
 from collections import Counter
 from functools import lru_cache
@@ -12,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from slow_oracles import object_coverage, object_parse_design
+from slow_oracles import object_coverage, object_parse_design, object_span
 
 from qsteiner.counting import (ORACLE_GUARD, count_D, count_N,
                                covering_coefficient, gaussian, oracle_D,
@@ -26,9 +27,9 @@ from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (format_block_rows, parse_design,
                             parse_parallelism, serialize_design,
                             serialize_parallelism)
-from qsteiner.subspaces import (enumerate_subspaces, grassmannian_keys,
-                                null_subspace, puncture, puncture_key,
-                                row_codes, rows_key, rref)
+from qsteiner.subspaces import (Subspace, _rref_rows, enumerate_subspaces,
+                                grassmannian_keys, null_subspace, puncture,
+                                puncture_key, row_codes, rows_key, rref)
 
 # deterministic, and no example database written to the working tree
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
@@ -401,6 +402,33 @@ def test_rref_is_canonical(q, m, data):
             rows[i] = [add[a][mul[c][b]] for a, b in zip(rows[i], rows[j])]
     order = data.draw(st.permutations(range(x.dim)))
     assert rref(field, [tuple(rows[k]) for k in order]) == x
+
+
+@pytest.mark.parametrize("q", [q for q in SUPPORTED_ORDERS if q <= 9])
+@settings(SETTINGS, max_examples=20)
+@given(data=st.data())
+def test_rref_rows_spans_its_input(q, data):
+    """``_rref_rows`` of vectors that include zero, repeated and
+    dependent rows gives rows the ``Subspace`` check accepts, spanning
+    the input's vector set, both spans counted by brute force."""
+    field = make_field(q)
+    m = data.draw(st.integers(1, 3))
+    add, mul = field.add_table, field.mul_table
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    vecs = data.draw(st.lists(vector, max_size=m + 1))
+    # zero rows, copies of drawn rows, and combinations a*u + b*v of them
+    coeff = st.integers(0, q - 1)
+    extra = [(0,) * m] * data.draw(st.integers(0, 2))
+    if vecs:
+        row = st.sampled_from(vecs)
+        extra += data.draw(st.lists(row, max_size=2))
+        for a, u, b, v in data.draw(st.lists(st.tuples(coeff, row, coeff, row),
+                                             max_size=3)):
+            extra.append(tuple(add[mul[a][x]][mul[b][y]] for x, y in zip(u, v)))
+    vecs = data.draw(st.permutations(vecs + extra))
+    rows = _rref_rows(field, vecs, m)
+    assert Subspace(field, m, rows).rows == rows
+    assert object_span(field, m, rows) == object_span(field, m, vecs)
 
 
 @pytest.mark.parametrize("q, m", [(q, m) for q in SUPPORTED_ORDERS for m in (3, 6)])
