@@ -13,8 +13,8 @@ from .designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                       fano_m5_families, puncture_design, puncture_steiner,
                       recursive_families, s3485_families, trivial_steiner,
                       verify, verify_families, verify_steiner)
-from .equations import (FullSystem, NonIntegralSolution, SolveOutcome,
-                        UniformSystem, build_full, build_uniform, solve,
+from .equations import (EquationSystem, NonIntegralSolution, SolveOutcome,
+                        build_full, build_uniform, solve,
                         uniform_family_solution)
 from .field import GF, make_field
 from .files import (parse_design, parse_design_file, parse_parallelism,

@@ -110,7 +110,7 @@ def cmd_uniform_solve(args) -> int:
     pins = _parse_pins(args.pin)
     system = equations.build_uniform(args.q, args.t, args.k, args.n, args.m)
     out = equations.solve(system, pins)
-    return _print_outcome(out, system.r_values, lambda r: f"X_{r}")
+    return _print_outcome(out, system.variables, lambda r: f"X_{r}")
 
 
 def cmd_full_solve(args) -> int:
@@ -191,6 +191,7 @@ def cmd_build(args) -> int:
         k = args.k
         if k is None:
             raise ValueError("build recursive needs --k")
+        designs.check_recursive_k(k)
         if args.base:
             base = files.parse_design_file(args.base)
         elif k == 3:

@@ -46,8 +46,7 @@ from typing import Iterable, Iterator
 from .counting import count_N, covering_coefficient, gaussian
 from .field import GF, SUPPORTED_ORDERS, make_field
 from .subspaces import (Subspace, _cell_keys, _code_row, _combine,
-                        _decode_key, _extension_keys, _rref_rows, _within_columns,
-                        coverage, grassmannian_keys, puncture_key, row_codes,
+                        _decode_key, _extension_keys, _rref_rows, coverage, grassmannian_keys, puncture_key, row_codes,
                         rows_key, rref, subspace_from_key, vector_from_code)
 
 
@@ -448,9 +447,7 @@ class Spread(SteinerSystem):
                 line = subspace_from_key(field, n, key)
                 raise ValueError(f"{line!r} is not a 2-subspace of F_{field.q}^{n}")
         # each nonzero vector on one line <=> each 1-subspace on one line
-        points = Counter()
-        for _, column in _within_columns(field, n, 2, self.keys, 1):
-            points.update(column)
+        _, points = coverage([(2, 1, self.keys)], field, n, 1)
         shared = [key for key, c in points.items() if c > 1]
         if shared:
             key = min(shared)
@@ -822,6 +819,12 @@ def fano_m5_families(q: int, parallelism: Parallelism) -> ExtensionFamilies:
         construct_uniform_design(q, 2, 3, 3, 1, {1: 1}))
 
 
+def check_recursive_k(k: int) -> None:
+    """Refuse a k for which no S_q(2,3,2k+1;k+1+r) is constructed."""
+    if k < 3 or k % 6 not in (1, 3):
+        raise ValueError("need k = 1 or 3 (mod 6), k >= 3")
+
+
 def recursive_families(q: int, k: int, parallelism: Parallelism,
                        base: DesignMultiset) -> ExtensionFamilies:
     """Recursive construction of S_q(2,3,2k+1;k+1+r), r = floor((k+1)/3).
@@ -837,8 +840,7 @@ def recursive_families(q: int, k: int, parallelism: Parallelism,
     Verified for q = 2 at k = 3 and 7 and for q = 3 at k = 3; q > 2 at
     k >= 7 is untried, for want of a parallelism of F_q^8.
     """
-    if k < 3 or k % 6 not in (1, 3):
-        raise ValueError("need k = 1 or 3 (mod 6), k >= 3")
+    check_recursive_k(k)
     r = (k + 1) // 3
     if parallelism.field.q != q or parallelism.n != k + 1:
         raise ValueError(f"need a parallelism of F_{q}^{k + 1}")

@@ -1,17 +1,16 @@
 """Counting-equation systems for punctured q-Steiner systems and their
 exact rational solution.
 
-Two flavours are built.  The uniform system has one equation per
-covered dimension s and one unknown X_r per block dimension r, with
-coefficient D_{s,r,m} * C_{(s,t),(r,k)}.  The full system has one
-equation per s-subspace X of F_q^m and one unknown a_Y per r-subspace
-Y, with coefficient C_{(s,t),(r,k)} when X <= Y and 0 otherwise, placed
-by the verifier's coverage kernel; ``designs.verify`` checks a design
-against these equations without materializing them.  Both systems
-hand ``solve`` their equations as sparse rows, ``{column: coefficient}``
-dicts of the nonzeros: the full system stores only these, and derives
-its dense ``matrix`` when read; the uniform system stores its few dense
-coefficients and derives the rows.  All
+One type, ``EquationSystem``, holds both flavours.  The uniform
+system has one equation per covered dimension s and one unknown X_r
+per block dimension r, with coefficient D_{s,r,m} * C_{(s,t),(r,k)}.
+The full system has one equation per s-subspace X of F_q^m and one
+unknown a_Y per r-subspace Y, with coefficient C_{(s,t),(r,k)} when
+X <= Y and 0 otherwise, placed by the verifier's coverage kernel;
+``designs.verify`` checks a design against these equations without
+materializing them.  Either system stores only its equations' nonzero
+coefficients, as sparse ``{column: coefficient}`` rows, which is what
+``solve`` reads; the dense ``matrix`` is derived when read.  All
 arithmetic is exact: coefficients are integers, elimination is sparse
 and fraction-free over Python integers, ``fractions.Fraction`` values
 are formed only where a substitution does not divide exactly and for
@@ -42,28 +41,10 @@ class NonIntegralSolution(ValueError):
 
 
 @dataclass(frozen=True)
-class UniformSystem:
-    """One equation per covered dimension s, one unknown X_r per block
-    dimension r."""
-
-    params: DesignParams
-    s_values: tuple
-    r_values: tuple
-    matrix: tuple          # row s -> tuple of integer coefficients over r_values
-    rhs: tuple
-
-    def variable_keys(self) -> tuple:
-        return self.r_values
-
-    @property
-    def rows(self) -> tuple:
-        """Each equation's nonzero coefficients, ``{column: coefficient}``."""
-        return tuple({j: c for j, c in enumerate(row) if c} for row in self.matrix)
-
-
-@dataclass(frozen=True)
-class FullSystem:
-    """One equation per s-subspace, one unknown a_Y per r-subspace.
+class EquationSystem:
+    """One equation per subject, one unknown per variable: the uniform
+    system's subjects and variables are the dimensions s and r, the full
+    system's the s- and r-subspaces.
 
     ``rows[i]`` holds equation i's nonzero coefficients only, as
     ``{column: coefficient}`` with columns indexing ``variables``; they
@@ -72,8 +53,8 @@ class FullSystem:
     """
 
     params: DesignParams
-    subjects: tuple        # s-subspaces, canonical order, dims ascending
-    variables: tuple       # r-subspaces, canonical order, dims ascending
+    subjects: tuple        # canonical order, dims ascending
+    variables: tuple       # canonical order, dims ascending
     rows: tuple            # per subject, {column: nonzero integer coefficient}
     rhs: tuple
 
@@ -144,20 +125,18 @@ class SolveOutcome:
         return basis
 
 
-def build_uniform(q: int, t: int, k: int, n: int, m: int) -> UniformSystem:
+def build_uniform(q: int, t: int, k: int, n: int, m: int) -> EquationSystem:
     """The uniform equation system for S_q(t,k,n;m)."""
     params = DesignParams(q, t, k, n, m)
-    s_values = tuple(params.s_range())
-    r_values = tuple(params.r_range())
-    matrix = []
-    rhs = []
-    for s in s_values:
-        row = tuple(count_D(s, r, m, q) * covering_coefficient(s, t, r, k, q)
-                    if r >= s else 0
-                    for r in r_values)
-        matrix.append(row)
-        rhs.append(count_N(s, m, t, n, q))
-    return UniformSystem(params, s_values, r_values, tuple(matrix), tuple(rhs))
+    subjects = tuple(params.s_range())
+    variables = tuple(params.r_range())
+    rows = []
+    for s in subjects:
+        products = ((j, count_D(s, r, m, q) * covering_coefficient(s, t, r, k, q))
+                    for j, r in enumerate(variables) if r >= s)
+        rows.append({j: c for j, c in products if c})
+    return EquationSystem(params, subjects, variables, tuple(rows),
+                          tuple(count_N(s, m, t, n, q) for s in subjects))
 
 
 def full_system_nonzeros(q: int, t: int, k: int, n: int, m: int) -> int:
@@ -170,7 +149,7 @@ def full_system_nonzeros(q: int, t: int, k: int, n: int, m: int) -> int:
                if covering_coefficient(s, t, r, k, q))
 
 
-def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
+def build_full(q: int, t: int, k: int, n: int, m: int) -> EquationSystem:
     """The per-subspace equation system for S_q(t,k,n;m), placed by
     the coverage kernel: ``subspaces._within_columns`` lists the keys of
     the s-subspaces X of each r-subspace Y; row X gets C_{(s,t),(r,k)}
@@ -200,7 +179,7 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> FullSystem:
                     for j, key in enumerate(column, offset + start):
                         row_at[key][j] = c
         offset += len(keys[r])
-    return FullSystem(params, tuple(x for s in s_rng for x in decoded[s]),
+    return EquationSystem(params, tuple(x for s in s_rng for x in decoded[s]),
                       tuple(y for r in r_rng for y in decoded[r]),
                       tuple(row_at.values()),
                       tuple(b for s in s_rng

@@ -352,6 +352,13 @@ def test_build_refuses_options_its_target_does_not_read(tmp_path, capsys,
     ("uniform-solve 6 2 3 7 4 --pin X0=1", "unsupported field order 6"),
     # refused before it is built, where the dense form exhausted memory
     ("full-solve 4 2 3 7 6", "full system would have 8471463 nonzero coefficients"),
+    # no base makes such a k valid, so it is refused before a base is read
+    ("build recursive --q 2 --k 5", "need k = 1 or 3 (mod 6), k >= 3"),
+    ("build recursive --q 2 --k 1", "need k = 1 or 3 (mod 6), k >= 3"),
+    ("build recursive --q 2 --k 0", "need k = 1 or 3 (mod 6), k >= 3"),
+    ("build recursive --q 2 --k -1", "need k = 1 or 3 (mod 6), k >= 3"),
+    ("build recursive --q 2 --k 5 --base nothere.design",
+     "need k = 1 or 3 (mod 6), k >= 3"),
     ("oracle C 0 1 1 40 2", "oracle would enumerate"),
     ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),
     ("oracle C 1 2 1 4", "oracle C takes 5 numbers: s t r k q"),

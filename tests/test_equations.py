@@ -14,10 +14,11 @@ from slow_oracles import dense_fraction_solve, object_verify
 from qsteiner import subspaces
 from qsteiner.counting import count_D, count_N, covering_coefficient, gaussian
 from qsteiner.designs import DesignMultiset, construct_uniform_design, verify
-from qsteiner.equations import (FULL_SYSTEM_GUARD, NonIntegralSolution,
-                                SolveOutcome, build_full, build_uniform,
-                                family_system_params, full_system_nonzeros,
-                                solve, uniform_family_solution)
+from qsteiner.equations import (FULL_SYSTEM_GUARD, EquationSystem,
+                                NonIntegralSolution, SolveOutcome, build_full,
+                                build_uniform, family_system_params,
+                                full_system_nonzeros, solve,
+                                uniform_family_solution)
 from qsteiner.subspaces import contains
 
 # (q, m) of S_q(2,3,7;m) systems covering q = 2, odd q and the
@@ -34,24 +35,24 @@ def residuals(system, design) -> list:
 
 def test_uniform_system_shape():
     us = build_uniform(2, 2, 3, 7, 4)
-    assert us.s_values == (0, 1, 2)
-    assert us.r_values == (0, 1, 2, 3)
+    assert us.subjects == (0, 1, 2)
+    assert us.variables == (0, 1, 2, 3)
     us1 = build_uniform(2, 2, 3, 7, 1)
-    assert us1.s_values == (0, 1) and us1.r_values == (0, 1)
+    assert us1.subjects == (0, 1) and us1.variables == (0, 1)
     # p = 1 forces s >= t-1 and r >= k-1
     us6 = build_uniform(2, 2, 3, 7, 6)
-    assert us6.s_values == (1, 2) and us6.r_values == (2, 3)
+    assert us6.subjects == (1, 2) and us6.variables == (2, 3)
 
 
 def test_uniform_system_coefficients_are_products():
     us = build_uniform(2, 2, 3, 7, 4)
-    for s, row in zip(us.s_values, us.matrix):
-        for r, coeff in zip(us.r_values, row):
+    for s, row in zip(us.subjects, us.matrix):
+        for r, coeff in zip(us.variables, row):
             if r < s:
                 assert coeff == 0
             else:
                 assert coeff == count_D(s, r, 4, 2) * covering_coefficient(s, 2, r, 3, 2)
-        assert us.rhs[us.s_values.index(s)] == count_N(s, 4, 2, 7, 2)
+        assert us.rhs[us.subjects.index(s)] == count_N(s, 4, 2, 7, 2)
 
 
 def test_worked_full_example():
@@ -143,7 +144,7 @@ def test_solver_residuals_zero_on_uniform():
         assert out.status == "unique"
         for row, b in zip(us.matrix, us.rhs):
             lhs = sum(Fraction(c) * out.assignment[r]
-                      for c, r in zip(row, us.r_values))
+                      for c, r in zip(row, us.variables))
             assert lhs == b
 
 
@@ -226,14 +227,18 @@ def test_full_system_guard_refuses_before_building():
 
 @pytest.mark.parametrize("q, m", (*FULL_CASES, (2, 5)))
 def test_full_system_rows_are_the_nonzeros(q, m):
-    """``rows`` holds exactly the nonzero entries of ``matrix``, and no
-    stored 0."""
-    fs = build_full(q, 2, 3, 7, m)
-    assert len(fs.rows) == len(fs.matrix) == len(fs.rhs) == len(fs.subjects)
-    for row, dense in zip(fs.rows, fs.matrix):
-        assert len(dense) == len(fs.variables)
-        assert row == {j: c for j, c in enumerate(dense) if c}
-        assert 0 not in row.values()
+    """Both builders return an ``EquationSystem`` whose ``rows`` hold
+    exactly the nonzero entries of ``matrix``, and no stored 0, one row
+    per subject and right-hand side."""
+    for build in (build_full, build_uniform):
+        system = build(q, 2, 3, 7, m)
+        assert type(system) is EquationSystem
+        assert len(system.rows) == len(system.rhs) == len(system.subjects)
+        assert len(system.matrix) == len(system.rows)
+        for row, dense in zip(system.rows, system.matrix):
+            assert len(dense) == len(system.variables)
+            assert row == {j: c for j, c in enumerate(dense) if c}
+            assert 0 not in row.values()
 
 
 def test_solve_leaves_rows_unchanged():
@@ -255,9 +260,9 @@ def test_uniform_to_full_consistency():
     pins = {2: 5, 3: 1, 4: 1}
     for m, pin in pins.items():
         us = build_uniform(2, 2, 3, 7, m)
-        uout = solve(us, {us.r_values[0]: pin})
+        uout = solve(us, {us.variables[0]: pin})
         assert uout.status == "unique" and uout.nonneg_integer
-        assignment = {r: int(uout.assignment[r]) for r in us.r_values}
+        assignment = {r: int(uout.assignment[r]) for r in us.variables}
         design = construct_uniform_design(2, 2, 3, 7, m, assignment)
         assert not any(residuals(build_full(2, 2, 3, 7, m), design))
 
