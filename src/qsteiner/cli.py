@@ -19,14 +19,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import counting, designs, equations, files
 
 
 def _fmt_value(v) -> str:
+    """An integer or fraction in exact decimal, however long: ``str`` of
+    an int refuses more digits than ``sys.get_int_max_str_digits()``,
+    ``Decimal`` of one converts without that limit."""
     v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    text = str(Decimal(v.numerator))
+    return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
 
 
 def _is_integer(text: str) -> bool:
@@ -43,7 +48,7 @@ def _integer(text: str) -> int:
 
 
 def cmd_gauss(args) -> int:
-    print(counting.gaussian(args.n, args.k, args.q))
+    print(_fmt_value(counting.gaussian(args.n, args.k, args.q)))
     return 0
 
 
@@ -51,8 +56,10 @@ def cmd_necessary(args) -> int:
     report = counting.necessary_conditions(args.t, args.k, args.n, args.q)
     for e in report.entries:
         verdict = "divides" if e.divides else "DOES NOT divide"
-        quotient = f" = {e.numerator // e.denominator}" if e.divides else ""
-        print(f"i={e.i}: {e.numerator} / {e.denominator} {verdict}{quotient}")
+        quotient = (f" = {_fmt_value(e.numerator // e.denominator)}"
+                    if e.divides else "")
+        print(f"i={e.i}: {_fmt_value(e.numerator)} / {_fmt_value(e.denominator)} "
+              f"{verdict}{quotient}")
     print("PASS" if report.ok else "FAIL")
     return 0 if report.ok else 1
 
@@ -68,8 +75,8 @@ def cmd_oracle(args) -> int:
                          f"{' '.join(names)}")
     formula = getattr(counting, "count_" + args.count)(*args.params)
     oracle = getattr(counting, "oracle_" + args.count)(*args.params)
-    print(f"formula {formula}")
-    print(f"oracle  {oracle}")
+    print(f"formula {_fmt_value(formula)}")
+    print(f"oracle  {_fmt_value(oracle)}")
     print("MATCH" if formula == oracle else "MISMATCH")
     return 0 if formula == oracle else 1
 
@@ -122,8 +129,8 @@ def cmd_full_solve(args) -> int:
 
 def _report_verdict(report) -> int:
     if report.ok:
-        print(f"PASS: {report.equations_checked} equations, "
-              f"total multiplicity {report.total_multiplicity}")
+        print(f"PASS: {_fmt_value(report.equations_checked)} equations, "
+              f"total multiplicity {_fmt_value(report.total_multiplicity)}")
         return 0
     if report.block_dim_violations:
         b, dim = report.block_dim_violations[0]
@@ -133,7 +140,7 @@ def _report_verdict(report) -> int:
         v = report.violations[0]
         print(f"FAIL: equation for the {v.s}-subspace "
               f"[{files.format_block_rows(v.subject)}] "
-              f"gives {v.got}, expected {v.expected} "
+              f"gives {_fmt_value(v.got)}, expected {_fmt_value(v.expected)} "
               f"({len(report.violations)} violated equations)")
     return 1
 

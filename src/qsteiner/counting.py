@@ -4,28 +4,30 @@ Closed forms:
 
 * ``gaussian(n, k, q)`` -- the q-binomial coefficient, the size of the
   Grassmannian of k-subspaces of F_q^n.
+* ``covering_coefficient(s, t, r, k, q)`` -- t-subspaces of F_q^k
+  whose (k-r)-puncture is a fixed s-subspace of F_q^r:
+  gaussian(k-r, t-s) * q^{s(k-r-t+s)}, and 0 where no such
+  t-subspace exists.  It is the one copy of the formula behind both
+  of the paper's counts:
 * ``count_N(s, m, t, n, q)`` -- t-subspaces of F_q^n extending a fixed
-  s-subspace of F_q^m: q^{s(n-m-t+s)} * gaussian(n-m, t-s).
+  s-subspace of F_q^m, the formula with (m, n) for (r, k).
 * ``count_C(s, t, r, k, q)`` -- copies of the t-expansion of an
-  s-subspace inside the k-expansion of a containing r-subspace:
-  gaussian(k-r, t-s) * q^{s(k-r-t+s)}.
+  s-subspace inside the k-expansion of a containing r-subspace.
 * ``count_D(s, r, m, q)`` -- r-subspaces of F_q^m containing a fixed
   s-subspace: gaussian(m-s, r-s).
 
 Every closed form has an independent oracle that counts by exhaustive
-enumeration; the oracles never evaluate the formulas.  Each enumerates
-by pivot cell or on keys (``subspaces.rows_key``), never one
-``Subspace`` per subspace:
+enumeration; no oracle evaluates a formula.  Each enumerates by pivot
+cell or on keys (``subspaces.rows_key``), never one ``Subspace`` per
+subspace:
 
 * ``oracle_N`` reads the weight of the witness's pivots in a census of
   the punctures of every t-subspace of F_q^n: one weight per set of
   pivots left of the deleted columns, the cells sharing it summed.
 * ``oracle_C`` lists the t-subspaces of the raised k-subspace as keys
   and punctures each on its key.
-* ``oracle_D`` counts each pivot cell column by column: the free
-  entries of one column of an RREF matrix decide on their own whether
-  it holds the witness, so a cell's count is a product over its
-  columns.
+* ``oracle_D`` sums, over the pivot sets holding the witness's pivots,
+  q to the number of entries the witness leaves free.
 
 All values are exact arbitrary-precision integers.
 """
@@ -36,12 +38,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import GF, make_field
+from .field import make_field
 from .subspaces import (Subspace, _within_columns, contains,
                         extension_raise_dim, first_subspace, row_codes,
                         rows_key, subspaces_within)
 
-# Largest Grassmannian an oracle is allowed to enumerate.
+# Largest Grassmannian an oracle may count.  Only ``oracle_C`` lists
+# one; ``oracle_N`` and ``oracle_D`` sum over pivot sets, and keep the
+# guard so that every oracle, and the CLI, refuses the same inputs.
 ORACLE_GUARD = 10 ** 7
 
 
@@ -65,7 +69,8 @@ def gaussian(n: int, k: int, q: int) -> int:
 
 def count_N(s: int, m: int, t: int, n: int, q: int) -> int:
     """Number of t-subspaces of F_q^n whose (n-m)-puncture is a fixed
-    s-subspace of F_q^m."""
+    s-subspace of F_q^m: ``covering_coefficient`` with (m, n) for
+    (r, k), on the arguments for which it is defined."""
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
     if not 0 <= s <= t:
@@ -74,17 +79,18 @@ def count_N(s: int, m: int, t: int, n: int, q: int) -> int:
         raise ValueError(f"no s-subspace of F_q^{m} with s={s}")
     if t - s > n - m:
         raise ValueError(f"cannot raise dimension by {t - s} in {n - m} coordinates")
-    return q ** (s * (n - m - t + s)) * gaussian(n - m, t - s, q)
+    return covering_coefficient(s, t, m, n, q)
 
 
 def count_C(s: int, t: int, r: int, k: int, q: int) -> int:
     """Number of copies of the t-expansion of an s-subspace X inside
-    the k-expansion of an r-subspace Y containing X."""
+    the k-expansion of an r-subspace Y containing X:
+    ``covering_coefficient`` on the arguments for which it is defined."""
     if not 0 <= s <= t < k:
         raise ValueError(f"need 0 <= s <= t < k, got s={s}, t={t}, k={k}")
     if not s <= r <= k - t + s:
         raise ValueError(f"need s <= r <= k-t+s, got r={r}")
-    return gaussian(k - r, t - s, q) * q ** (s * (k - r - t + s))
+    return covering_coefficient(s, t, r, k, q)
 
 
 def count_D(s: int, r: int, m: int, q: int) -> int:
@@ -95,7 +101,9 @@ def count_D(s: int, r: int, m: int, q: int) -> int:
 
 
 def covering_coefficient(s: int, t: int, r: int, k: int, q: int) -> int:
-    """count_C with the zero convention outside its r-range.
+    """The number of t-subspaces of F_q^k puncturing onto a fixed
+    s-subspace of F_q^r, the one formula of ``count_N`` and
+    ``count_C``, with the zero convention outside its range.
 
     Equation builders sum over every block dimension; a block of
     dimension r > k-t+s contributes no covering copies (the gaussian
@@ -182,21 +190,29 @@ def _check_guard(n: int, t: int, q: int) -> None:
             f"oracle would enumerate {size} subspaces (> {ORACLE_GUARD})")
 
 
-def oracle_N(s: int, m: int, t: int, n: int, q: int,
-             witness: Subspace | None = None) -> int:
-    """Brute-force count_N: enumerate all t-subspaces of F_q^n and count
-    those puncturing onto the witness s-subspace of F_q^m."""
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    _check_guard(n, t, q)
+def _witness(q: int, m: int, s: int, witness: Subspace | None) -> Subspace:
+    """The witness s-subspace of F_q^m: the given one, checked, or by
+    default the first."""
     field = make_field(q)
     if witness is None:
-        witness = first_subspace(field, m, s)
+        return first_subspace(field, m, s)
     if witness.field.q != q:
         raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
     if witness.dim != s or witness.ambient != m:
         raise ValueError("witness does not match the requested (s, m)")
-    return _puncture_census(q, n, t, m).get(witness.pivots, 0)
+    return witness
+
+
+def oracle_N(s: int, m: int, t: int, n: int, q: int,
+             witness: Subspace | None = None) -> int:
+    """Brute-force count_N: count the t-subspaces of F_q^n puncturing
+    onto the witness s-subspace of F_q^m, pivot cell by pivot cell, as
+    the weight of the witness's pivots in ``_puncture_census``."""
+    if not 0 < m < n:
+        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
+    _check_guard(n, t, q)
+    pivots = _witness(q, m, s, witness).pivots
+    return _puncture_census(q, n, t, m).get(pivots, 0)
 
 
 def oracle_C(s: int, t: int, r: int, k: int, q: int,
@@ -241,65 +257,29 @@ def oracle_C(s: int, t: int, r: int, k: int, q: int,
     return total
 
 
-def _column_choices(field: GF, rows: tuple, left: tuple, c: int) -> int:
-    """The number of choices of column c of an RREF matrix with pivots
-    ``left`` left of c (its entries in the rows leading there, the rest
-    of the column 0) for which every witness row x meets
-    ``x[c] = sum(x[p] * Y[p][c] for p in left)``.
-
-    Each row's sums over all q**len(left) choices are listed in one
-    order, and the rows' sums are joined into one base-q code per
-    choice."""
-    q, add, mul = field.q, field.add_table, field.mul_table
-    codes, target = [0] * q ** len(left), 0
-    for x in rows:
-        sums = [0]
-        for p in left:
-            mx = mul[x[p]]
-            sums = [add[a][b] for a in sums for b in mx]
-        codes = [code * q + a for code, a in zip(codes, sums)]
-        target = target * q + x[c]
-    return codes.count(target)
-
-
 def oracle_D(s: int, r: int, m: int, q: int,
              witness: Subspace | None = None) -> int:
-    """Brute-force count_D: enumerate the r-subspaces of F_q^m pivot
-    cell by pivot cell, column by column, and count those containing
-    the witness s-subspace.
+    """Brute-force count_D: count the r-subspaces of F_q^m containing
+    the witness s-subspace X, pivot cell by pivot cell.
 
-    An RREF Y with pivots P holds x iff, at every column c not in P,
-    ``x[c] = sum(x[p] * Y[p][c] for p in P if p < c)``: a condition on
-    column c of Y alone.  The free entries of different columns vary
-    independently, so a cell's count is the product, over its non-pivot
-    columns, of the number of that column's choices meeting the
-    condition for every witness row (``_column_choices``, enumerated in
-    full once per column and pivots left of it); a cell stops at its
-    first zero factor.
+    An RREF Y with pivots P holds X only if P holds X's pivots, since
+    every vector of Y leads at a pivot of Y.  Then Y holds X iff its
+    row leading at each pivot p of X is X's row leading at p minus the
+    sum, over the pivots c of Y that are no pivot of X, of X's entry at
+    c times Y's row leading at c; that difference is an RREF row of
+    pivots P whatever Y's other rows are.  So X fixes Y's rows leading
+    at its pivots, Y's other rows stay free, and the cell of P holds
+    q**f subspaces containing X, f the free entries (right of their
+    row's pivot, in no pivot column) of the rows leading outside X's
+    pivots.
     """
     if not 0 <= s <= r <= m:
         raise ValueError(f"need 0 <= s <= r <= m, got s={s}, r={r}, m={m}")
     _check_guard(m, r, q)
-    field = make_field(q)
-    if witness is None:
-        witness = first_subspace(field, m, s)
-    if witness.field.q != q:
-        raise ValueError(f"witness lives over F_{witness.field.q}, not F_{q}")
-    if witness.dim != s or witness.ambient != m:
-        raise ValueError("witness does not match the requested (s, m)")
-    counts: dict = {}
+    fixed = _witness(q, m, s, witness).pivots
     total = 0
     for pivots in itertools.combinations(range(m), r):
-        cell = 1
-        for c in range(m):
-            if c in pivots:
-                continue
-            left = tuple(p for p in pivots if p < c)
-            f = counts.get((left, c))
-            if f is None:
-                f = counts[left, c] = _column_choices(field, witness.rows, left, c)
-            cell *= f
-            if not cell:
-                break
-        total += cell
+        if set(fixed) <= set(pivots):
+            total += q ** sum(c not in pivots for p in pivots if p not in fixed
+                              for c in range(p + 1, m))
     return total

@@ -820,9 +820,10 @@ def fano_m5_families(q: int, parallelism: Parallelism) -> ExtensionFamilies:
 
 
 def check_recursive_k(k: int) -> None:
-    """Refuse a k for which no S_q(2,3,2k+1;k+1+r) is constructed."""
+    """Refuse a k for which no S_q(2,3,2k+1;k+1+r) is constructed, nor
+    the uniform S_q(2,3,2k+1;k+1) it starts from."""
     if k < 3 or k % 6 not in (1, 3):
-        raise ValueError("need k = 1 or 3 (mod 6), k >= 3")
+        raise ValueError(f"need k = 1 or 3 (mod 6), k >= 3, got k={k}")
 
 
 def recursive_families(q: int, k: int, parallelism: Parallelism,

@@ -27,7 +27,7 @@ from functools import cached_property, partial
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
-from .designs import DesignParams
+from .designs import DesignParams, check_recursive_k
 from .field import make_field
 from .subspaces import _decode_key, _within_columns, grassmannian_keys
 
@@ -312,9 +312,7 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
 # ---------------------------------------------------------------------------
 
 def _family_2_3_odd(q: int, k: int) -> dict:
-    if k < 3 or k % 6 not in (1, 3):
-        raise ValueError(f"family S_q(2,3,2k+1;k+1) needs k = 1 or 3 (mod 6), "
-                         f"k >= 3, got k={k}")
+    check_recursive_k(k)
     x0 = Fraction(gaussian(k, 2, q), gaussian(3, 2, q))
     return {0: x0, 1: Fraction(0), 2: Fraction(q ** (k - 1)),
             3: Fraction(q ** (k + 1) * (q - 1))}

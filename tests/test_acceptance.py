@@ -42,7 +42,7 @@ def test_criterion_1_formula_vs_oracle():
     """count_N / count_C / count_D equal their brute-force oracles on
     every legal tuple with q in {2,3}, n <= 7, k <= 4 (extension
     dimensions swept up to t = 4, block dimensions r <= 4 on ambients
-    m <= 6)."""
+    m <= 6), and count_D on every tuple with q = 2, m <= 9."""
     t0 = time.perf_counter()
     checked = 0
     for q in (2, 3):
@@ -68,12 +68,20 @@ def test_criterion_1_formula_vs_oracle():
                     assert count_D(s, r, m, q) == oracle_D(s, r, m, q), \
                         (s, r, m, q)
                     checked += 1
+    # the D oracle sums pivot cells and lists no Grassmannian, so at
+    # q = 2 it takes every tuple up to the 3,309,747 4-subspaces of F_2^9
+    for m in range(1, 10):
+        for r in range(0, m + 1):
+            for s in range(0, r + 1):
+                assert count_D(s, r, m, 2) == oracle_D(s, r, m, 2), (s, r, m)
+                checked += 1
     assert count_N(2, 5, 3, 7, 2) == oracle_N(2, 5, 3, 7, 2) == 12
     assert count_C(2, 2, 2, 3, 2) == oracle_C(2, 2, 2, 3, 2) == 4
+    assert count_D(2, 4, 9, 2) == oracle_D(2, 4, 9, 2) == 2667
     elapsed = time.perf_counter() - t0
     report(1, elapsed < 120,
-           f"{checked} tuples formula == oracle, anchors N=12 and C=4, "
-           f"{elapsed:.1f}s (< 120s)")
+           f"{checked} tuples formula == oracle, anchors N=12, C=4 and "
+           f"D=2667, {elapsed:.1f}s (< 120s)")
 
 
 def test_criterion_2_worked_full_system():

@@ -32,6 +32,27 @@ def test_gauss(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_gauss_prints_past_the_int_digit_limit(capsys):
+    """[300 choose 150]_2 has 6,774 digits, more than ``str`` of an int
+    gives by default (4,300 since Python 3.10.7); the printed digits
+    equal the value built by the q-Pascal rule
+    [n k] = [n-1 k-1] + q^k [n-1 k], read with the limit lifted."""
+    code, out, err = run(capsys, "gauss", "300", "150", "2")
+    assert code == 0 and err == ""
+    row = [1] + [0] * 150
+    for n in range(1, 301):
+        row = [1] + [row[k - 1] + 2 ** k * row[k] for k in range(1, 151)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{row[150]}\n"
+        assert len(out) == 6775
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_necessary_exit_codes(capsys):
     code, out, _ = run(capsys, "necessary", "2", "3", "7", "2")
     assert code == 0 and out.strip().endswith("PASS")

@@ -307,9 +307,10 @@ def test_oracle_guard():
 
 
 def test_oracle_D_vs_direct_containment_scan():
-    """The column-by-column oracle counts what ``contains`` counts over
-    the Grassmannian, for every witness and both dimensions, over prime
-    fields (q = 2, 3, 5, 7) and extension fields (q = 4, 8, 9)."""
+    """The pivot-cell oracle counts what ``contains`` counts over the
+    Grassmannian, for every witness and both dimensions, over prime
+    fields (q = 2, 3, 5, 7) and extension fields (q = 4, 8, 9); the
+    scan is what runs the field's arithmetic against D."""
     for q, m_max in ((2, 4), (3, 4), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3)):
         f = make_field(q)
         for m in range(1, m_max + 1):

@@ -731,7 +731,7 @@ def test_construct_recursive_validation():
     base = construct_uniform_design(2, 2, 3, 3, 1, {1: 1})
     with pytest.raises(ValueError, match=r"^need a parallelism of F_3\^4$"):
         recursive_families(3, 3, para, base)
-    with pytest.raises(ValueError, match=r"^need k = 1 or 3 \(mod 6\), k >= 3$"):
+    with pytest.raises(ValueError, match=r"^need k = 1 or 3 \(mod 6\), k >= 3, got k=5$"):
         recursive_families(2, 5, para, base)
     with pytest.raises(ValueError, match=r"^base design must be an S_2\(2,3,3;1\)$"):
         recursive_families(2, 3, para,

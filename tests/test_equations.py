@@ -352,7 +352,8 @@ def test_family_2_3_odd_at_k3_is_fano_m4():
 
 
 def test_family_congruence_conditions():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"need k = 1 or 3 \(mod 6\), k >= 3, got k=5"):
         uniform_family_solution("S(2,3,2k+1;k+1)", 2, k=5)
     with pytest.raises(ValueError):
         uniform_family_solution("S(3,4,2k;k)", 2, k=5)
