@@ -12,7 +12,8 @@ from .designs import (DesignMultiset, DesignParams, ExtensionFamilies,
                       construct_uniform_design, distinctness_check,
                       fano_m5_families, puncture_design, puncture_steiner,
                       recursive_families, s3485_families, trivial_steiner,
-                      verify, verify_families, verify_steiner)
+                      uniform_families, verify, verify_families,
+                      verify_steiner)
 from .equations import (EquationSystem, NonIntegralSolution, SolveOutcome,
                         build_full, build_uniform, solve,
                         uniform_family_solution)

@@ -8,6 +8,11 @@ as by ``| head``; nothing is printed then.
 All numeric output is exact decimal; stdout is deterministic for fixed
 inputs.
 
+Every ``build`` target is an ``ExtensionFamilies``, written expanded and
+checked by class sums (``designs.verify_families``); ``verify``,
+``puncture`` and ``transform`` check the design they read or write by
+``designs.verify``.
+
 The environment variable QSTEINER_DATA may point at a directory of
 parallelism files named ``parallelism-q{q}-n{n}.txt``; ``--parallelism
 auto`` looks there, then at the files shipped with the package, before
@@ -64,15 +69,20 @@ def cmd_necessary(args) -> int:
     return 0 if report.ok else 1
 
 
-# the numbers each count of ``oracle`` takes, in order
-_ORACLE_PARAMS = {"N": "s m t n q", "C": "s t r k q", "D": "s r m q"}
+# the numbers each count of ``oracle`` takes, in order, and the two,
+# (n, t), of the Grassmannian of t-subspaces of F_q^n its oracle counts
+_ORACLE_PARAMS = {"N": ("s m t n q", "n t"), "C": ("s t r k q", "k t"),
+                  "D": ("s r m q", "m r")}
 
 
 def cmd_oracle(args) -> int:
-    names = _ORACLE_PARAMS[args.count].split()
+    names, space = (text.split() for text in _ORACLE_PARAMS[args.count])
     if len(args.params) != len(names):
         raise ValueError(f"oracle {args.count} takes {len(names)} numbers: "
                          f"{' '.join(names)}")
+    # refused before either count, which may be as large as the Grassmannian
+    values = dict(zip(names, args.params))
+    counting._check_guard(*(values[name] for name in space), values["q"])
     formula = getattr(counting, "count_" + args.count)(*args.params)
     oracle = getattr(counting, "oracle_" + args.count)(*args.params)
     print(f"formula {_fmt_value(formula)}")
@@ -146,8 +156,7 @@ def _report_verdict(report) -> int:
 
 
 def cmd_verify(args) -> int:
-    design = files.parse_design_file(args.file)
-    return _report_verdict(designs.verify(design))
+    return _report_verdict(designs.verify(files.parse_design_file(args.file)))
 
 
 def _resolve_parallelism(q: int, n: int, source: str) -> designs.Parallelism:
@@ -180,21 +189,17 @@ def cmd_build(args) -> int:
               if getattr(args, option) is not None and args.name not in targets]
     if unread:
         raise ValueError(f"build {args.name} does not take {', '.join(unread)}")
-    # the extension-family targets set fam, verified by class sums
-    q, fam = args.q, None
+    q = args.q
     source = "auto" if args.parallelism is None else args.parallelism
-    if args.name == "fano-m4":
-        assignment = equations.uniform_family_solution("S(2,3,7;4)", q)
-        design = designs.construct_uniform_design(q, 2, 3, 7, 4, assignment)
-    elif args.name == "s3484":
-        assignment = equations.uniform_family_solution("S(3,4,8;4)", q)
-        design = designs.construct_uniform_design(q, 3, 4, 8, 4, assignment)
+    if args.name in ("fano-m4", "s3484"):
+        family = "S(2,3,7;4)" if args.name == "fano-m4" else "S(3,4,8;4)"
+        fam = designs.uniform_families(q, *equations.family_system_params(family),
+                                       equations.uniform_family_solution(family, q))
     elif args.name == "s3485":
         fam = designs.s3485_families(q)
     elif args.name == "fano-m5":
-        para = _resolve_parallelism(q, 4, source)
-        fam = designs.fano_m5_families(q, para)
-    elif args.name == "recursive":
+        fam = designs.fano_m5_families(q, _resolve_parallelism(q, 4, source))
+    else:       # recursive, the last of the parser's choices
         k = args.k
         if k is None:
             raise ValueError("build recursive needs --k")
@@ -207,28 +212,25 @@ def cmd_build(args) -> int:
             raise ValueError(f"build recursive with k={k} needs --base FILE")
         para = _resolve_parallelism(q, k + 1, source)
         fam = designs.recursive_families(q, k, para, base)
-    else:
-        raise ValueError(f"unknown build target {args.name!r}")
-    if fam:
-        design = fam.design()
+    design = fam.design()
     out = args.output or f"{args.name}-q{q}.design"
     files.write_design(design, out)
     print(f"wrote {out} ({len(design.blocks)} distinct blocks)")
-    return _report_verdict(designs.verify_families(fam) if fam
-                           else designs.verify(design))
+    return _report_verdict(designs.verify_families(fam))
+
+
+def _write_verified(design, args, suffix: str) -> int:
+    """Write to ``--output`` or the stem of ``args.file`` plus ``suffix``; verify."""
+    stem, ext = os.path.splitext(args.file)
+    out = args.output or f"{stem}{suffix}{ext or '.design'}"
+    files.write_design(design, out)
+    print(f"wrote {out}")
+    return _report_verdict(designs.verify(design))
 
 
 def cmd_puncture(args) -> int:
-    design = files.parse_design_file(args.file)
-    punctured = designs.puncture_design(design)
-    if args.output:
-        out = args.output
-    else:
-        stem, ext = os.path.splitext(args.file)
-        out = f"{stem}-m{punctured.params.m}{ext or '.design'}"
-    files.write_design(punctured, out)
-    print(f"wrote {out}")
-    return _report_verdict(designs.verify(punctured))
+    punctured = designs.puncture_design(files.parse_design_file(args.file))
+    return _write_verified(punctured, args, f"-m{punctured.params.m}")
 
 
 def cmd_spread(args) -> int:
@@ -273,15 +275,7 @@ def _parse_ops(op_args, ncols: int) -> list:
 def cmd_transform(args) -> int:
     design = files.parse_design_file(args.file)
     ops = _parse_ops(args.op, design.params.m)
-    transformed = designs.apply_transform(design, ops)
-    if args.output:
-        out = args.output
-    else:
-        stem, ext = os.path.splitext(args.file)
-        out = f"{stem}-transformed{ext or '.design'}"
-    files.write_design(transformed, out)
-    print(f"wrote {out}")
-    return _report_verdict(designs.verify(transformed))
+    return _write_verified(designs.apply_transform(design, ops), args, "-transformed")
 
 
 def _add_system_args(sub) -> None:
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("count", choices=("N", "C", "D"))
     p.add_argument("params", type=_integer, nargs="+",
                    help=" | ".join(f"{c}: {names}"
-                                   for c, names in _ORACLE_PARAMS.items()))
+                                   for c, (names, _) in _ORACLE_PARAMS.items()))
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("uniform-solve",

@@ -184,6 +184,13 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> dict:
 
 
 def _check_guard(n: int, t: int, q: int) -> None:
+    """Refuse an oracle over the [n t]_q t-subspaces of F_q^n past
+    ORACLE_GUARD.  As [n t]_q >= q^{t(n-t)} >= 2^bits, bits of the guard's
+    length refuse before [n t]_q is computed; fewer leave it below 2^48."""
+    bits = t * (n - t) * (q.bit_length() - 1)
+    if q >= 2 and 0 <= t <= n and bits >= ORACLE_GUARD.bit_length():
+        raise ValueError(f"oracle would enumerate at least 2^{bits} subspaces "
+                         f"(> {ORACLE_GUARD})")
     size = gaussian(n, t, q)
     if size > ORACLE_GUARD:
         raise ValueError(

@@ -17,12 +17,12 @@ violation.  Steiner systems, spreads and parallelisms are stored as keys
 as well: ``SteinerSystem.keys`` (a ``Spread`` is the checked S_q(1,2,n))
 holds each block's key, and ``blocks`` and ``lines`` decode them.
 
-The constructions ``s3485`` and ``recursive`` (of which ``fano-m5`` is
-the case k = 3) are ``ExtensionFamilies``: with F_q^m = F_q^{m1} +
-F_q^r, each part is the family of all [[G1 B], [0 G2]] with G1 in a
-list of keys of F_q^{m1} (or every one of a dimension), G2 one key of
-F_q^r and B free, and ``design()`` expands them.  Such a design is
-invariant under the maps (u, v) -> (u, v + u Phi), so
+Every construction (``uniform``, ``s3485``, ``recursive`` and its case
+``fano-m5``) is ``ExtensionFamilies``: with F_q^m = F_q^{m1} + F_q^r,
+each part is the family of all [[G1 B], [0 G2]] with G1 in a list of
+keys of F_q^{m1} (or every one of a dimension), G2 one key of F_q^r and
+B free, and ``design()`` expands them.  Such a design is invariant
+under the maps (u, v) -> (u, v + u Phi), so
 ``verify_families`` checks one equation per orbit of s-subspaces X,
 the class (U, K) with U the projection of X to F_q^{m1} and K = X meet
 F_q^r: q^{u(r-kappa)} subspaces, u = dim U and kappa = dim K.  Of a
@@ -31,7 +31,8 @@ none otherwise (the Kramer-Mesner reduction by this group).  The parts
 add up, a block listed by several carrying the sum of their
 multiplicities, so the class sums are exact for every family, and
 ``verify_families`` reports as ``verify(fam.design())`` without
-expanding it.  ``verify`` is their case m1 = m: each class one subspace.
+expanding it.  ``verify`` is their case m1 = m: each class one subspace,
+as for a uniform design, whose one part per d holds every d-subspace.
 """
 
 from __future__ import annotations
@@ -622,8 +623,8 @@ def build_parallelism(q: int, n: int) -> Parallelism:
 
 
 # ---------------------------------------------------------------------------
-# Constructions, unchecked: the uniform design, or extension families
-# (``verify`` and ``verify_families`` check them by the same class sums)
+# Constructions, unchecked: each an ExtensionFamilies, checked by
+# ``verify_families``
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -678,12 +679,17 @@ def _extension_tables(q: int, m: int, n: int, parts: list) -> dict:
     block listed twice add up, and a part at 0 lists nothing."""
     tables: dict = {}
     for d, keys, bottom, mult in (part for part in parts if part[3]):
-        if keys is None:
+        every = keys is None
+        if every:
             keys = grassmannian_keys(q, m, d - len(row_codes(bottom, q, n - m)))
-        table = tables.setdefault(d, {})
-        get = table.get
-        for key in _extension_keys(q, m, keys, n, bottom):
-            table[key] = get(key, 0) + mult
+        blocks = _extension_keys(q, m, keys, n, bottom)
+        if every and d not in tables:   # distinct blocks, the first of d
+            tables[d] = dict.fromkeys(blocks, mult)
+        else:
+            table = tables.setdefault(d, {})
+            get = table.get
+            for key in blocks:
+                table[key] = get(key, 0) + mult
     return tables
 
 
@@ -764,13 +770,13 @@ def _class_sums(params: DesignParams, m1: int, parts: list, s: int) -> Iterator[
             yield (u, below, size, *coverage(batches, field, m1, u))
 
 
-def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
-                             assignment: dict) -> DesignMultiset:
+def uniform_families(q: int, t: int, k: int, n: int, m: int,
+                     assignment: dict) -> ExtensionFamilies:
     """The uniform design giving every r-subspace of F_q^m the
-    multiplicity assignment[r]."""
+    multiplicity assignment[r], as families over m1 = m: one part of
+    every r-subspace per nonzero assignment[r]."""
     params = DesignParams(q, t, k, n, m)
     r_rng = params.r_range()
-    tables: dict = {}
     for r, mult in assignment.items():
         if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
             raise ValueError(f"multiplicity for dimension {r} must be a "
@@ -778,11 +784,14 @@ def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
         if mult and r not in r_rng:
             raise ValueError(f"dimension {r} outside the legal block range "
                              f"{r_rng.start}..{r_rng.stop - 1}")
-    for r in r_rng:
-        mult = assignment.get(r, 0)
-        if mult:
-            tables[r] = dict.fromkeys(grassmannian_keys(q, m, r), mult)
-    return DesignMultiset._from_tables(params, tables)
+    return ExtensionFamilies(params, m, tuple(
+        (r, None, 0, assignment[r]) for r in r_rng if assignment.get(r)))
+
+
+def construct_uniform_design(q: int, t: int, k: int, n: int, m: int,
+                             assignment: dict) -> DesignMultiset:
+    """The design of ``uniform_families``."""
+    return uniform_families(q, t, k, n, m, assignment).design()
 
 
 def s3485_families(q: int) -> ExtensionFamilies:

@@ -21,6 +21,7 @@ reported when it satisfies every equation exactly.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -162,7 +163,12 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> EquationSystem:
     params = DesignParams(q, t, k, n, m)
     nonzeros = full_system_nonzeros(q, t, k, n, m)
     if nonzeros > FULL_SYSTEM_GUARD:
-        raise ValueError(f"full system would have {nonzeros} nonzero coefficients "
+        # named by its bits where its decimal would pass the int-to-str
+        # digit limit (none before Python 3.10.7): 2^(3 limit) < 10^limit
+        bits = nonzeros.bit_length()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        count = nonzeros if not limit or bits <= 3 * limit else f"at least 2^{bits - 1}"
+        raise ValueError(f"full system would have {count} nonzero coefficients "
                          f"(> {FULL_SYSTEM_GUARD}); use the streaming verifier")
     field = make_field(q)
     s_rng, r_rng = params.s_range(), params.r_range()

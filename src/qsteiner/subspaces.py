@@ -370,22 +370,28 @@ def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[
 
 
 def _extension_keys(q: int, m: int, keys: Iterable, n: int,
-                    bottom: int) -> Iterator[int]:
+                    bottom: int) -> Iterable[int]:
     """The keys of the [[G1 B], [0 G2]] subspaces of F_q^n (module
     docstring), G1 given by each key of ``keys`` in turn and G2 by
-    ``bottom``; per key the top row's suffix varies slowest."""
+    ``bottom``, listed lazily; per key the top row's suffix varies
+    slowest.  With n = m, G2 is F_q^0 and ``keys`` are returned."""
+    if n == m:
+        return keys
     shift, big = q ** (n - m), q ** n
     g2 = row_codes(bottom, q, n - m)
     pivots = {_code_row(code, q, n - m).index(1) for code in g2}
     suffixes = _free_codes(q, n - m, [c for c in range(n - m) if c not in pivots])
     base = sum(code * big ** i for i, code in enumerate(reversed(g2)))
-    for key in keys:
+
+    def extend(key: int) -> list:
         top = row_codes(key, q, m)
         # product order, top row slowest: each row extends every key so far
         acc = [base]
         for code, place in zip(top, _places(big, len(top) + len(g2))):
             acc = [a + (code * shift + b) * place for a in acc for b in suffixes]
-        yield from acc
+        return acc
+
+    return itertools.chain.from_iterable(map(extend, keys))
 
 
 def _free_codes(q: int, m: int, columns: list) -> list:
@@ -490,10 +496,10 @@ def rows_key(q: int, rows: tuple) -> int:
 
 def row_codes(key: int, q: int, m: int) -> list:
     """The codes of the RREF rows of the subspace of F_q^m with this
-    key, top row first; ValueError for a negative key."""
-    if key < 0:
-        raise ValueError(f"{key!r} is not a subspace key")
+    key, top row first; ValueError for a key < 0, or > 0 with m = 0."""
     big = q ** m
+    if key < 0 or key and big == 1:
+        raise ValueError(f"{key!r} is not a subspace key")
     codes = []
     while key:
         key, code = divmod(key, big)

@@ -4,6 +4,7 @@ import hashlib
 import os
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,11 @@ def test_uniform_solve(capsys):
     assert "X_0 = 1" in out and "X_1 = 0" in out
     assert "X_2 = 4" in out and "X_3 = 16" in out
     assert "nonnegative integers: yes" in out
+    # unpinned, one variable stays free
+    code, out, _ = run(capsys, "uniform-solve", "2", "2", "3", "7", "4")
+    assert code == 0 and out.splitlines() == [
+        "status: underdetermined", "X_0 = 31", "X_1 = -14", "X_2 = 16", "X_3 = 0",
+        "free variables: 1", "nonnegative integers: no"]
 
 
 def test_full_solve_alias(capsys):
@@ -162,6 +168,23 @@ def test_verify_non_decimal_multiplicity(tmp_path, capsys, monkeypatch):
                    "numbers in 'block x 0 -'\n")
 
 
+@pytest.mark.parametrize("target, q", [
+    ("fano-m4", 2), ("s3484", 2), ("s3485", 2), ("fano-m5", 2),
+    ("recursive", 2), ("s3485", 3), ("fano-m5", 3)])
+def test_verify_repeats_the_build_verdict(tmp_path, capsys, monkeypatch, target, q):
+    """``build`` checks its families by class sums, ``verify`` reads the
+    file back and checks it equation by equation: both print the same
+    ``PASS:`` line."""
+    monkeypatch.chdir(tmp_path)
+    k = ["--k", "3"] if target == "recursive" else []
+    code, out, _ = run(capsys, "build", target, "--q", str(q), *k, "-o", "x.design")
+    wrote, verdict = out.splitlines()
+    assert code == 0 and wrote.startswith("wrote x.design (")
+    assert verdict.startswith("PASS: ")
+    code, out, _ = run(capsys, "verify", "x.design")
+    assert code == 0 and out == verdict + "\n"
+
+
 def test_build_s3485_and_recursive(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "build", "s3485", "--q", "2")
@@ -230,6 +253,12 @@ def test_spread_and_parallelism_commands(tmp_path, capsys, monkeypatch):
     assert out.splitlines()[0] == "qsteiner-spread v1"
     assert "5 lines" in out
 
+    # -o writes what stdout shows, and names the file in its place
+    code, written, _ = run(capsys, "spread", "2", "4", "-o", "sp.txt")
+    text, verdict = out[:out.index("PASS: ")], out[out.index("PASS: "):]
+    assert code == 0 and written == f"wrote sp.txt\n{verdict}"
+    assert Path("sp.txt").read_bytes() == text.encode("ascii")
+
     code, out, _ = run(capsys, "parallelism", "2", "4", "-o", "p.txt")
     assert code == 0
     para = parse_parallelism_file("p.txt")
@@ -289,6 +318,27 @@ def test_transform_command(tmp_path, capsys, monkeypatch):
     assert code == 2 and "bad op" in err
     code, _, err = run(capsys, "transform", "fano-m4-q2.design", "--op", "1=1,1")
     assert code == 2 and "needs 4 coefficients" in err
+    # argparse reads a separate "-1=..." as an option; joined, it is --op's
+    code, out, err = run(capsys, "transform", "fano-m4-q2.design", "--op=-1=1,1,0,0")
+    assert code == 2 and out == "" and err == "error: column index -1 out of range\n"
+
+
+@pytest.mark.parametrize("argv, default", [
+    ("puncture fano-m4-q2.design", "fano-m4-q2-m3.design"),
+    ("transform fano-m4-q2.design --op 1=1,1,0,0", "fano-m4-q2-transformed.design"),
+])
+def test_output_option_writes_the_default_file(tmp_path, capsys, monkeypatch,
+                                               argv, default):
+    """``-o`` writes, byte for byte, the file written by default, and
+    stdout names it there."""
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "fano-m4", "--q", "2")
+    code, out, _ = run(capsys, *argv.split())
+    wrote, verdict = out.splitlines()
+    assert code == 0 and wrote == f"wrote {default}"
+    code, out, _ = run(capsys, *argv.split(), "-o", "out.design")
+    assert code == 0 and out.splitlines() == ["wrote out.design", verdict]
+    assert Path("out.design").read_bytes() == Path(default).read_bytes()
 
 
 def test_deterministic_stdout(tmp_path, capsys, monkeypatch):
@@ -384,11 +434,18 @@ def test_build_refuses_options_its_target_does_not_read(tmp_path, capsys,
     ("oracle N 1 2 3", "oracle N takes 5 numbers: s m t n q"),
     ("oracle C 1 2 1 4", "oracle C takes 5 numbers: s t r k q"),
     ("oracle D 1 2 3 4 5", "oracle D takes 4 numbers: s r m q"),
+    # refused before either count, and before any number too long to print
+    ("oracle D 0 3000 6000 2", "oracle would enumerate at least 2^9000000 subspaces"),
+    ("oracle D 0 100 400 2", "oracle would enumerate at least 2^30000 subspaces"),
+    ("full-solve 2 40 41 3000 2900",
+     "full system would have at least 2^117261 nonzero coefficients"),
 ])
 def test_degenerate_arguments_exit_2(capsys, argv, message):
-    """Degenerate numbers are bad input: exit 2 with one ``error:``
-    line, no traceback and no stdout."""
+    """Degenerate numbers are bad input: exit 2 within a second, with
+    one ``error:`` line, no traceback and no stdout."""
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

@@ -80,6 +80,8 @@ def test_count_range_errors():
         count_N(0, 7, 1, 7, 2)        # m = n
     with pytest.raises(ValueError):
         count_N(0, 1, 3, 3, 2)        # t - s > n - m
+    with pytest.raises(ValueError, match="no s-subspace"):
+        count_N(3, 2, 3, 7, 2)        # s > m
     with pytest.raises(ValueError):
         count_C(1, 2, 2, 2, 2)        # t = k
     with pytest.raises(ValueError):
@@ -296,6 +298,21 @@ def test_oracle_D_arbitrary_witness():
         assert oracle_D(1, 2, 4, 3, witness=x) == count_D(1, 2, 4, 3)
 
 
+@pytest.mark.parametrize("oracle, args, message", [
+    (oracle_N, (0, 4, 1, 4, 2), "need 0 < m < n"),
+    (oracle_N, (1, 2, 2, 4, 2, first_subspace(make_field(2), 3, 1)),
+     "does not match the requested"),
+    (oracle_C, (1, 2, 2, 2, 2), "need 0 <= s <= t < k"),
+    (oracle_C, (1, 2, 0, 3, 2), "need s <= r <= k"),
+    (oracle_C, (1, 2, 1, 3, 2, rref(make_field(2), [(0, 1)]),
+                rref(make_field(2), [(1, 0)])), "witness pair"),
+    (oracle_D, (2, 1, 4, 2), "need 0 <= s <= r <= m"),
+])
+def test_oracle_range_errors(oracle, args, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(*args)
+
+
 def test_oracle_guard():
     with pytest.raises(ValueError):
         oracle_N(1, 8, 4, 16, 2)
@@ -304,6 +321,16 @@ def test_oracle_guard():
     # the t-subspaces of the raised 40-space are never enumerated
     with pytest.raises(ValueError, match="oracle would enumerate"):
         oracle_C(0, 1, 1, 40, 2)
+    # past the guard's bits by [n t]_q >= q^(t(n-t)), refused without
+    # computing [n t]_q; below them, the count is named
+    with pytest.raises(ValueError, match=r"^oracle would enumerate at least "
+                                         r"2\^9000000 subspaces \(> 10000000\)$"):
+        oracle_D(0, 3000, 6000, 2)
+    with pytest.raises(ValueError, match=r"^oracle would enumerate at least 2\^24 "):
+        oracle_D(0, 2, 8, 4)                    # 4^(2*6) = 2^24
+    with pytest.raises(ValueError, match=r"^oracle would enumerate 678468820 subspaces"):
+        oracle_D(0, 3, 9, 3)                    # 3^18 >= 2^18 only
+    assert gaussian(9, 3, 3) == 678468820
 
 
 def test_oracle_D_vs_direct_containment_scan():

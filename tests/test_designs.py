@@ -18,8 +18,9 @@ from qsteiner.designs import (ConstructionError, DesignMultiset, DesignParams,
                               _batches, _extension_tables, _line_key,
                               distinctness_check, fano_m5_families, puncture_design,
                               puncture_steiner, recursive_families,
-                              s3485_families, trivial_steiner, verify,
-                              verify_families, verify_steiner)
+                              s3485_families, trivial_steiner,
+                              uniform_families, verify, verify_families,
+                              verify_steiner)
 from qsteiner.field import SUPPORTED_ORDERS, make_field
 from qsteiner.files import (packaged_parallelism_path, parse_design,
                             parse_parallelism, parse_parallelism_file,
@@ -92,6 +93,9 @@ def test_multiset_rejects_bad_multiplicities():
         DesignMultiset(params, {block: -3})
     with pytest.raises(ValueError):
         DesignMultiset(params, {block: True})
+    elsewhere = next(iter(enumerate_subspaces(F2, 3, 2)))
+    with pytest.raises(ValueError, match=r"does not live in F_2\^4$"):
+        DesignMultiset(params, {elsewhere: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +369,8 @@ def test_spread_invariants():
 def test_spread_rejects_odd_dimension():
     with pytest.raises(ValueError):
         build_spread(2, 5)
+    with pytest.raises(ValueError, match=r"implemented for q in \{2, 3\}$"):
+        build_spread(4, 4)
 
 
 def test_spread_rejects_bad_partition():
@@ -421,6 +427,8 @@ def test_puncture_steiner_rejects_non_steiner():
     bogus = SteinerSystem(f, 1, 2, 4, lines)
     with pytest.raises(ValueError):
         puncture_steiner(bogus)
+    with pytest.raises(ValueError, match="^need 0 <= t <= k <= n, got t=3, k=2, n=4$"):
+        SteinerSystem(f, 3, 2, 4, lines)
 
 
 def test_puncture_steiner_rejects_a_broken_puncture(monkeypatch):
@@ -559,6 +567,8 @@ def test_parallelism_rejects_bad_partition():
         Parallelism(F2, 4, para.spreads[:6])
     with pytest.raises(ValueError):
         Parallelism(F2, 4, para.spreads + (para.spreads[0],))
+    with pytest.raises(ValueError, match="^spread with mismatched parameters$"):
+        Parallelism(F2, 4, (build_spread(2, 6),))
 
 
 def test_parallelism_rejects_members_that_are_not_spreads():
@@ -609,6 +619,22 @@ def test_construct_uniform_design_validation():
         construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 2: 4.0})
     with pytest.raises(ValueError):
         construct_uniform_design(2, 2, 3, 7, 6, {0: 1})  # dim 0 illegal at m=6
+
+
+def test_uniform_families_parts():
+    """A uniform design is one part of every r-subspace per nonzero X_r,
+    over m1 = m, and ``construct_uniform_design`` is its expansion: every
+    r-subspace of F_q^m once, in canonical order, at X_r."""
+    fam = uniform_families(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
+    assert fam.m1 == fam.params.m == 4
+    assert fam.parts == ((0, None, 0, 1), (2, None, 0, 4), (3, None, 0, 16))
+    design = construct_uniform_design(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})
+    assert design == fam.design() and list(design.tables) == [0, 2, 3]
+    for r, mult in ((0, 1), (2, 4), (3, 16)):
+        assert list(design.tables[r].items()) == [
+            (key, mult) for key in grassmannian_keys(2, 4, r)]
+    with pytest.raises(ValueError, match="^dimension 0 outside the legal block range 2..3$"):
+        uniform_families(2, 2, 3, 7, 6, {0: 1})
 
 
 def test_construct_uniform_q3():
@@ -744,7 +770,7 @@ def test_construct_recursive_validation():
 # extension families and their class sums
 # ---------------------------------------------------------------------------
 
-def uniform_families(design, m1):
+def families_over(design, m1):
     """A uniform design as extension families over F_q^{m1} + F_q^r: for
     each block dimension d and bottom G2, every top at d's multiplicity."""
     pr = design.params
@@ -765,12 +791,14 @@ def construction_families():
     return [s3485_families(2), s3485_families(3), s3485_families(4),
             fano_m5_families(2, para2), fano_m5_families(3, para3),
             recursive_families(2, 3, para2, base),
-            uniform_families(fano_m4(2), 2), uniform_families(fano_m4(3), 1)]
+            families_over(fano_m4(2), 2), families_over(fano_m4(3), 1),
+            uniform_families(2, 2, 3, 7, 4, {0: 1, 1: 0, 2: 4, 3: 16})]
 
 
 CONSTRUCTIONS = dict(zip((
     "s3485-q2", "s3485-q3", "s3485-q4", "fano-m5-q2", "fano-m5-q3",
-    "recursive-k3", "fano-m4-q2", "fano-m4-q3"), construction_families()))
+    "recursive-k3", "fano-m4-q2", "fano-m4-q3", "fano-m4-q2-m1=m"),
+    construction_families()))
 
 
 def family_mutants(fam):
@@ -845,6 +873,9 @@ def test_extension_families_validation():
         ExtensionFamilies(params, 4, ((5, None, 0, 1),))    # no 5-subspace of F_2^4
     with pytest.raises(ValueError):
         ExtensionFamilies(params, 4, ((1, None, 0, 1.0),))
+    # F_q^0 holds only the key 0, which ends a read digit by digit by 1
+    with pytest.raises(ValueError, match="^1 is not a subspace key$"):
+        ExtensionFamilies(DesignParams(2, 2, 3, 7, 4), 4, ((2, None, 1, 1),))
     # a part of multiplicity 0 expands to nothing
     fam = ExtensionFamilies(params, 4, ((1, None, 0, 0), (1, (0,), 1, 2)))
     assert fam.design().tables == {1: {1: 2}}
@@ -893,6 +924,8 @@ def test_transform_rejects_singular_op():
         apply_transform(d, [(1, (1, 1, 0))])
     with pytest.raises(ValueError):
         apply_transform(d, [(1, (1, 2, 0, 0))])  # 2 outside F_2
+    with pytest.raises(TypeError, match="^cannot transform DesignParams$"):
+        apply_transform(d.params, [])
 
 
 def _random_ops(rng, q, m, count):

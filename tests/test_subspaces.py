@@ -50,6 +50,8 @@ def test_rref_leading_one_scaling():
 def test_rref_length_mismatch():
     with pytest.raises(ValueError):
         rref(F2, [(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="cannot infer ambient dimension"):
+        rref(F2, [])
 
 
 @pytest.mark.parametrize("q, vectors", [(2, [(2, 0)]),
@@ -161,13 +163,21 @@ def test_unchecked_decode_matches_checked():
 
 def test_negative_keys_are_refused():
     """A negative key is no subspace key: ``divmod`` floors toward -1,
-    so reading one digit by digit would never end."""
+    so reading one digit by digit would never end.  Nor is a nonzero
+    key of F_q^0, whose digits are read by ``divmod`` by q**0 = 1; nor
+    anything but an int."""
     with pytest.raises(ValueError, match="^-1 is not a subspace key$"):
         row_codes(-1, 2, 3)
     with pytest.raises(ValueError, match="^-5 is not a subspace key$"):
         puncture_key(-5, 2, 3)
     with pytest.raises(ValueError, match="^-1 is not a subspace key$"):
         subspace_from_key(F2, 3, -1)
+    with pytest.raises(ValueError, match="^3 is not a subspace key$"):
+        subspace_from_key(F2, 0, 3)
+    assert row_codes(0, 2, 0) == [] and subspace_from_key(F2, 0, 0).dim == 0
+    for key in (True, "3", 1.0):
+        with pytest.raises(ValueError, match="is not a subspace key$"):
+            subspace_from_key(F2, 3, key)
 
 
 def test_enumeration_null_subspace():
@@ -208,6 +218,10 @@ def test_dimension_out_of_range():
         list(enumerate_subspaces(F2, 3, 4))
     with pytest.raises(ValueError):
         list(enumerate_subspaces(F2, 3, -1))
+    with pytest.raises(ValueError, match="^dimension 4 out of range for ambient 3$"):
+        first_subspace(F2, 3, 4)
+    with pytest.raises(ValueError, match="^dimension 4 out of range for ambient 3$"):
+        coverage([], F2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
