@@ -177,8 +177,12 @@ def _puncture_census(q: int, n: int, t: int, m: int) -> dict:
     weights: dict = {}
     for pivots in itertools.combinations(range(n), t):
         left = tuple(p for p in pivots if p < m)
-        collapsed = sum(c not in pivots for p in pivots
-                        for c in range(max(p + 1, m), n))
+        # a row leading left of m is free in the n-m deleted columns but
+        # the t-j pivots there; row i leading at p >= m in the n-1-p
+        # columns right of it but the t-1-i pivots after it
+        j = len(left)
+        collapsed = j * (n - m - t + j) + sum(n - pivots[i] - t + i
+                                              for i in range(j, t))
         weights[left] = weights.get(left, 0) + q ** collapsed
     return weights
 

@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from heapq import heappop, heappush
 from math import gcd
 
 from .counting import count_D, count_N, covering_coefficient, gaussian
@@ -111,7 +112,7 @@ class SolveOutcome:
             col, prow = pivot_rows[j]
             for _, row in pivot_rows[:j]:
                 if col in row:
-                    _clear(row, col, prow)
+                    _clear(row, col, prow, [])
         unpinned, ncol = self._unpinned, len(self._unpinned)
         template = dict.fromkeys(unpinned, Fraction(0))
         basis = {}
@@ -192,9 +193,17 @@ def build_full(q: int, t: int, k: int, n: int, m: int) -> EquationSystem:
                             for b in [count_N(s, m, t, n, q)] * len(keys[s])))
 
 
-def _clear(row: dict, col: int, prow: dict) -> None:
-    """Clear column col of row in place by the pivot row prow, cross
-    multiplying and dividing out the gcd of the entries."""
+def _clear(row: dict, col: int, prow: dict, heap: list) -> None:
+    """Clear column col of row in place by the pivot row prow: row
+    becomes a * row - b * prow, with a = p / g and b = f / g for the
+    leads p of prow and f of row and g = gcd(p, f).
+
+    Each column row gains is pushed onto ``heap``, so a heap that held
+    every column of row still does; columns that cancel stay in it.
+    With a = 1 the work is proportional to prow.  Otherwise every entry
+    of row is scaled, and only then, as that pass reads every entry
+    anyway, is the content (the gcd of the entries) divided out too.
+    """
     p, f = prow[col], row[col]
     g = gcd(p, f)
     a, b = p // g, f // g
@@ -202,15 +211,21 @@ def _clear(row: dict, col: int, prow: dict) -> None:
         for c in row:
             row[c] *= a
     for c, v in prow.items():
-        w = row.get(c, 0) - b * v
-        if w:
-            row[c] = w
+        w = row.get(c)
+        if w is None:
+            row[c] = -b * v
+            heappush(heap, c)
         else:
-            del row[c]
-    content = gcd(*row.values())
-    if content > 1:
-        for c in row:
-            row[c] //= content
+            w -= b * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
+    if a != 1:
+        content = gcd(*row.values())
+        if content > 1:
+            for c in row:
+                row[c] //= content
 
 
 def solve(system, pins: dict | None = None) -> SolveOutcome:
@@ -223,14 +238,21 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     a copy of its row, pins substituted over its nonzeros, with the
     right-hand side in the column after the last unknown, all scaled by
     the denominator of that right-hand side.  A row is cleared of a
-    pivot column by cross-multiplying with the pivot row and dividing
-    out the gcd of its entries.  Forward elimination clears each pivot column from the
-    rows not yet pivoted, picking the pivot row with the fewest entries,
-    then the smallest lead, then the first, and leaves the pivot rows in
-    echelon form.  Substitution over them, last pivot first, gives each
-    pivot variable as right-hand side minus the known terms over lead,
-    in integers while the division is exact and as a ``Fraction`` once
-    it is not.  The pivot rows are reduced further only for
+    pivot column by cross-multiplying with the pivot row (``_clear``),
+    in time proportional to the pivot row unless the row is scaled.
+    Forward elimination clears each pivot column from the rows not yet
+    pivoted, picking the pivot row with the fewest entries, then the
+    smallest lead, then the first, and leaves the pivot rows in echelon
+    form.  A row waits in the bucket of its smallest column; the first
+    time it is cleared it gets a heap of its columns, which ``_clear``
+    extends by the columns it gains, so its next smallest column is
+    popped from the heap rather than found by reading the row.  Any
+    echelon form of the same rows leads in the same columns, so the
+    free keys and the answer do not depend on how the rows were scaled.
+    Substitution over the pivot rows, last pivot first, gives each pivot
+    variable as right-hand side minus the known terms over lead, in
+    integers while the division is exact and as a ``Fraction`` once it
+    is not.  The pivot rows are reduced further only for
     ``SolveOutcome.free_basis``, on its first read.
 
     Returns the full assignment (pins included).  When underdetermined,
@@ -272,6 +294,7 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
     # col iff it is their smallest, so they wait in buckets by that
     pivots = []            # (column, row index), columns ascending
     buckets = [[] for _ in range(ncol + 1)]
+    heaps = {}             # row index -> heap holding its columns
     for i, row in enumerate(rows):
         if row:
             buckets[min(row)].append(i)
@@ -282,11 +305,21 @@ def solve(system, pins: dict | None = None) -> SolveOutcome:
         # the sparsest row, then the smallest lead, then the first row,
         # keeps the fill-in and the integers small
         pr = min(cands, key=lambda i: (len(rows[i]), abs(rows[i][col]), i))
+        heaps.pop(pr, None)
+        prow = rows[pr]
         for i in cands:
             if i != pr:
-                _clear(rows[i], col, rows[pr])
-                if rows[i]:
-                    buckets[min(rows[i])].append(i)
+                row = rows[i]
+                heap = heaps.get(i)
+                if heap is None:
+                    heap = heaps[i] = sorted(row)
+                _clear(row, col, prow, heap)
+                while heap and heap[0] not in row:
+                    heappop(heap)
+                if heap:
+                    buckets[heap[0]].append(i)
+                else:
+                    del heaps[i]
         pivots.append((col, pr))
 
     # a row never pivoted and not cleared to zero holds a right-hand side

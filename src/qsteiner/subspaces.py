@@ -344,8 +344,11 @@ def extensions_same_dim(x: Subspace) -> list:
 
 
 def extension_raise_dim(x: Subspace) -> Subspace:
-    """The unique (t+1)-subspace of F_q^{m+1} puncturing back to x."""
-    return next(enumerate_extensions(x, x.dim + 1, x.ambient + 1))
+    """The unique (t+1)-subspace of F_q^{m+1} puncturing back to x:
+    x's rows with a 0 appended, then the new unit vector, which is
+    already in RREF."""
+    return Subspace(x.field, x.ambient + 1,
+                    tuple(row + (0,) for row in x.rows) + ((0,) * x.ambient + (1,),))
 
 
 def enumerate_extensions(x: Subspace, t_target: int, n_target: int) -> Iterator[Subspace]:

@@ -450,15 +450,30 @@ class IntegerSystem:
 
 def random_integer_system(rng: random.Random, min_size: int = 0,
                           max_size: int = 8, entry: int = 5,
-                          perturb: float = 0.1) -> IntegerSystem:
+                          perturb: float = 0.1,
+                          full_row: bool = False) -> IntegerSystem:
     """Rows drawn from the span of a few random augmented rows, with zero
     rows, duplicates, negative entries and the odd perturbed right-hand
     side mixed in.  There are at least min_size rows, columns and
-    spanning rows, as far as the rows and columns allow."""
+    spanning rows, as far as the rows and columns allow.
+
+    With ``full_row`` the spanning rows hold two or three unknowns each,
+    mostly at coefficients other than 1, a drawn row is a multiple of
+    one of them or the sum of multiples of two, so entries cancel, and
+    one row holding every unknown goes in among them: elimination
+    clears it by one pivot row after another."""
     nrows, ncols = rng.randint(min_size, max_size), rng.randint(min_size, max_size)
-    basis = [[rng.randint(-entry, entry) for _ in range(ncols + 1)]
-             for _ in range(rng.randint(min(min_size, nrows, ncols),
-                                        min(nrows, ncols) + 1))]
+    nbasis = rng.randint(min(min_size, nrows, ncols), min(nrows, ncols) + 1)
+    if full_row:
+        basis = []
+        for _ in range(nbasis):
+            row = [0] * ncols + [rng.randint(-entry, entry)]
+            for j in rng.sample(range(ncols), min(ncols, rng.randint(2, 3))):
+                row[j] = rng.choice((-1, 1)) * rng.randint(1, entry)
+            basis.append(row)
+    else:
+        basis = [[rng.randint(-entry, entry) for _ in range(ncols + 1)]
+                 for _ in range(nbasis)]
     rows = []
     for _ in range(nrows):
         kind = rng.random()
@@ -468,29 +483,63 @@ def random_integer_system(rng: random.Random, min_size: int = 0,
             row = list(rng.choice(rows))
         else:
             row = [0] * (ncols + 1)
-            for b in basis:
+            for b in (rng.sample(basis, min(len(basis), rng.randint(1, 2)))
+                      if full_row else basis):
                 c = rng.randint(-3, 3)
                 row = [x + c * y for x, y in zip(row, b)]
         if rng.random() < perturb:
             row[-1] += rng.choice((-1, 1))
         rows.append(row)
+    if full_row and ncols:
+        row = [rng.choice((-1, 1)) * rng.randint(1, entry) for _ in range(ncols)]
+        rows.insert(rng.randint(0, len(rows)), row + [rng.randint(-entry, entry)])
     return IntegerSystem(ncols, tuple(tuple(r[:-1]) for r in rows),
                          tuple(r[-1] for r in rows))
 
 
 def test_solve_matches_dense_oracle_on_random_integer_systems():
     rng = random.Random(20151028)
-    statuses = Counter()
-    for _ in range(400):
-        system = random_integer_system(rng)
-        pins = None
-        if system.ncols and rng.random() < 0.4:
-            keys = system.variable_keys()
-            pins = {kk: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for kk in rng.sample(keys, rng.randint(1, len(keys)))}
-        statuses[assert_same_outcome(system, pins).status] += 1
-    assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
-    assert min(statuses.values()) > 20
+    for full_row in (False, True):
+        statuses = Counter()
+        for _ in range(400):
+            system = random_integer_system(rng, full_row=full_row)
+            pins = None
+            if system.ncols and rng.random() < 0.4:
+                keys = system.variable_keys()
+                pins = {kk: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for kk in rng.sample(keys, rng.randint(1, len(keys)))}
+            statuses[assert_same_outcome(system, pins).status] += 1
+        assert set(statuses) == {"unique", "underdetermined", "inconsistent"}
+        assert min(statuses.values()) > 20, (full_row, statuses)
+
+
+@dataclass(frozen=True)
+class SparseSystem:
+    """``rows``, ``rhs`` and ``variable_keys()`` with no dense view, for
+    systems too large to hold one."""
+
+    rows: tuple
+    rhs: tuple
+
+    def variable_keys(self) -> tuple:
+        return tuple(range(len(self.rows)))
+
+
+def test_solve_time_follows_the_pivot_rows():
+    """One row over all 20,000 unknowns, cleared by 19,999 pivot rows
+    x_i - x_{i+1} = -1 in turn, each of two unknowns: the unique answer
+    is x_i = i + 1.  Elimination that reads the long row to find its
+    next pivot column, or to take its content, after every clear is
+    quadratic in it and takes seconds here."""
+    n = 20000
+    rows = (*({i: 1, i + 1: -1} for i in range(n - 1)), dict.fromkeys(range(n), 1))
+    system = SparseSystem(rows, (*[-1] * (n - 1), n * (n + 1) // 2))
+    start = time.perf_counter()
+    out = solve(system)
+    took = time.perf_counter() - start
+    assert out.status == "unique" and out.free_keys == ()
+    assert out.assignment == {i: i + 1 for i in range(n)}
+    assert took < 1, took
 
 
 def test_solve_matches_dense_oracle_on_larger_random_systems():

@@ -332,8 +332,8 @@ def test_extensions_same_dim_count_q3():
 
 
 def test_extension_round_trip_and_uniqueness():
-    """Same-dim extensions number q^t and the raising extension is the
-    only dimension-raising one (q in {2,3}, m <= 5)."""
+    """Same-dim extensions number q^t and the raising extension, built
+    directly, is the only dimension-raising one (q in {2,3}, m <= 5)."""
     for q in (2, 3):
         f = make_field(q)
         for m in range(1, 6):
@@ -345,6 +345,7 @@ def test_extension_round_trip_and_uniqueness():
                     raised = extension_raise_dim(x)
                     assert raised.dim == t + 1
                     assert puncture(raised, 1) == x
+                    assert [raised] == list(enumerate_extensions(x, t + 1, m + 1))
 
 
 def test_enumerate_extensions_against_puncture_filter():
